@@ -2,8 +2,10 @@
 """Benchmark the compiled kernels against the pure-numpy fallback.
 
 Times the hot path of a run (batch weighted distances + row ranking) for
-several iteration counts on the bundled 6 x 12 case study, plus the full
-pipeline. First njit calls are excluded via warmup.
+several iteration counts on the bundled 6 x 12 case study, the two other
+t-sized stages at each count (weight sampling and the summary's
+five-number reductions), plus the full pipeline. First njit calls are
+excluded via warmup.
 
 Usage:
     python benchmarks/benchmark_kernels.py [--iterations N ...]
@@ -18,6 +20,7 @@ import numpy as np
 
 from bandtopsis import (
     RunConfig,
+    build_summary,
     compute_bounds,
     critic_weights,
     entropy_weights,
@@ -75,6 +78,17 @@ def bench_batch(t: int) -> None:
         print(f"  {name:<6} {sec * 1e3:8.3f} ms   {speed:5.2f}x vs numpy")
 
 
+def bench_stages(t: int) -> None:
+    matrix, _ = parse_problem(DATA)
+    cfg = RunConfig(iterations=t, custom_sets=((0.05,) * 12,))
+    report = run_pipeline(matrix, cfg)
+    sample_s = _time(sample_weight_matrix, report.bounds, t, cfg.seed, repeats=5)
+    summary_s = _time(build_summary, report, repeats=5)
+    print(f"other t-sized stages, t = {t:,}")
+    print(f"  sample_weight_matrix {sample_s * 1e3:8.3f} ms")
+    print(f"  build_summary        {summary_s * 1e3:8.3f} ms")
+
+
 def bench_pipeline(t: int) -> None:
     matrix, _ = parse_problem(DATA)
     cfg = RunConfig(iterations=t, custom_sets=((0.05,) * 12,))
@@ -91,6 +105,7 @@ def main() -> None:
     print("(set BANDTOPSIS_NO_NUMBA=1 to force the numpy fallback)")
     for t in args.iterations:
         bench_batch(t)
+        bench_stages(t)
     bench_pipeline(args.iterations[0])
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -144,6 +145,10 @@ def _parse_csv(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
     return DecisionMatrix(tuple(alternatives), criteria, np.array(values)), RunConfig()
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_json(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
     try:
         doc = json.load(f)
@@ -188,7 +193,7 @@ def _parse_json(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
             raise ProblemFormatError(f"values[{r}]: expected {n} numbers, got {got}")
         parsed = []
         for c, cell in enumerate(row):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool):
+            if not _is_number(cell):
                 raise ProblemFormatError(
                     f"values[{r}][{c}]: cannot use {cell!r} as a number"
                 )
@@ -196,14 +201,22 @@ def _parse_json(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
         values.append(parsed)
 
     kwargs = {}
-    if "iterations" in doc:
-        kwargs["iterations"] = int(doc["iterations"])
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
+    for key in ("iterations", "seed"):
+        if key in doc:
+            v = doc[key]
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ProblemFormatError(f"{key!r}: expected an integer, got {v!r}")
+            kwargs[key] = v
     if "custom_sets" in doc:
         cs = doc["custom_sets"]
         if not isinstance(cs, list) or not all(isinstance(s, list) for s in cs):
             raise ProblemFormatError("'custom_sets' must be a list of weight lists")
+        for k, s in enumerate(cs):
+            for c, v in enumerate(s):
+                if not _is_number(v):
+                    raise ProblemFormatError(
+                        f"custom_sets[{k}][{c}]: cannot use {v!r} as a number"
+                    )
         kwargs["custom_sets"] = tuple(tuple(float(v) for v in s) for s in cs)
 
     matrix = DecisionMatrix(tuple(alternatives), tuple(criteria), np.array(values))
@@ -227,16 +240,51 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None
         w.writerows(rows)
 
 
-def five_number(values: np.ndarray) -> dict[str, float]:
-    """min / q1 / median / q3 / max with linear-interpolation quartiles."""
-    q = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
-    return {
-        "min": float(q[0]),
-        "q1": float(q[1]),
-        "median": float(q[2]),
-        "q3": float(q[3]),
-        "max": float(q[4]),
-    }
+_FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
+
+
+def _linear_pick(n: int, q: float) -> tuple[int, int, float]:
+    """Order statistics and weight of quantile q among n sorted values,
+    as numpy's default 'linear' method picks them: virtual index
+    (n - 1) * q, its floor and the next index, and the fractional part.
+    At or past the last index numpy moves both picks to index -1 before
+    taking the weight, so the weight is then index + 1."""
+    v = (n - 1) * q
+    if v >= n - 1:
+        return n - 1, n - 1, v + 1
+    lo = math.floor(v)
+    return lo, lo + 1, v - lo
+
+
+def _lerp(a: float, b: float, g: float) -> float:
+    """numpy's quantile interpolation between neighbours a <= b."""
+    diff = b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
+
+
+def five_number_columns(table: np.ndarray) -> list[dict[str, float]]:
+    """min / q1 / median / q3 / max of every column of a t x k array.
+
+    Each column is copied into one contiguous buffer and sorted, then the
+    five values are read with the arithmetic of numpy's 'linear' method,
+    so every value equals np.percentile(column, [0, 25, 50, 75, 100]) bit
+    for bit. The one exception is the sign of a zero result in a column
+    that holds both 0.0 and -0.0, which sort and numpy's partition may
+    pick differently; sampled weights and closeness values are never -0.0.
+    """
+    table = np.asarray(table, dtype=float)
+    t = table.shape[0]
+    picks = [_linear_pick(t, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    buf = np.empty(t)
+    out = []
+    for j in range(table.shape[1]):
+        np.copyto(buf, table[:, j])
+        buf.sort()
+        out.append({
+            name: _lerp(float(buf[lo]), float(buf[hi]), g)
+            for name, (lo, hi, g) in zip(_FIVE_NUMBERS, picks)
+        })
+    return out
 
 
 def build_summary(report: RunReport) -> dict:
@@ -261,14 +309,8 @@ def build_summary(report: RunReport) -> dict:
             {"name": name, "values": [float(v) for v in vec]}
             for name, vec in report.weight_table()
         ],
-        "rwm_summary": {
-            c.id: five_number(report.rwm.rows[:, j])
-            for j, c in enumerate(matrix.criteria)
-        },
-        "closeness_summary": {
-            a: five_number(report.closeness[:, j])
-            for j, a in enumerate(matrix.alternatives)
-        },
+        "rwm_summary": dict(zip(matrix.criterion_ids(), five_number_columns(report.rwm.rows))),
+        "closeness_summary": dict(zip(matrix.alternatives, five_number_columns(report.closeness))),
         "final": {
             "positions": [int(p) for p in final.positions],
             "modal_scores": [int(s) for s in final.modal_scores],

@@ -1,12 +1,19 @@
-"""Hot numeric kernels: batch weighted-distance evaluation and row ranking.
+"""Hot numeric kernels: batch weighted-distance evaluation, row ranking
+and the counter-based uniform stream the weight matrix is drawn from.
 
-Each kernel exists twice, a numba @njit build and a pure-numpy build.
-The njit build is used when numba imports cleanly; set the environment
-variable ``BANDTOPSIS_NO_NUMBA=1`` before import to force the numpy path
-(useful for debugging and for the benchmark comparison). Both builds
-implement identical arithmetic; closeness values agree to ~1e-15 and the
-rank tie policy (descending closeness, ties by ascending alternative
-index) is shared.
+The uniform stream and the numpy distance kernel avoid whole-array
+temporaries: the stream is generated block by block through fixed-size
+scratch arrays, and the distance roots are taken in place in the einsum
+outputs. Each output is bit-identical to the plain whole-array
+expression it replaces.
+
+The distance and ranking kernels exist twice, a numba @njit build and a
+pure-numpy build. The njit build is used when numba imports cleanly; set
+the environment variable ``BANDTOPSIS_NO_NUMBA=1`` before import to force
+the numpy path (useful for debugging and for the benchmark comparison).
+Both builds implement identical arithmetic; closeness values agree to
+~1e-15 and the rank tie policy (descending closeness, ties by ascending
+alternative index) is shared.
 """
 
 from __future__ import annotations
@@ -41,11 +48,12 @@ def batch_distances_numpy(V, a_pos, a_neg, w_rows):
 
     d_plus[t, i] = sqrt(sum_j w[t, j] * (V[i, j] - a_pos[j])^2), same for
     d_minus against a_neg. Weights sit inside the root, multiplying the
-    squared deviations.
+    squared deviations. The roots are taken in place, and each grid is
+    a contiguous t x m array the caller may overwrite.
     """
-    dp2 = np.einsum("tj,ij->ti", w_rows, (V - a_pos) ** 2)
-    dm2 = np.einsum("tj,ij->ti", w_rows, (V - a_neg) ** 2)
-    return np.sqrt(dp2), np.sqrt(dm2)
+    dp = np.einsum("tj,ij->ti", w_rows, (V - a_pos) ** 2)
+    dm = np.einsum("tj,ij->ti", w_rows, (V - a_neg) ** 2)
+    return np.sqrt(dp, out=dp), np.sqrt(dm, out=dm)
 
 
 def _batch_distances_loops(V, a_pos, a_neg, w_rows):
@@ -108,7 +116,11 @@ else:
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+# Counters per block: the two uint64 scratch arrays (256 KiB each) stay in
+# cache while the mixing steps run over them in place.
+_BLOCK = 1 << 15
 
 
 def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -119,10 +131,28 @@ def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     the top 53 bits as the mantissa. A value depends only on (seed, index),
     never on evaluation order, so any slice of the stream can be
     regenerated independently and bit-identically on any platform.
+
+    The stream is computed in blocks of ``_BLOCK`` counters with in-place
+    uint64 ufuncs (arithmetic mod 2^64), writing each block's doubles
+    straight into the result; the block size changes speed, never a value.
     """
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    z = (np.uint64(int(seed) & int(_U64)) + (counters + np.uint64(1)) * _GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    out = np.empty(count, dtype=np.float64)
+    ramp = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64)
+    z = np.empty_like(ramp)
+    tmp = np.empty_like(ramp)
+    seed64 = np.uint64(int(seed) & _U64)
+    for lo in range(0, count, _BLOCK):
+        k = min(_BLOCK, count - lo)
+        zb, tb = z[:k], tmp[:k]
+        np.add(ramp[:k], np.uint64((start + lo) & _U64), out=zb)  # counter + 1
+        np.multiply(zb, _GAMMA, out=zb)
+        np.add(zb, seed64, out=zb)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zb, np.uint64(shift), out=tb)
+            np.bitwise_xor(zb, tb, out=zb)
+            np.multiply(zb, mix, out=zb)
+        np.right_shift(zb, np.uint64(31), out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.right_shift(zb, np.uint64(11), out=zb)
+        np.multiply(zb, 2.0 ** -53, out=out[lo:lo + k])
+    return out

@@ -1,7 +1,10 @@
 """Domain types shared by every stage of the ranking pipeline.
 
 All containers are immutable after construction: ndarray fields are
-copied and write-locked, so instances can be shared across threads.
+write-locked, so instances can be shared across threads. Arrays a caller
+passes in are copied first; an array the package has just allocated for
+the instance is handed over wrapped in :class:`_Owned` and locked in place,
+so t-sized results are never held twice.
 """
 
 from __future__ import annotations
@@ -49,9 +52,30 @@ class Direction(enum.Enum):
         raise ValueError(f"unknown direction token {token!r} (expected max/min)")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=a.dtype if isinstance(a, np.ndarray) else None, copy=True)
-    a.setflags(write=False)
+class _Owned:
+    """An array the package allocated itself and hands to a constructor
+    for good: no other reference writes to it afterwards, so it is locked
+    in place instead of copied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _readonly(a, dtype=None) -> np.ndarray:
+    """Write-locked array with the values of `a`: a private copy of
+    caller data, or the array itself (and any array it views) when it
+    comes wrapped in :class:`_Owned`."""
+    if not isinstance(a, _Owned):
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+        return a
+    a = np.asarray(a.array, dtype=dtype)
+    base = a
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
     return a
 
 
@@ -81,7 +105,7 @@ class DecisionMatrix:
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
         object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(
-            self, "values", _readonly(np.asarray(self.values, dtype=float))
+            self, "values", _readonly(self.values, float)
         )
 
     @property
@@ -161,7 +185,7 @@ class RandomWeightMatrix:
     bounds: WeightBounds
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _readonly(np.asarray(self.rows, dtype=float)))
+        object.__setattr__(self, "rows", _readonly(self.rows, float))
 
 
 @dataclass(frozen=True)
@@ -172,8 +196,8 @@ class TopsisResult:
     ranks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "closeness", _readonly(np.asarray(self.closeness, dtype=float)))
-        object.__setattr__(self, "ranks", _readonly(np.asarray(self.ranks, dtype=np.int64)))
+        object.__setattr__(self, "closeness", _readonly(self.closeness, float))
+        object.__setattr__(self, "ranks", _readonly(self.ranks, np.int64))
 
     @property
     def m(self) -> int:
@@ -191,14 +215,15 @@ class RankMatrix:
     ranks: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.ranks, dtype=np.int64)
+        owned = isinstance(self.ranks, _Owned)
+        r = np.asarray(self.ranks.array if owned else self.ranks, dtype=np.int64)
         if r.ndim != 2:
             raise ValueError("rank matrix must be two-dimensional (iterations x alternatives)")
         m = r.shape[1]
         expected = np.arange(1, m + 1)
         if not np.all(np.sort(r, axis=1) == expected):
             raise ValueError("every rank row must be a permutation of 1..m")
-        object.__setattr__(self, "ranks", _readonly(r))
+        object.__setattr__(self, "ranks", _readonly(_Owned(r) if owned else r))
 
     @property
     def t(self) -> int:
@@ -225,11 +250,11 @@ class FinalRanking:
     mean_closeness: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _readonly(np.asarray(self.positions, dtype=np.int64)))
-        object.__setattr__(self, "modal_scores", _readonly(np.asarray(self.modal_scores, dtype=np.int64)))
-        object.__setattr__(self, "score_histograms", _readonly(np.asarray(self.score_histograms, dtype=np.int64)))
-        object.__setattr__(self, "mean_scores", _readonly(np.asarray(self.mean_scores, dtype=float)))
-        object.__setattr__(self, "mean_closeness", _readonly(np.asarray(self.mean_closeness, dtype=float)))
+        object.__setattr__(self, "positions", _readonly(self.positions, np.int64))
+        object.__setattr__(self, "modal_scores", _readonly(self.modal_scores, np.int64))
+        object.__setattr__(self, "score_histograms", _readonly(self.score_histograms, np.int64))
+        object.__setattr__(self, "mean_scores", _readonly(self.mean_scores, float))
+        object.__setattr__(self, "mean_closeness", _readonly(self.mean_closeness, float))
 
     @property
     def m(self) -> int:

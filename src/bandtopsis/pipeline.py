@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import build_rank_matrix, final_ranking
+from .aggregate import final_ranking
 from .model import (
     DecisionMatrix,
     FinalRanking,
@@ -16,6 +16,7 @@ from .model import (
     RankMatrix,
     RunConfig,
     WeightBounds,
+    _Owned,
     _readonly,
     validate_problem,
 )
@@ -39,7 +40,7 @@ class RunReport:
     final: FinalRanking
 
     def __post_init__(self):
-        object.__setattr__(self, "closeness", _readonly(np.asarray(self.closeness, dtype=float)))
+        object.__setattr__(self, "closeness", _readonly(self.closeness, float))
 
     def weight_table(self) -> list[tuple[str, np.ndarray]]:
         """Display rows: each contributing set, then the band envelope."""
@@ -73,6 +74,6 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     bounds = compute_bounds(sets)
     rwm = sample_weight_matrix(bounds, config.iterations, config.seed)
     xi, ranks = batch_topsis(matrix, rwm.rows)
-    rm = build_rank_matrix(ranks)
+    rm = RankMatrix(_Owned(ranks))
     final = final_ranking(rm, xi)
-    return RunReport(matrix, config, tuple(sets), bounds, rwm, xi, rm, final)
+    return RunReport(matrix, config, tuple(sets), bounds, rwm, _Owned(xi), rm, final)

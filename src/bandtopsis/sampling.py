@@ -3,7 +3,10 @@ from them.
 
 Sampling is counter-based (see kernels.unit_uniforms): entry (i, j) is a
 pure function of (seed, i, j, bounds), so the matrix is reproducible
-bit-for-bit regardless of fill order or parallel scheduling.
+bit-for-bit regardless of fill order or parallel scheduling. The stream
+is generated block by block, and the band transform lower + u * width is
+applied in place on the one t x n buffer, which the returned matrix
+then owns without a further copy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import unit_uniforms
-from .model import NamedWeightSet, RandomWeightMatrix, WeightBounds
+from .model import NamedWeightSet, RandomWeightMatrix, WeightBounds, _Owned
 
 
 def compute_bounds(sets: Sequence[NamedWeightSet]) -> WeightBounds:
@@ -56,6 +59,7 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     n = bounds.n
-    u = unit_uniforms(seed, 0, iterations * n).reshape(iterations, n)
-    rows = bounds.lower + u * bounds.width
-    return RandomWeightMatrix(iterations, rows, int(seed), bounds)
+    rows = unit_uniforms(seed, 0, iterations * n).reshape(iterations, n)
+    np.multiply(rows, bounds.width, out=rows)
+    np.add(rows, bounds.lower, out=rows)
+    return RandomWeightMatrix(iterations, _Owned(rows), int(seed), bounds)

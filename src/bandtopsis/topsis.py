@@ -25,8 +25,8 @@ class IdealPair:
     negative: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "positive", _readonly(np.asarray(self.positive, dtype=float)))
-        object.__setattr__(self, "negative", _readonly(np.asarray(self.negative, dtype=float)))
+        object.__setattr__(self, "positive", _readonly(self.positive, float))
+        object.__setattr__(self, "negative", _readonly(self.negative, float))
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class DistancePair:
     d_minus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d_plus", _readonly(np.asarray(self.d_plus, dtype=float)))
-        object.__setattr__(self, "d_minus", _readonly(np.asarray(self.d_minus, dtype=float)))
+        object.__setattr__(self, "d_plus", _readonly(self.d_plus, float))
+        object.__setattr__(self, "d_minus", _readonly(self.d_minus, float))
 
 
 def _column_names(matrix) -> list[str]:
@@ -125,10 +125,10 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
     V = np.ascontiguousarray(vector_normalize(matrix))
     ideals = ideal_solutions(V, matrix.is_benefit)
     dp, dm = kernels.batch_distances(V, ideals.positive, ideals.negative, W)
-    total = dp + dm
+    total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
     if np.any(total == 0):
         raise ComputationError(
             "degenerate problem: ideal equals anti-ideal on every weighted criterion"
         )
-    xi = dm / total
+    xi = np.divide(dm, total, out=total)
     return xi, kernels.rank_rows(xi)

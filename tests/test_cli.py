@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bandtopsis.cli import cli_main
 
 
@@ -129,3 +131,33 @@ def test_console_entry_point_runs():
     )
     assert out.returncode == 0
     assert "weights" in out.stdout and "topsis" in out.stdout
+
+
+_SMALL_JSON = {
+    "criteria": [["g1", "max"], ["g2", "min"]],
+    "alternatives": ["a1", "a2", "a3"],
+    "values": [[0.3, 0.1], [0.2, 0.3], [0.5, 0.2]],
+}
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        pytest.param({"seed": "abc"}, "'seed'", id="seed-string"),
+        pytest.param({"seed": None}, "'seed'", id="seed-null"),
+        pytest.param({"seed": 4.0}, "'seed'", id="seed-float"),
+        pytest.param({"seed": True}, "'seed'", id="seed-bool"),
+        pytest.param({"iterations": 2.5}, "'iterations'", id="iterations-float"),
+        pytest.param({"iterations": "100"}, "'iterations'", id="iterations-string"),
+        pytest.param({"custom_sets": [[0.5, "x"]]}, "custom_sets[0][1]", id="custom-string"),
+        pytest.param({"custom_sets": [[0.5, 0.5], [None, 1]]}, "custom_sets[1][0]",
+                     id="custom-null"),
+        pytest.param({"custom_sets": [[False, 1]]}, "custom_sets[0][0]", id="custom-bool"),
+    ],
+)
+def test_mistyped_json_config_exits_2_naming_the_field(tmp_path, capsys, extra, field):
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(dict(_SMALL_JSON, **extra)))
+    code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert field in err

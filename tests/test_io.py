@@ -3,8 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandtopsis import (
+    CriterionSpec,
+    DecisionMatrix,
     Direction,
     ProblemFormatError,
     RunConfig,
@@ -14,6 +18,7 @@ from bandtopsis import (
     parse_problem,
     run_pipeline,
 )
+from bandtopsis.io import five_number_columns
 from conftest import REF_LOWER, REF_UPPER, SOCIAL_DIRECTIONS, SOCIAL_VALUES
 
 
@@ -167,3 +172,76 @@ def test_summary_config_echo(social_report, tmp_path):
     assert summary["config"]["custom_sets"] == [[0.05] * 12]
     assert summary["final"]["order"][0] == "a1"
     assert summary["final"]["order"][-1] == "a3"
+
+
+# ----------------------------------------------------- five-number summaries
+
+def _assert_matches_percentile(table):
+    got = five_number_columns(table)
+    assert len(got) == table.shape[1]
+    for j, summary in enumerate(got):
+        ref = np.percentile(table[:, j], [0, 25, 50, 75, 100])
+        values = np.array([summary[k] for k in ("min", "q1", "median", "q3", "max")])
+        assert values.tobytes() == ref.tobytes(), (table.shape, j)
+
+
+@pytest.mark.parametrize("t", range(1, 65))
+def test_five_numbers_equal_percentile_small_t(t):
+    rng = np.random.default_rng(t)
+    scale = 10.0 ** rng.integers(-300, 301, size=(t, 1))
+    table = np.hstack([
+        rng.uniform(-1.0, 1.0, (t, 3)) * scale,                 # mixed signs, wide magnitudes
+        rng.integers(0, 3, (t, 2)).astype(float) * 1e-300,      # heavy ties
+        np.full((t, 1), 0.1),                                   # constant column
+        np.full((t, 1), 7.5e299),
+    ])
+    _assert_matches_percentile(table)
+
+
+@pytest.mark.parametrize("t", [100_000, 100_003, 262_147])
+def test_five_numbers_equal_percentile_large_t(t):
+    rng = np.random.default_rng(t)
+    table = np.column_stack([
+        rng.uniform(0.0, 1.0, t),
+        rng.uniform(0.0, 1.0, t) * 1e300,
+        rng.uniform(0.0, 1.0, t) * 1e-300,
+        rng.integers(0, 5, t) * 0.25,                            # ties at every quartile
+        np.full(t, 3.0),
+    ])
+    _assert_matches_percentile(table)
+
+
+@given(
+    st.lists(
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).filter(lambda x: x != 0.0)
+        | st.just(0.0),
+        min_size=1, max_size=80,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_five_numbers_equal_percentile_property(values):
+    _assert_matches_percentile(np.array(values)[:, None])
+
+
+def test_five_numbers_leave_the_table_unsorted():
+    table = np.arange(12.0).reshape(4, 3)[::-1]
+    before = table.copy()
+    five_number_columns(table)
+    assert np.array_equal(table, before)
+
+
+def test_summarised_arrays_hold_no_negative_zero():
+    # five_number_columns may differ from np.percentile only in the sign of
+    # a zero drawn from a column holding both 0.0 and -0.0
+    m = DecisionMatrix(
+        ("worst", "mid", "best"),
+        (CriterionSpec("g1"), CriterionSpec("g2")),
+        np.array([[1.0, 1.0], [1.5, 1.2], [2.0, 2.0]]),
+    )
+    cfg = RunConfig(iterations=500, include_entropy=False, include_critic=False,
+                    custom_sets=((0.0, 1.0), (-0.0, 1.0)))
+    report = run_pipeline(m, cfg)
+    assert np.all(report.closeness[:, 0] == 0.0)
+    assert not np.signbit(report.closeness).any()
+    assert np.any(report.rwm.rows == 0.0)
+    assert not np.signbit(report.rwm.rows).any()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,15 @@ from bandtopsis import (
     DecisionMatrix,
     Direction,
     NamedWeightSet,
+    RandomWeightMatrix,
     RankMatrix,
     RunConfig,
+    RunReport,
     ValidationError,
     WeightBounds,
+    build_rank_matrix,
     problem_violations,
+    run_pipeline,
     validate_problem,
 )
 from conftest import make_matrix
@@ -145,3 +151,62 @@ def test_acceptance_matches_invariant_evaluation(matrix):
     )
     errors = problem_violations(matrix)
     assert (errors == []) == should_pass
+
+
+# --------------------------------------------- defensive copies and locking
+
+def test_random_weight_matrix_copies_caller_rows():
+    rows = np.array([[0.2, 0.3], [0.25, 0.35]])
+    bounds = WeightBounds([0.2, 0.3], [0.3, 0.4])
+    rwm = RandomWeightMatrix(2, rows, 7, bounds)
+    rows[0, 0] = 9.0
+    assert rwm.rows[0, 0] == 0.2
+    assert not rwm.rows.flags.writeable
+
+
+def test_rank_matrix_copies_caller_ranks():
+    ranks = np.array([[1, 2, 3], [3, 1, 2]])
+    rm = RankMatrix(ranks)
+    ranks[0] = [3, 2, 1]
+    assert rm.ranks[0].tolist() == [1, 2, 3]
+    rm2 = build_rank_matrix(ranks)
+    ranks[0] = [2, 3, 1]
+    assert rm2.ranks[0].tolist() == [3, 2, 1]
+
+
+def test_run_report_copies_caller_closeness(social_matrix):
+    report = run_pipeline(social_matrix, RunConfig(iterations=50))
+    xi = np.array(report.closeness)
+    rebuilt = RunReport(report.matrix, report.config, report.weight_sets, report.bounds,
+                        report.rwm, xi, report.rank_matrix, report.final)
+    xi[:] = -1.0
+    assert np.array_equal(rebuilt.closeness, report.closeness)
+
+
+def _arrays_of(obj, seen=None):
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays_of(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays_of(getattr(obj, f.name), seen)
+
+
+def test_every_run_report_array_is_write_locked(social_matrix):
+    report = run_pipeline(social_matrix, RunConfig(iterations=300, custom_sets=((0.05,) * 12,)))
+    arrays = list(_arrays_of(report))
+    assert len(arrays) >= 12
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+        base = a.base
+        while isinstance(base, np.ndarray):
+            assert not base.flags.writeable
+            base = base.base

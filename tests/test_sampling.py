@@ -13,6 +13,7 @@ from bandtopsis import (
     sample_rows,
     sample_weight_matrix,
 )
+from bandtopsis import kernels
 from bandtopsis.kernels import unit_uniforms
 from conftest import REF_LOWER, REF_UPPER
 
@@ -142,3 +143,42 @@ def test_containment_property(seed, pairs, t):
     rwm = sample_weight_matrix(WeightBounds(lower, upper), t, seed)
     assert np.all(rwm.rows >= lower)
     assert np.all(rwm.rows <= upper)
+
+
+# ------------------------------------------------- block-wise stream contract
+
+_M64 = 2 ** 64 - 1
+_B = kernels._BLOCK
+
+
+def _plain_splitmix64(seed: int, start: int, count: int) -> list[float]:
+    out = []
+    for k in range(start, start + count):
+        z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0 ** -53)
+    return out
+
+
+@given(
+    st.integers(min_value=0, max_value=_M64),
+    st.integers(min_value=1, max_value=2 ** 48),
+    st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 3]),
+)
+@settings(max_examples=25, deadline=None)
+def test_uniforms_equal_plain_integer_splitmix64(seed, start, count):
+    u = unit_uniforms(seed, start, count)
+    assert u.dtype == np.float64 and u.shape == (count,)
+    assert u.tolist() == _plain_splitmix64(seed, start, count)
+
+
+def test_sample_rows_match_matrix_across_a_block_boundary():
+    n = 7  # _B is a power of two, so some row straddles each block edge
+    b = WeightBounds([0.0, 0.1, 0.2, 0.0, 0.05, 0.3, 0.0], [0.4, 0.1, 0.6, 1.0, 0.5, 0.9, 0.2])
+    edge = _B // n
+    assert edge * n < _B < (edge + 1) * n
+    full = sample_weight_matrix(b, 2 * edge + 5, seed=2 ** 64 - 3).rows
+    rows = [0, edge - 1, edge, edge + 1, 2 * edge, 2 * edge + 1, 2 * edge + 4]
+    assert np.array_equal(sample_rows(b, 2 ** 64 - 3, rows), full[rows])
