@@ -16,7 +16,6 @@ from .io import (
     load_summary,
     parse_problem,
 )
-from .kernels import active_backend
 from .model import (
     DEFAULT_ITERATIONS,
     DEFAULT_SEED,
@@ -81,7 +80,6 @@ __all__ = [
     "TopsisResult",
     "ValidationError",
     "WeightBounds",
-    "active_backend",
     "batch_topsis",
     "build_rank_matrix",
     "build_summary",

@@ -34,6 +34,12 @@ def build_rank_matrix(results: Sequence[TopsisResult] | np.ndarray) -> RankMatri
     return RankMatrix(np.vstack([r.ranks for r in results]))
 
 
+def _largest_mode(hists: np.ndarray) -> np.ndarray:
+    """Index of the top count along the last axis; the largest index wins
+    a tie."""
+    return hists.shape[-1] - 1 - np.argmax(hists[..., ::-1], axis=-1)
+
+
 def modal_score(scores: np.ndarray, m: int | None = None) -> tuple[int, np.ndarray]:
     """Mode of one alternative's scores plus the full histogram.
 
@@ -46,9 +52,7 @@ def modal_score(scores: np.ndarray, m: int | None = None) -> tuple[int, np.ndarr
     if m is None:
         m = int(s.max())
     hist = np.bincount(s, minlength=m + 1)
-    top = hist.max()
-    mode = int(np.nonzero(hist == top)[0].max())
-    return mode, hist
+    return int(_largest_mode(hist)), hist
 
 
 def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:
@@ -59,12 +63,11 @@ def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:
             f"closeness log shape {xi.shape} does not match rank matrix {rm.ranks.shape}"
         )
     m = rm.m
-    scores = rm.scores
     hists = np.zeros((m, m + 1), dtype=np.int64)
-    modal = np.zeros(m, dtype=np.int64)
-    for j in range(m):
-        modal[j], hists[j] = modal_score(scores[:, j], m)
-    mean_scores = scores.mean(axis=0)
+    hists[:, 1:] = rank_frequency(rm)[:, ::-1]  # score = m + 1 - rank
+    modal = _largest_mode(hists)
+    # integer sums below 2^53, so this equals scores.mean(axis=0) exactly
+    mean_scores = hists @ np.arange(m + 1) / rm.t
     mean_xi = xi.mean(axis=0)
 
     order = sorted(
@@ -80,7 +83,5 @@ def rank_frequency(rm: RankMatrix) -> np.ndarray:
     """Occupancy counts: entry (j, r-1) is how many iterations put
     alternative j at rank r. Every row sums to t."""
     m = rm.m
-    out = np.zeros((m, m), dtype=np.int64)
-    for j in range(m):
-        out[j] = np.bincount(rm.ranks[:, j], minlength=m + 1)[1:]
-    return out
+    cells = rm.ranks + np.arange(0, m * m, m) - 1  # cell j*m + r-1 of an m x m grid
+    return np.bincount(cells.ravel(), minlength=m * m).reshape(m, m)

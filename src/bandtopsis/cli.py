@@ -184,6 +184,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ComputationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory (try fewer iterations)", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

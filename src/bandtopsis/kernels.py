@@ -1,48 +1,21 @@
 """Hot numeric kernels: batch weighted-distance evaluation, row ranking
 and the counter-based uniform stream the weight matrix is drawn from.
 
-The uniform stream and the numpy distance kernel avoid whole-array
-temporaries: the stream is generated block by block through fixed-size
-scratch arrays, and the distance roots are taken in place in the einsum
-outputs. Each output is bit-identical to the plain whole-array
-expression it replaces.
-
-The distance and ranking kernels exist twice, a numba @njit build and a
-pure-numpy build. The njit build is used when numba imports cleanly; set
-the environment variable ``BANDTOPSIS_NO_NUMBA=1`` before import to force
-the numpy path (useful for debugging and for the benchmark comparison).
-Both builds implement identical arithmetic; closeness values agree to
-~1e-15 and the rank tie policy (descending closeness, ties by ascending
-alternative index) is shared.
+Each stage has one numpy implementation. The uniform stream and the
+distance kernel avoid whole-array temporaries: the stream is generated
+block by block through fixed-size scratch arrays, and the distance roots
+are taken in place in the einsum outputs. Each output is bit-identical
+to the plain whole-array expression it replaces.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("BANDTOPSIS_NO_NUMBA", "").strip().lower()
-_DISABLED = _env not in ("", "0", "false")
-
-_HAVE_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        _HAVE_NUMBA = False
-
-
-def active_backend() -> str:
-    """Name of the kernel build in use: 'numba' or 'numpy'."""
-    return "numba" if _HAVE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------- distances
 
-def batch_distances_numpy(V, a_pos, a_neg, w_rows):
+def batch_distances(V, a_pos, a_neg, w_rows):
     """Weighted Euclidean distances of every alternative to both ideals,
     for every weight row.
 
@@ -51,33 +24,15 @@ def batch_distances_numpy(V, a_pos, a_neg, w_rows):
     squared deviations. The roots are taken in place, and each grid is
     a contiguous t x m array the caller may overwrite.
     """
+    # optimize=False (the default) keeps a fixed reduction order, no BLAS call.
     dp = np.einsum("tj,ij->ti", w_rows, (V - a_pos) ** 2)
     dm = np.einsum("tj,ij->ti", w_rows, (V - a_neg) ** 2)
     return np.sqrt(dp, out=dp), np.sqrt(dm, out=dm)
 
 
-def _batch_distances_loops(V, a_pos, a_neg, w_rows):
-    t = w_rows.shape[0]
-    m, n = V.shape
-    dp = np.empty((t, m))
-    dm = np.empty((t, m))
-    for k in range(t):
-        for i in range(m):
-            sp = 0.0
-            sm = 0.0
-            for j in range(n):
-                ep = V[i, j] - a_pos[j]
-                em = V[i, j] - a_neg[j]
-                sp += w_rows[k, j] * ep * ep
-                sm += w_rows[k, j] * em * em
-            dp[k, i] = np.sqrt(sp)
-            dm[k, i] = np.sqrt(sm)
-    return dp, dm
-
-
 # ------------------------------------------------------------------ ranking
 
-def rank_rows_numpy(xi):
+def rank_rows(xi):
     """1-based rank of every closeness row, descending, ties to the
     lower alternative index (stable sort on the negated values)."""
     t, m = xi.shape
@@ -86,29 +41,6 @@ def rank_rows_numpy(xi):
     rows = np.arange(t)[:, None]
     ranks[rows, order] = np.arange(1, m + 1)
     return ranks
-
-
-def _rank_rows_loops(xi):
-    t, m = xi.shape
-    ranks = np.empty((t, m), dtype=np.int64)
-    for k in range(t):
-        for i in range(m):
-            r = 1
-            for j in range(m):
-                if xi[k, j] > xi[k, i] or (xi[k, j] == xi[k, i] and j < i):
-                    r += 1
-            ranks[k, i] = r
-    return ranks
-
-
-if _HAVE_NUMBA:
-    batch_distances_numba = njit(cache=True)(_batch_distances_loops)
-    rank_rows_numba = njit(cache=True)(_rank_rows_loops)
-    batch_distances = batch_distances_numba
-    rank_rows = rank_rows_numba
-else:
-    batch_distances = batch_distances_numpy
-    rank_rows = rank_rows_numpy
 
 
 # --------------------------------------------------- counter-based uniforms

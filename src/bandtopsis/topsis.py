@@ -55,10 +55,17 @@ def vector_normalize(matrix) -> np.ndarray:
     Accepts a DecisionMatrix or a bare 2-D array (the kernel is useful on
     raw grids in tests). Columns of zeros have no direction and are
     rejected.
+
+    Each column is first scaled by a power of two that brings its largest
+    magnitude into [0.5, 1), so squaring neither overflows nor underflows
+    at extreme magnitudes. The scale is exact, so the result equals the
+    unscaled X / ||X|| bit for bit wherever that neither overflows nor
+    underflows.
     """
     X = matrix.values if isinstance(matrix, DecisionMatrix) else np.asarray(matrix, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
     norms = np.sqrt((X ** 2).sum(axis=0))
     zero = np.nonzero(norms == 0)[0]
     if zero.size:
@@ -83,7 +90,7 @@ def distances(V: np.ndarray, weights: np.ndarray, ideals: IdealPair) -> Distance
         raise ValueError("weights must be non-negative")
     if not np.any(w > 0):
         raise ValueError("at least one weight must be positive")
-    dp, dm = kernels.batch_distances_numpy(V, ideals.positive, ideals.negative, w[None, :])
+    dp, dm = kernels.batch_distances(V, ideals.positive, ideals.negative, w[None, :])
     return DistancePair(dp[0], dm[0])
 
 
@@ -101,7 +108,7 @@ def rank_alternatives(xi: np.ndarray) -> np.ndarray:
     """1-based ranks, best (highest closeness) first; exact ties go to the
     lower alternative index."""
     xi = np.asarray(xi, dtype=float)
-    return kernels.rank_rows_numpy(xi[None, :])[0]
+    return kernels.rank_rows(xi[None, :])[0]
 
 
 def topsis_run(matrix: DecisionMatrix, weights) -> TopsisResult:
@@ -117,7 +124,7 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
     """Evaluate many weight rows against one matrix.
 
     Returns (closeness, ranks), each of shape t x m with row order equal
-    to the weight row order. Uses the compiled kernels when available.
+    to the weight row order.
     """
     W = np.ascontiguousarray(np.asarray(weight_rows, dtype=float))
     if W.ndim != 2:

@@ -152,6 +152,21 @@ def test_against_brute_force_oracle():
         assert fin.positions.tolist() == brute_force_positions(rows.tolist(), xi.tolist())
 
 
+def test_histograms_and_mean_scores_match_per_column_scores():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m = int(rng.integers(1, 8))
+        t = int(rng.integers(1, 40))
+        rows = np.array([rng.permutation(m) + 1 for _ in range(t)])
+        rm = build_rank_matrix(rows)
+        fin = final_ranking(rm, rng.uniform(size=(t, m)))
+        for j in range(m):
+            mode, hist = modal_score(rm.scores[:, j], m)
+            assert fin.modal_scores[j] == mode
+            assert np.array_equal(fin.score_histograms[j], hist)
+        assert fin.mean_scores.tobytes() == rm.scores.mean(axis=0).tobytes()
+
+
 def test_closeness_shape_mismatch_rejected():
     rm = build_rank_matrix(np.array([[1, 2]]))
     with pytest.raises(ValueError):

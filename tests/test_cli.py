@@ -55,6 +55,19 @@ def test_degenerate_problem_exits_1(tmp_path, capsys):
     assert "g1" in err
 
 
+def test_out_of_memory_exits_1_without_traceback(social_csv, tmp_path, monkeypatch, capsys):
+    def exhausted(matrix, config):
+        raise MemoryError
+
+    monkeypatch.setattr("bandtopsis.cli.run_pipeline", exhausted)
+    code, _, err = run_cli(
+        ["run", str(social_csv), "--iterations", "10000000000000", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: out of memory")
+
+
 def test_weights_subcommand_prints_bands(social_csv, capsys):
     code, stdout, _ = run_cli(
         ["weights", str(social_csv), "--custom", ",".join(["0.05"] * 12)], capsys

@@ -1,11 +1,41 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from bandtopsis import kernels
+
+
+def _batch_distances_loops(V, a_pos, a_neg, w_rows):
+    """Plain-loop reference for kernels.batch_distances."""
+    t = w_rows.shape[0]
+    m, n = V.shape
+    dp = np.empty((t, m))
+    dm = np.empty((t, m))
+    for k in range(t):
+        for i in range(m):
+            sp = 0.0
+            sm = 0.0
+            for j in range(n):
+                ep = V[i, j] - a_pos[j]
+                em = V[i, j] - a_neg[j]
+                sp += w_rows[k, j] * ep * ep
+                sm += w_rows[k, j] * em * em
+            dp[k, i] = np.sqrt(sp)
+            dm[k, i] = np.sqrt(sm)
+    return dp, dm
+
+
+def _rank_rows_loops(xi):
+    """Plain-loop reference for kernels.rank_rows: one plus the number of
+    alternatives with higher closeness or an equal one at a lower index."""
+    t, m = xi.shape
+    ranks = np.empty((t, m), dtype=np.int64)
+    for k in range(t):
+        for i in range(m):
+            r = 1
+            for j in range(m):
+                if xi[k, j] > xi[k, i] or (xi[k, j] == xi[k, i] and j < i):
+                    r += 1
+            ranks[k, i] = r
+    return ranks
 
 
 def _random_case(rng, t=40, m=6, n=9):
@@ -19,8 +49,8 @@ def _random_case(rng, t=40, m=6, n=9):
 def test_numpy_distances_against_plain_loops():
     rng = np.random.default_rng(3)
     V, a_pos, a_neg, W = _random_case(rng)
-    dp, dm = kernels.batch_distances_numpy(V, a_pos, a_neg, W)
-    dp_ref, dm_ref = kernels._batch_distances_loops(V, a_pos, a_neg, W)
+    dp, dm = kernels.batch_distances(V, a_pos, a_neg, W)
+    dp_ref, dm_ref = _batch_distances_loops(V, a_pos, a_neg, W)
     assert np.allclose(dp, dp_ref, atol=1e-13)
     assert np.allclose(dm, dm_ref, atol=1e-13)
 
@@ -29,43 +59,4 @@ def test_numpy_ranks_against_plain_loops():
     rng = np.random.default_rng(4)
     xi = rng.uniform(size=(60, 5))
     xi[10] = [0.5, 0.5, 0.2, 0.5, 0.2]  # tie-heavy row
-    assert np.array_equal(kernels.rank_rows_numpy(xi), kernels._rank_rows_loops(xi))
-
-
-@pytest.mark.skipif(kernels.active_backend() != "numba", reason="numba backend not active")
-def test_numba_and_numpy_builds_agree():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        V, a_pos, a_neg, W = _random_case(rng)
-        dp_nb, dm_nb = kernels.batch_distances_numba(V, a_pos, a_neg, W)
-        dp_np, dm_np = kernels.batch_distances_numpy(V, a_pos, a_neg, W)
-        assert np.allclose(dp_nb, dp_np, atol=1e-13)
-        assert np.allclose(dm_nb, dm_np, atol=1e-13)
-        xi = dm_np / (dm_np + dp_np)
-        assert np.array_equal(kernels.rank_rows_numba(xi), kernels.rank_rows_numpy(xi))
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = "import bandtopsis; print(bandtopsis.active_backend())"
-    env = dict(os.environ, BANDTOPSIS_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_fallback_pipeline_reproduces_reference_ranking(social_csv, tmp_path):
-    # the full run must give the same final positions on the numpy path
-    code = (
-        "import bandtopsis as bt\n"
-        "m, cfg = bt.parse_problem(%r)\n"
-        "import dataclasses\n"
-        "cfg = dataclasses.replace(cfg, custom_sets=((0.05,)*12,), iterations=2000)\n"
-        "r = bt.run_pipeline(m, cfg)\n"
-        "print(r.final.positions.tolist())\n" % str(social_csv)
-    )
-    env = dict(os.environ, BANDTOPSIS_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[1, 2, 6, 3, 4, 5]"
+    assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi))

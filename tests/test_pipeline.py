@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandtopsis import (
     RunConfig,
     ValidationError,
+    build_summary,
     run_pipeline,
     topsis_run,
 )
-from conftest import REF_POSITIONS, make_matrix
+from conftest import REF_POSITIONS, SOCIAL_DIRECTIONS, SOCIAL_VALUES, make_matrix
 
 
 def test_social_run_reproduces_reference_ranking(social_matrix):
@@ -62,3 +65,17 @@ def test_custom_sets_are_rescaled(social_matrix):
     report = run_pipeline(social_matrix, cfg)
     custom = report.weight_sets[2]
     assert np.allclose(custom.weights, 1 / 12)
+
+
+_SCALE_CFG = RunConfig(iterations=500, seed=42, custom_sets=((0.05,) * 12,))
+_SCALE_REF = build_summary(run_pipeline(make_matrix(SOCIAL_VALUES, SOCIAL_DIRECTIONS), _SCALE_CFG))
+
+
+@given(st.integers(0, 11), st.integers(-1000, 1000))
+@settings(max_examples=60, deadline=None)
+def test_power_of_two_column_scale_leaves_summary_unchanged(j, k):
+    # every stage is invariant to a positive column scale, and 2^k is exact
+    values = SOCIAL_VALUES.copy()
+    values[:, j] = np.ldexp(values[:, j], k)
+    scaled = build_summary(run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), _SCALE_CFG))
+    assert scaled == _SCALE_REF
