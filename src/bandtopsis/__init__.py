@@ -11,6 +11,7 @@ from .charts import charts_from_summary, emit_charts
 from .io import (
     ProblemFormatError,
     build_summary,
+    emit_rwm,
     emit_tables,
     final_ranking_from_summary,
     load_summary,
@@ -90,6 +91,7 @@ __all__ = [
     "critic_weights",
     "distances",
     "emit_charts",
+    "emit_rwm",
     "emit_tables",
     "entropy_weights",
     "final_ranking",

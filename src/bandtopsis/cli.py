@@ -4,6 +4,7 @@ Subcommands:
   weights  print the weight table (objective sets, custom sets, band limits)
   run      full randomized-band ranking, writing tables + summary.json
   plot     regenerate the SVG figures from a prior run's summary
+  rwm      regenerate a prior run's sampled weight tables from its summary
   topsis   single-shot ranking under an explicit weight vector
 
 Exit codes: 0 success, 1 computation error (degenerate problem),
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .charts import charts_from_summary
-from .io import ProblemFormatError, emit_tables, load_summary, parse_problem
+from .io import ProblemFormatError, emit_rwm, emit_tables, load_summary, parse_problem
 from .model import (
     DEFAULT_ITERATIONS,
     DEFAULT_SEED,
@@ -69,6 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("plot", help="draw figures from a prior run")
     pl.add_argument("summary", help="summary.json path or the run's output directory")
+
+    rw = sub.add_parser("rwm", help="write rwm.csv and rwm_display.csv of a prior run")
+    rw.add_argument("summary", help="summary.json path or the run's output directory")
 
     t = sub.add_parser("topsis", help="single ranking under an explicit weight vector")
     add_input(t)
@@ -132,15 +136,26 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _run_dir(summary_arg: str) -> Path:
+    target = Path(summary_arg)
+    return target if target.is_dir() else target.parent
+
+
 def _cmd_plot(args) -> int:
     summary = load_summary(args.summary)
-    target = Path(args.summary)
-    out = target if target.is_dir() else target.parent
+    out = _run_dir(args.summary)
     docs = charts_from_summary(summary)
     for name, svg in docs.items():
         with open(out / name, "w", encoding="utf-8", newline="") as f:
             f.write(svg)
     print(f"wrote {len(docs)} figures to {out}")
+    return 0
+
+
+def _cmd_rwm(args) -> int:
+    out = _run_dir(args.summary)
+    paths = emit_rwm(load_summary(args.summary), out)
+    print(f"wrote {len(paths)} files to {out}")
     return 0
 
 
@@ -160,6 +175,7 @@ _COMMANDS = {
     "weights": _cmd_weights,
     "run": _cmd_run,
     "plot": _cmd_plot,
+    "rwm": _cmd_rwm,
     "topsis": _cmd_topsis,
 }
 

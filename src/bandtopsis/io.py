@@ -22,8 +22,10 @@ from .model import (
     Direction,
     FinalRanking,
     RunConfig,
+    WeightBounds,
 )
 from .pipeline import RunReport
+from .sampling import sample_weight_matrix
 
 
 class ProblemFormatError(ValueError):
@@ -240,6 +242,23 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None
         w.writerows(rows)
 
 
+_ROW_BLOCK = 1 << 10
+
+
+def _write_rows(path: Path, header: list[str], rows: np.ndarray, cell: str) -> None:
+    """Write the header through csv.writer, then one line per row of a
+    t x k array: its 1-based number and every value in `cell` format
+    ('%r' for floats is their shortest round-trip repr). Rows are
+    converted to Python numbers one block at a time, so memory stays
+    bounded for any t."""
+    line = "%d" + ("," + cell) * rows.shape[1] + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerow(header)
+        for start in range(0, rows.shape[0], _ROW_BLOCK):
+            block = rows[start:start + _ROW_BLOCK].tolist()
+            f.writelines(line % (i, *row) for i, row in enumerate(block, start + 1))
+
+
 _FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
 
@@ -341,16 +360,91 @@ def final_ranking_from_summary(summary: dict) -> FinalRanking:
 
 
 def load_summary(path) -> dict:
+    """Read a run's summary.json (or the one in a run directory). A key
+    that `plot` or `rwm` reads and that is missing or mistyped raises
+    ProblemFormatError naming it."""
     p = Path(path)
     if p.is_dir():
         p = p / "summary.json"
     with open(p, encoding="utf-8") as f:
-        return json.load(f)
+        return _check_summary(json.load(f))
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a finite number"}
+
+
+def _expect(value, kind, where: str, length: int | None = None, of=None):
+    """`value` checked to be a `kind` (of `length` entries, each an `of`);
+    the error names `where`."""
+    if kind is float:
+        ok = _is_number(value) and math.isfinite(value)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    loc = f" {where!r}" if where else ""
+    if not ok:
+        raise ProblemFormatError(
+            f"summary{loc}: expected {_KINDS[kind]}, got {type(value).__name__}"
+        )
+    if length is not None and len(value) != length:
+        raise ProblemFormatError(f"summary{loc}: expected {length} entries, got {len(value)}")
+    if of is not None:
+        for k, v in enumerate(value):
+            _expect(v, of, f"{where}[{k}]")
+    return value
+
+
+def _key(doc: dict, key: str, kind, where: str = "", length: int | None = None, of=None):
+    path = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise ProblemFormatError(f"summary: missing key {path!r}")
+    return _expect(doc[key], kind, path, length, of)
+
+
+def _check_summary(summary) -> dict:
+    """Return a summary document unchanged if it has every key that
+    `plot`, `rwm` and :func:`final_ranking_from_summary` read, with the
+    types and lengths :func:`build_summary` writes; else raise
+    ProblemFormatError naming the first missing or mistyped key."""
+    _expect(summary, dict, "")
+    config = _key(summary, "config", dict)
+    if _key(config, "iterations", int, "config") < 1:
+        raise ProblemFormatError("summary 'config.iterations': must be >= 1")
+    _key(config, "seed", int, "config")
+    alternatives = _key(summary, "alternatives", list, of=str)
+    m = len(alternatives)
+    ids = []
+    for k, c in enumerate(_key(summary, "criteria", list)):
+        ids.append(_key(_expect(c, dict, f"criteria[{k}]"), "id", str, f"criteria[{k}]"))
+    weights = _key(summary, "weights", list)
+    for k, row in enumerate(weights):
+        where = f"weights[{k}]"
+        _key(_expect(row, dict, where), "name", str, where)
+        _key(row, "values", list, where, len(ids), of=float)
+    if [row["name"] for row in weights[-2:]] != ["lower", "upper"]:
+        raise ProblemFormatError("summary 'weights': must end with the 'lower' and 'upper' rows")
+    for table, keys in (("rwm_summary", ids), ("closeness_summary", alternatives)):
+        fives = _key(summary, table, dict)
+        for key in keys:
+            five = _key(fives, key, dict, table)
+            for name in _FIVE_NUMBERS:
+                _key(five, name, float, f"{table}.{key}")
+    final = _key(summary, "final", dict)
+    for name, of in (("positions", int), ("modal_scores", int),
+                     ("mean_scores", float), ("mean_closeness", float)):
+        _key(final, name, list, "final", m, of)
+    for a, hist in enumerate(_key(final, "score_histograms", list, "final", m)):
+        _expect(hist, list, f"final.score_histograms[{a}]", m, of=int)
+    return summary
 
 
 def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:
-    """Write weights/rwm/ranks tables (full precision plus 3-decimal
-    display variants) and summary.json under out_dir."""
+    """Write the weights table (full precision plus its 3-decimal display
+    variant), ranks.csv and summary.json under out_dir. The t sampled
+    weight rows are not written: :func:`emit_rwm` rebuilds them exactly
+    from summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix = report.matrix
@@ -363,27 +457,8 @@ def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:
         _write_csv(p, ["set"] + ids, [[name] + [fmt(v) for v in vec] for name, vec in table])
         paths[f"weights{suffix}"] = p
 
-    for suffix, fmt in (("", _fmt_full), ("_display", _fmt_display)):
-        p = out / f"rwm{suffix}.csv"
-        _write_csv(
-            p,
-            ["iteration"] + ids,
-            (
-                [str(i + 1)] + [fmt(v) for v in row]
-                for i, row in enumerate(report.rwm.rows)
-            ),
-        )
-        paths[f"rwm{suffix}"] = p
-
     p = out / "ranks.csv"
-    _write_csv(
-        p,
-        ["iteration"] + list(matrix.alternatives),
-        (
-            [str(i + 1)] + [str(int(v)) for v in row]
-            for i, row in enumerate(report.rank_matrix.ranks)
-        ),
-    )
+    _write_rows(p, ["iteration"] + list(matrix.alternatives), report.rank_matrix.ranks, "%d")
     paths["ranks"] = p
 
     p = out / "summary.json"
@@ -391,4 +466,31 @@ def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:
         json.dump(build_summary(report), f, indent=2)
         f.write("\n")
     paths["summary"] = p
+    return paths
+
+
+def emit_rwm(summary: dict, out_dir) -> dict[str, Path]:
+    """Rebuild a run's t sampled weight rows from its summary document and
+    write them under out_dir as rwm.csv (full precision) and
+    rwm_display.csv (3 decimals).
+
+    Row i is a pure function of (bounds, seed, i), and the summary records
+    the bounds (its last two weights rows), the seed and t exactly, so the
+    rows equal those the run ranked, bit for bit.
+    """
+    lower, upper = (row["values"] for row in summary["weights"][-2:])
+    try:
+        bounds = WeightBounds(lower, upper)
+    except ValueError as e:
+        raise ProblemFormatError(f"summary 'weights': {e}") from None
+    config = summary["config"]
+    rows = sample_weight_matrix(bounds, config["iterations"], config["seed"]).rows
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    header = ["iteration"] + [c["id"] for c in summary["criteria"]]
+    paths: dict[str, Path] = {}
+    for suffix, cell in (("", "%r"), ("_display", "%.3f")):
+        p = out / f"rwm{suffix}.csv"
+        _write_rows(p, header, rows, cell)
+        paths[f"rwm{suffix}"] = p
     return paths

@@ -119,7 +119,7 @@ class DecisionMatrix:
     @property
     def is_benefit(self) -> np.ndarray:
         """Boolean mask, True where the criterion is a benefit (max)."""
-        return np.array([c.direction is Direction.BENEFIT for c in self.criteria])
+        return np.array([c.direction is Direction.BENEFIT for c in self.criteria], dtype=bool)
 
     def criterion_ids(self) -> list[str]:
         return [c.id for c in self.criteria]

@@ -60,21 +60,27 @@ def entropy_weights(matrix: DecisionMatrix) -> EntropyReport:
     convention, and weights are the normalized diversities (1 - E_j).
     """
     X = matrix.values
-    m, n = X.shape
+    m = X.shape[0]
     is_benefit = matrix.is_benefit
     ids = matrix.criterion_ids()
 
     if np.any(X < 0):
         raise ComputationError("entropy weighting requires non-negative values")
+    cost = ~is_benefit
+    bad = np.nonzero(cost & np.any(X <= 0, axis=0))[0]
+    if bad.size:
+        raise ComputationError(
+            f"entropy weighting: cost column {ids[bad[0]]!r} has a non-positive "
+            "entry, reciprocal transform undefined"
+        )
+    # Shares are scale-free, so each column is first scaled by an exact
+    # power of two that brings a benefit column's largest entry and a cost
+    # column's smallest into [0.5, 1): neither the reciprocal nor the
+    # column sum can then overflow, and the shares are the same bits.
     Xt = X.copy()
-    for j in range(n):
-        if not is_benefit[j]:
-            if np.any(X[:, j] <= 0):
-                raise ComputationError(
-                    f"entropy weighting: cost column {ids[j]!r} has a non-positive "
-                    "entry, reciprocal transform undefined"
-                )
-            Xt[:, j] = 1.0 / X[:, j]
+    ref = np.where(is_benefit, X.max(axis=0), X.min(axis=0))
+    np.ldexp(Xt, -np.frexp(ref)[1], out=Xt)
+    Xt[:, cost] = 1.0 / Xt[:, cost]
 
     colsum = Xt.sum(axis=0)
     zero = np.nonzero(colsum == 0)[0]

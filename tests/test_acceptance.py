@@ -201,8 +201,10 @@ def test_criterion_09_sampling_contracts():
 def test_criterion_10_byte_identical_reruns(social_csv, tmp_path, capsys):
     args = ["run", str(social_csv), "--iterations", "2000", "--seed", "42",
             "--custom", ",".join(["0.05"] * 12)]
-    code1 = cli_main(args + ["--out", str(tmp_path / "r1")])
-    code2 = cli_main(args + ["--out", str(tmp_path / "r2")])
+    codes = []
+    for run in ("r1", "r2"):
+        out = str(tmp_path / run)
+        codes += [cli_main(args + ["--out", out]), cli_main(["rwm", out])]
     capsys.readouterr()
     files = ["weights.csv", "weights_display.csv", "rwm.csv", "rwm_display.csv",
              "ranks.csv", "summary.json"]
@@ -210,5 +212,5 @@ def test_criterion_10_byte_identical_reruns(social_csv, tmp_path, capsys):
         (tmp_path / "r1" / f).read_bytes() == (tmp_path / "r2" / f).read_bytes()
         for f in files
     )
-    ok = code1 == 0 and code2 == 0 and same
+    ok = codes == [0, 0, 0, 0] and same
     _verdict(10, ok, "two identical runs emit byte-identical csv/json outputs")

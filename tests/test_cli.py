@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -25,6 +26,16 @@ def test_run_writes_reference_positions(social_csv, tmp_path, capsys):
     assert summary["final"]["positions"] == [1, 2, 6, 3, 4, 5]
     assert "a1: [1]" in stdout
     assert "a3: [6]" in stdout
+
+
+def test_run_writes_three_tables_and_the_summary(social_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(["run", str(social_csv), "--iterations", "50", "--out", str(out)],
+                              capsys)
+    assert code == 0
+    assert stdout.endswith(f"wrote 4 files to {out}\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ranks.csv", "summary.json", "weights.csv", "weights_display.csv"]
 
 
 def test_missing_input_exits_2(capsys):
@@ -133,6 +144,7 @@ def test_seed_default_is_reproducible(social_csv, tmp_path, capsys):
             capsys,
         )
         assert code == 0
+        assert run_cli(["rwm", str(out)], capsys)[0] == 0
     for name in ("weights.csv", "rwm.csv", "ranks.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -174,3 +186,80 @@ def test_mistyped_json_config_exits_2_naming_the_field(tmp_path, capsys, extra, 
     code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert field in err
+
+
+@pytest.fixture(scope="module")
+def small_summary(tmp_path_factory):
+    out = tmp_path_factory.mktemp("summary")
+    p = out / "problem.json"
+    p.write_text(json.dumps(dict(_SMALL_JSON, iterations=20)))
+    assert cli_main(["run", str(p), "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _without(path):
+    def edit(doc):
+        del _parent(doc, path)[path[-1]]
+        return doc
+    return edit
+
+
+def _setting(path, value):
+    def edit(doc):
+        _parent(doc, path)[path[-1]] = value
+        return doc
+    return edit
+
+
+_BAD_SUMMARIES = [
+    pytest.param(lambda doc: [1, 2], "summary: expected an object, got list", id="list"),
+    pytest.param(lambda doc: {"config": {}}, "'config.iterations'", id="empty-config"),
+    pytest.param(_without(["final"]), "'final'", id="no-final"),
+    pytest.param(_without(["criteria", 1, "id"]), "'criteria[1].id'", id="no-criterion-id"),
+    pytest.param(_without(["rwm_summary", "g2"]), "'rwm_summary.g2'", id="no-rwm-five"),
+    pytest.param(_without(["closeness_summary", "a3", "q1"]), "'closeness_summary.a3.q1'",
+                 id="no-quartile"),
+    pytest.param(_setting(["config", "seed"], "42"), "'config.seed'", id="seed-string"),
+    pytest.param(_setting(["config", "iterations"], 0), "'config.iterations'",
+                 id="iterations-zero"),
+    pytest.param(_setting(["alternatives"], "a1"), "'alternatives'", id="alternatives-string"),
+    pytest.param(_setting(["weights", 0, "values"], [0.5]), "'weights[0].values'",
+                 id="weights-short"),
+    pytest.param(_without(["weights", -1]), "'weights'", id="no-upper-row"),
+    pytest.param(_setting(["final", "positions"], [1, 2]), "'final.positions'",
+                 id="positions-short"),
+    pytest.param(_setting(["final", "score_histograms", 1], [1, 2, "x"]),
+                 "'final.score_histograms[1][2]'", id="histogram-string"),
+    pytest.param(_setting(["final", "mean_closeness", 0], None), "'final.mean_closeness[0]'",
+                 id="closeness-null"),
+    pytest.param(_setting(["weights", -2, "values", 1], float("nan")), "'weights[2].values[1]'",
+                 id="bound-nan"),
+]
+
+
+@pytest.mark.parametrize("command", ["plot", "rwm"])
+@pytest.mark.parametrize("edit, named", _BAD_SUMMARIES)
+def test_malformed_summary_exits_2_naming_the_key(
+        small_summary, tmp_path, capsys, command, edit, named):
+    doc = edit(copy.deepcopy(small_summary))
+    (tmp_path / "summary.json").write_text(json.dumps(doc))
+    code, _, err = run_cli([command, str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: summary")
+    assert named in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+def test_rwm_rejects_bounds_outside_the_unit_interval(small_summary, tmp_path, capsys):
+    doc = copy.deepcopy(small_summary)
+    doc["weights"][-1]["values"][0] = 1.5
+    (tmp_path / "summary.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(["rwm", str(tmp_path)], capsys)
+    assert code == 2
+    assert "'weights'" in err

@@ -1,5 +1,5 @@
 """Pinned output bytes of `bandtopsis run data/social.csv --seed 42` plus
-`bandtopsis plot`.
+`bandtopsis plot` and `bandtopsis rwm`.
 
 The hashes were taken on x86-64 Linux with numpy 2.4. Any change to
 sampling, distances, ranking, aggregation, summaries, table formatting or
@@ -31,6 +31,7 @@ def test_run_and_plot_output_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["run", str(DATA), "--seed", "42", "--out", str(out)]) == 0
     assert cli_main(["plot", str(out)]) == 0
+    assert cli_main(["rwm", str(out)]) == 0
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == GOLDEN_SHA256

@@ -12,6 +12,8 @@ from bandtopsis import (
     Direction,
     ProblemFormatError,
     RunConfig,
+    build_summary,
+    emit_rwm,
     emit_tables,
     final_ranking_from_summary,
     load_summary,
@@ -111,6 +113,7 @@ def social_report(social_matrix):
 
 def test_emit_writes_expected_files(social_report, tmp_path):
     paths = emit_tables(social_report, tmp_path)
+    paths.update(emit_rwm(load_summary(tmp_path), tmp_path))
     for key in ("weights", "weights_display", "rwm", "rwm_display", "ranks", "summary"):
         assert paths[key].exists()
 
@@ -153,12 +156,15 @@ def test_load_summary_accepts_directory(social_report, tmp_path):
 def test_emission_is_byte_deterministic(social_report, tmp_path):
     a = emit_tables(social_report, tmp_path / "one")
     b = emit_tables(social_report, tmp_path / "two")
+    a.update(emit_rwm(load_summary(tmp_path / "one"), tmp_path / "one"))
+    b.update(emit_rwm(build_summary(social_report), tmp_path / "two"))
+    assert len(a) == 6
     for key in a:
         assert a[key].read_bytes() == b[key].read_bytes(), key
 
 
 def test_full_precision_columns_round_trip(social_report, tmp_path):
-    paths = emit_tables(social_report, tmp_path)
+    paths = emit_rwm(build_summary(social_report), tmp_path)
     lines = paths["rwm"].read_text().splitlines()[1:]
     parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
     assert np.array_equal(parsed, social_report.rwm.rows)

@@ -79,3 +79,19 @@ def test_power_of_two_column_scale_leaves_summary_unchanged(j, k):
     values[:, j] = np.ldexp(values[:, j], k)
     scaled = build_summary(run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), _SCALE_CFG))
     assert scaled == _SCALE_REF
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "j, k",
+    [
+        pytest.param(2, 1023, id="benefit-g3-times-2^1023"),
+        pytest.param(7, -1000, id="cost-g8-times-2^-1000"),
+    ],
+)
+def test_extreme_power_of_two_column_scale_leaves_summary_unchanged(j, k):
+    # near the top of the double range the entropy column sum must not overflow
+    values = SOCIAL_VALUES.copy()
+    values[:, j] = np.ldexp(values[:, j], k)
+    scaled = build_summary(run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), _SCALE_CFG))
+    assert scaled == _SCALE_REF
