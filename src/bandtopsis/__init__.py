@@ -4,112 +4,47 @@ Entropy and CRITIC weights (plus optional custom sets) span a weight band
 per criterion; t weight vectors are sampled from the bands, each is ranked
 with TOPSIS, and the per-iteration ranks are aggregated into a final order
 by the mode of each alternative's scores.
+
+Public names load on first access, so `import bandtopsis` imports no
+numpy until a name that needs it is used.
 """
 
-from .aggregate import build_rank_matrix, final_ranking, modal_score, rank_frequency
-from .charts import charts_from_summary, emit_charts
-from .io import (
-    ProblemFormatError,
-    build_summary,
-    emit_rwm,
-    emit_tables,
-    final_ranking_from_summary,
-    load_summary,
-    parse_problem,
-)
-from .model import (
-    DEFAULT_ITERATIONS,
-    DEFAULT_SEED,
-    ComputationError,
-    CriterionSpec,
-    DecisionMatrix,
-    Direction,
-    FinalRanking,
-    NamedWeightSet,
-    RandomWeightMatrix,
-    RankMatrix,
-    RunConfig,
-    TopsisResult,
-    ValidationError,
-    WeightBounds,
-    problem_violations,
-    validate_problem,
-)
-from .pipeline import RunReport, collect_weight_sets, run_pipeline
-from .sampling import compute_bounds, sample_rows, sample_weight_matrix
-from .topsis import (
-    DistancePair,
-    IdealPair,
-    batch_topsis,
-    closeness,
-    distances,
-    ideal_solutions,
-    rank_alternatives,
-    topsis_run,
-    vector_normalize,
-)
-from .weighting import (
-    CriticReport,
-    EntropyReport,
-    critic_weights,
-    entropy_weights,
-    minmax_normalize,
-    normalize_custom_set,
-    pearson,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ITERATIONS",
-    "DEFAULT_SEED",
-    "ComputationError",
-    "CriticReport",
-    "CriterionSpec",
-    "DecisionMatrix",
-    "Direction",
-    "DistancePair",
-    "EntropyReport",
-    "FinalRanking",
-    "IdealPair",
-    "NamedWeightSet",
-    "ProblemFormatError",
-    "RandomWeightMatrix",
-    "RankMatrix",
-    "RunConfig",
-    "RunReport",
-    "TopsisResult",
-    "ValidationError",
-    "WeightBounds",
-    "batch_topsis",
-    "build_rank_matrix",
-    "build_summary",
-    "charts_from_summary",
-    "closeness",
-    "collect_weight_sets",
-    "compute_bounds",
-    "critic_weights",
-    "distances",
-    "emit_charts",
-    "emit_rwm",
-    "emit_tables",
-    "entropy_weights",
-    "final_ranking",
-    "final_ranking_from_summary",
-    "ideal_solutions",
-    "load_summary",
-    "minmax_normalize",
-    "modal_score",
-    "normalize_custom_set",
-    "parse_problem",
-    "pearson",
-    "problem_violations",
-    "rank_alternatives",
-    "rank_frequency",
-    "run_pipeline",
-    "sample_rows",
-    "sample_weight_matrix",
-    "topsis_run",
-    "validate_problem",
-    "vector_normalize",
-]
+# submodule -> the public names it defines
+_SOURCES = {
+    "aggregate": ("build_rank_matrix", "final_ranking", "modal_score", "rank_frequency"),
+    "base": ("DEFAULT_ITERATIONS", "DEFAULT_SEED", "ComputationError", "ProblemFormatError",
+             "ValidationError"),
+    "charts": ("charts_from_summary", "emit_charts"),
+    "io": ("build_summary", "emit_rwm", "emit_tables", "final_ranking_from_summary",
+           "parse_problem"),
+    "model": ("CriterionSpec", "DecisionMatrix", "Direction", "FinalRanking", "NamedWeightSet",
+              "RandomWeightMatrix", "RankMatrix", "RunConfig", "TopsisResult", "WeightBounds",
+              "problem_violations", "validate_problem"),
+    "pipeline": ("RunReport", "collect_weight_sets", "run_pipeline"),
+    "sampling": ("compute_bounds", "sample_rows", "sample_weight_matrix"),
+    "summary": ("load_summary",),
+    "topsis": ("DistancePair", "IdealPair", "batch_topsis", "closeness", "distances",
+               "ideal_solutions", "rank_alternatives", "topsis_run", "vector_normalize"),
+    "weighting": ("CriticReport", "EntropyReport", "critic_weights", "entropy_weights",
+                  "minmax_normalize", "normalize_custom_set", "pearson"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines a public name and cache the name
+    here (PEP 562). Other names, such as submodules not yet imported,
+    raise AttributeError, which lets `from bandtopsis import kernels`
+    fall back to importing the submodule."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

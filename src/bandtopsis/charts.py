@@ -14,11 +14,10 @@ charts are self-describing and testable.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .io import build_summary
-from .pipeline import RunReport
+if TYPE_CHECKING:
+    from .pipeline import RunReport
 
 WIDTH = 900
 HEIGHT = 360
@@ -136,11 +135,12 @@ def boxplot_svg(title: str, labels: list[str], fives: list[dict], kind: str) -> 
     return c.render()
 
 
-def rank_bars_svg(title: str, alternatives: list[str], counts: np.ndarray) -> str:
-    """Grouped bars: for each alternative, how often it held each rank."""
+def rank_bars_svg(title: str, alternatives: list[str], counts: list[list[int]]) -> str:
+    """Grouped bars: for each alternative, how often it held each rank
+    (counts[a][r] for rank r + 1)."""
     c = _Canvas(title)
     m = len(alternatives)
-    total = int(counts.max()) if counts.size else 1
+    total = max(map(max, counts))
     to_y = _y_scale(0, total)
     _axis(c, 0, total, to_y)
 
@@ -152,13 +152,13 @@ def rank_bars_svg(title: str, alternatives: list[str], counts: np.ndarray) -> st
         gx = MARGIN_LEFT + group_w * a + group_w * 0.1
         for r in range(m):
             x = gx + bar_w * r
-            h = base - to_y(int(counts[a, r]))
+            h = base - to_y(counts[a][r])
             c.rect(
                 x, base - h, bar_w, h,
                 fill=_PALETTE[r % len(_PALETTE)],
                 alternative=alternatives[a],
                 rank=str(r + 1),
-                count=str(int(counts[a, r])),
+                count=str(counts[a][r]),
             )
         c.text(gx + bar_w * m / 2, base + 16, alternatives[a], size=10)
     return c.render()
@@ -217,11 +217,8 @@ def charts_from_summary(summary: dict) -> dict[str, str]:
     ids = [c["id"] for c in summary["criteria"]]
     m = len(alternatives)
     # rank r count = score (m + 1 - r) count
-    counts = np.array(
-        [[summary["final"]["score_histograms"][a][m - r] for r in range(1, m + 1)]
-         for a in range(m)],
-        dtype=np.int64,
-    )
+    counts = [[summary["final"]["score_histograms"][a][m - r] for r in range(1, m + 1)]
+              for a in range(m)]
     return _charts_from_parts(
         alternatives,
         ids,
@@ -235,6 +232,8 @@ def charts_from_summary(summary: dict) -> dict[str, str]:
 
 def emit_charts(report: RunReport, out_dir) -> dict[str, Path]:
     """Write figure2.svg ... figure5.svg for a run."""
+    from .io import build_summary
+
     docs = charts_from_summary(build_summary(report))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

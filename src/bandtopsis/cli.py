@@ -9,6 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 computation error (degenerate problem),
 2 usage or input/output error.
+
+Each handler imports the modules it uses, so `plot`, `--help` and usage
+errors run without loading numpy.
 """
 
 from __future__ import annotations
@@ -18,21 +21,19 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .charts import charts_from_summary
-from .io import ProblemFormatError, emit_rwm, emit_tables, load_summary, parse_problem
-from .model import (
+from .base import (
     DEFAULT_ITERATIONS,
     DEFAULT_SEED,
     ComputationError,
-    RunConfig,
+    ProblemFormatError,
     ValidationError,
-    validate_problem,
 )
-from .pipeline import collect_weight_sets, run_pipeline
-from .sampling import compute_bounds
-from .topsis import topsis_run
-from .weighting import normalize_custom_set
+from .summary import load_summary
+
+if TYPE_CHECKING:
+    from .model import RunConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +113,11 @@ def _print_weight_rows(rows, ids):
 
 
 def _cmd_weights(args) -> int:
+    from .io import parse_problem
+    from .model import validate_problem
+    from .pipeline import collect_weight_sets
+    from .sampling import compute_bounds
+
     matrix, cfg = parse_problem(args.input, args.format)
     cfg = _merged_config(cfg, args)
     validate_problem(matrix, cfg)
@@ -125,6 +131,9 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .io import emit_tables, parse_problem
+    from .pipeline import run_pipeline
+
     matrix, cfg = parse_problem(args.input, args.format)
     cfg = _merged_config(cfg, args)
     report = run_pipeline(matrix, cfg)
@@ -142,6 +151,8 @@ def _run_dir(summary_arg: str) -> Path:
 
 
 def _cmd_plot(args) -> int:
+    from .charts import charts_from_summary
+
     summary = load_summary(args.summary)
     out = _run_dir(args.summary)
     docs = charts_from_summary(summary)
@@ -153,13 +164,21 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_rwm(args) -> int:
+    summary = load_summary(args.summary)  # a malformed summary exits before numpy loads
+    from .io import emit_rwm
+
     out = _run_dir(args.summary)
-    paths = emit_rwm(load_summary(args.summary), out)
+    paths = emit_rwm(summary, out)
     print(f"wrote {len(paths)} files to {out}")
     return 0
 
 
 def _cmd_topsis(args) -> int:
+    from .io import parse_problem
+    from .model import validate_problem
+    from .topsis import topsis_run
+    from .weighting import normalize_custom_set
+
     matrix, _ = parse_problem(args.input, args.format)
     validate_problem(matrix)
     w = normalize_custom_set(_parse_vector(args.weights), matrix.n, name="weights")

@@ -16,6 +16,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .base import ProblemFormatError
 from .model import (
     CriterionSpec,
     DecisionMatrix,
@@ -26,10 +27,7 @@ from .model import (
 )
 from .pipeline import RunReport
 from .sampling import sample_weight_matrix
-
-
-class ProblemFormatError(ValueError):
-    """Malformed problem file; message carries the offending location."""
+from .summary import _FIVE_NUMBERS, _is_number
 
 
 # ------------------------------------------------------------------ parsing
@@ -37,7 +35,7 @@ class ProblemFormatError(ValueError):
 def _open_source(source, mode="r"):
     if hasattr(source, "read"):
         return source, False
-    return open(source, mode, encoding="utf-8", newline=""), True
+    return open(source, mode, encoding="utf-8-sig", newline=""), True
 
 
 def _infer_format(source, fmt: str | None) -> str:
@@ -145,10 +143,6 @@ def _parse_csv(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
         CriterionSpec(id=i, direction=d, label=i) for i, d in zip(ids, directions)
     )
     return DecisionMatrix(tuple(alternatives), criteria, np.array(values)), RunConfig()
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _parse_json(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
@@ -259,9 +253,6 @@ def _write_rows(path: Path, header: list[str], rows: np.ndarray, cell: str) -> N
             f.writelines(line % (i, *row) for i, row in enumerate(block, start + 1))
 
 
-_FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
-
-
 def _linear_pick(n: int, q: float) -> tuple[int, int, float]:
     """Order statistics and weight of quantile q among n sorted values,
     as numpy's default 'linear' method picks them: virtual index
@@ -357,87 +348,6 @@ def final_ranking_from_summary(summary: dict) -> FinalRanking:
         np.array(fin["mean_scores"], dtype=float),
         np.array(fin["mean_closeness"], dtype=float),
     )
-
-
-def load_summary(path) -> dict:
-    """Read a run's summary.json (or the one in a run directory). A key
-    that `plot` or `rwm` reads and that is missing or mistyped raises
-    ProblemFormatError naming it."""
-    p = Path(path)
-    if p.is_dir():
-        p = p / "summary.json"
-    with open(p, encoding="utf-8") as f:
-        return _check_summary(json.load(f))
-
-
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-          float: "a finite number"}
-
-
-def _expect(value, kind, where: str, length: int | None = None, of=None):
-    """`value` checked to be a `kind` (of `length` entries, each an `of`);
-    the error names `where`."""
-    if kind is float:
-        ok = _is_number(value) and math.isfinite(value)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    loc = f" {where!r}" if where else ""
-    if not ok:
-        raise ProblemFormatError(
-            f"summary{loc}: expected {_KINDS[kind]}, got {type(value).__name__}"
-        )
-    if length is not None and len(value) != length:
-        raise ProblemFormatError(f"summary{loc}: expected {length} entries, got {len(value)}")
-    if of is not None:
-        for k, v in enumerate(value):
-            _expect(v, of, f"{where}[{k}]")
-    return value
-
-
-def _key(doc: dict, key: str, kind, where: str = "", length: int | None = None, of=None):
-    path = f"{where}.{key}" if where else key
-    if key not in doc:
-        raise ProblemFormatError(f"summary: missing key {path!r}")
-    return _expect(doc[key], kind, path, length, of)
-
-
-def _check_summary(summary) -> dict:
-    """Return a summary document unchanged if it has every key that
-    `plot`, `rwm` and :func:`final_ranking_from_summary` read, with the
-    types and lengths :func:`build_summary` writes; else raise
-    ProblemFormatError naming the first missing or mistyped key."""
-    _expect(summary, dict, "")
-    config = _key(summary, "config", dict)
-    if _key(config, "iterations", int, "config") < 1:
-        raise ProblemFormatError("summary 'config.iterations': must be >= 1")
-    _key(config, "seed", int, "config")
-    alternatives = _key(summary, "alternatives", list, of=str)
-    m = len(alternatives)
-    ids = []
-    for k, c in enumerate(_key(summary, "criteria", list)):
-        ids.append(_key(_expect(c, dict, f"criteria[{k}]"), "id", str, f"criteria[{k}]"))
-    weights = _key(summary, "weights", list)
-    for k, row in enumerate(weights):
-        where = f"weights[{k}]"
-        _key(_expect(row, dict, where), "name", str, where)
-        _key(row, "values", list, where, len(ids), of=float)
-    if [row["name"] for row in weights[-2:]] != ["lower", "upper"]:
-        raise ProblemFormatError("summary 'weights': must end with the 'lower' and 'upper' rows")
-    for table, keys in (("rwm_summary", ids), ("closeness_summary", alternatives)):
-        fives = _key(summary, table, dict)
-        for key in keys:
-            five = _key(fives, key, dict, table)
-            for name in _FIVE_NUMBERS:
-                _key(five, name, float, f"{table}.{key}")
-    final = _key(summary, "final", dict)
-    for name, of in (("positions", int), ("modal_scores", int),
-                     ("mean_scores", float), ("mean_closeness", float)):
-        _key(final, name, list, "final", m, of)
-    for a, hist in enumerate(_key(final, "score_histograms", list, "final", m)):
-        _expect(hist, list, f"final.score_histograms[{a}]", m, of=int)
-    return summary
 
 
 def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:

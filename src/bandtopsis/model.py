@@ -12,30 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-DEFAULT_ITERATIONS = 10_000
-DEFAULT_SEED = 42
+from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
-
-
-class ValidationError(ValueError):
-    """Raised when a problem violates structural invariants.
-
-    Carries the complete list of violations, not just the first.
-    """
-
-    def __init__(self, violations: Sequence[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
-class ComputationError(ValueError):
-    """Raised when a computation is undefined for the given input
-    (constant column, zero column sum, degenerate ideal, ...)."""
 
 
 class Direction(enum.Enum):
@@ -307,6 +289,12 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
             neg = np.argwhere(v < 0)
             for i, j in neg:
                 errors.append(f"negative value at row {i + 1}, column {j + 1}")
+
+    seen_alternatives: set[str] = set()
+    for a in matrix.alternatives:
+        if a in seen_alternatives:
+            errors.append(f"duplicate alternative label {a!r}")
+        seen_alternatives.add(a)
 
     seen: set[str] = set()
     for c in matrix.criteria:

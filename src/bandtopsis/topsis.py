@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import ComputationError, DecisionMatrix, TopsisResult, _readonly
+from .base import ComputationError
+from .model import DecisionMatrix, TopsisResult, _readonly
 
 
 @dataclass(frozen=True)

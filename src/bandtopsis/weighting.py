@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ComputationError, DecisionMatrix, NamedWeightSet, _readonly
+from .base import ComputationError
+from .model import DecisionMatrix, NamedWeightSet, _readonly
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bandtopsis
 from bandtopsis.cli import cli_main
 
 
@@ -70,13 +73,23 @@ def test_out_of_memory_exits_1_without_traceback(social_csv, tmp_path, monkeypat
     def exhausted(matrix, config):
         raise MemoryError
 
-    monkeypatch.setattr("bandtopsis.cli.run_pipeline", exhausted)
+    monkeypatch.setattr("bandtopsis.pipeline.run_pipeline", exhausted)
     code, _, err = run_cli(
         ["run", str(social_csv), "--iterations", "10000000000000", "--out", str(tmp_path)],
         capsys,
     )
     assert code == 1
     assert err.startswith("error: out of memory")
+
+
+def test_duplicate_alternative_labels_exit_2(tmp_path, capsys):
+    p = tmp_path / "dup.csv"
+    p.write_text("c,g1,g2\n,max,min\na,1,5\na,2,7\nb,3,6\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(["run", str(p), "--out", str(out)], capsys)
+    assert code == 2
+    assert "duplicate alternative label 'a'" in err
+    assert not out.exists()
 
 
 def test_weights_subcommand_prints_bands(social_csv, capsys):
@@ -125,6 +138,14 @@ def test_plot_accepts_summary_path(social_csv, tmp_path, capsys):
     code, _, _ = run_cli(["plot", str(out / "summary.json")], capsys)
     assert code == 0
     assert (out / "figure2.svg").exists()
+
+
+def test_plot_accepts_summary_with_utf8_bom(small_summary, tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    (tmp_path / "summary.json").write_bytes(bom + json.dumps(small_summary).encode())
+    code, _, _ = run_cli(["plot", str(tmp_path)], capsys)
+    assert code == 0
+    assert (tmp_path / "figure2.svg").exists()
 
 
 def test_no_entropy_no_critic_requires_custom(social_csv, capsys):
@@ -240,6 +261,25 @@ _BAD_SUMMARIES = [
                  id="closeness-null"),
     pytest.param(_setting(["weights", -2, "values", 1], float("nan")), "'weights[2].values[1]'",
                  id="bound-nan"),
+    pytest.param(_setting(["alternatives"], []), "'alternatives'", id="no-alternatives"),
+    pytest.param(_setting(["alternatives"], ["a1"]), "'alternatives'", id="one-alternative"),
+    pytest.param(_setting(["criteria"], []), "'criteria'", id="no-criteria"),
+    pytest.param(_setting(["alternatives", 2], "a1"), "'alternatives[2]'",
+                 id="repeated-alternative"),
+    pytest.param(_setting(["criteria", 1, "id"], "g1"), "'criteria[1].id'",
+                 id="repeated-criterion-id"),
+    pytest.param(_setting(["final", "score_histograms", 0, 0], -1),
+                 "'final.score_histograms[0][0]'", id="histogram-negative"),
+    pytest.param(_setting(["final", "score_histograms", 1, 0], 21),  # 20 iterations
+                 "'final.score_histograms[1]'", id="histogram-sum"),
+    pytest.param(_setting(["final", "positions", 0], 99), "'final.positions'",
+                 id="position-out-of-range"),
+    pytest.param(_setting(["final", "positions"], [1, 1, 2]), "'final.positions'",
+                 id="positions-repeated"),
+    pytest.param(_setting(["final", "modal_scores", 1], 0), "'final.modal_scores[1]'",
+                 id="modal-zero"),
+    pytest.param(_setting(["final", "modal_scores", 2], 4), "'final.modal_scores[2]'",
+                 id="modal-above-m"),
 ]
 
 
@@ -254,6 +294,34 @@ def test_malformed_summary_exits_2_naming_the_key(
     assert err.startswith("error: summary")
     assert named in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+from pathlib import Path
+from bandtopsis.cli import cli_main
+
+run_dir, bad_dir = Path(sys.argv[1]), Path(sys.argv[2])
+for argv, code in ((["plot", str(run_dir)], 0), (["--help"], 0), (["plot", str(bad_dir)], 2),
+                   (["rwm", str(bad_dir)], 2)):
+    assert cli_main(argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_plot_help_and_summary_errors_import_no_numpy(small_summary, tmp_path):
+    run_dir, bad_dir = tmp_path / "run", tmp_path / "bad"
+    for d, doc in ((run_dir, small_summary), (bad_dir, {"config": {}})):
+        d.mkdir()
+        (d / "summary.json").write_text(json.dumps(doc))
+    package_root = Path(bandtopsis.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(run_dir), str(bad_dir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (run_dir / "figure5.svg").exists()
 
 
 def test_rwm_rejects_bounds_outside_the_unit_interval(small_summary, tmp_path, capsys):

@@ -42,6 +42,21 @@ def test_parse_csv_without_corner_cell():
     assert matrix.alternatives == ("row a", "row b")
 
 
+def test_parse_csv_with_utf8_bom_without_corner_cell(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfg1,g2\nmax,min\na,1,2\nb,3,4\n")
+    matrix, _ = parse_problem(p)
+    assert matrix.criterion_ids() == ["g1", "g2"]
+
+
+def test_parse_json_with_utf8_bom(tmp_path):
+    doc = {"criteria": [["g1", "max"]], "alternatives": ["x", "y"], "values": [[1], [2]]}
+    p = tmp_path / "bom.json"
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
+    matrix, _ = parse_problem(p)
+    assert matrix.alternatives == ("x", "y")
+
+
 def test_parse_csv_direction_case_folding():
     text = "c,g1,g2\nc,MAX,Min\na,1,2\nb,3,4\n"
     matrix, _ = parse_problem(_io.StringIO(text), fmt="csv")

@@ -64,6 +64,17 @@ def test_all_violations_reported_not_just_first():
     assert any("duplicate" in e for e in errors)
 
 
+def test_duplicate_alternative_label_rejected():
+    matrix = DecisionMatrix(
+        ("a", "a", "b"),
+        (CriterionSpec("g1"), CriterionSpec("g2")),
+        np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+    )
+    assert problem_violations(matrix) == ["duplicate alternative label 'a'"]
+    with pytest.raises(ValidationError):
+        validate_problem(matrix)
+
+
 def test_negative_values_rejected():
     matrix = make_matrix([[1.0, -2.0], [3.0, 4.0]], ["max", "max"])
     assert problem_violations(matrix) == ["negative value at row 1, column 2"]
