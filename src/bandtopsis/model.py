@@ -192,6 +192,10 @@ class RankMatrix:
 
     Scores are derived, not stored: score = m + 1 - rank, so rank 1 maps
     to the highest score m.
+
+    Caller arrays are checked row by row. Ranks handed over in
+    :class:`_Owned` come from :func:`bandtopsis.kernels.rank_rows`,
+    which builds every row as a permutation, so they are not re-sorted.
     """
 
     ranks: np.ndarray
@@ -201,9 +205,7 @@ class RankMatrix:
         r = np.asarray(self.ranks.array if owned else self.ranks, dtype=np.int64)
         if r.ndim != 2:
             raise ValueError("rank matrix must be two-dimensional (iterations x alternatives)")
-        m = r.shape[1]
-        expected = np.arange(1, m + 1)
-        if not np.all(np.sort(r, axis=1) == expected):
+        if not owned and not np.all(np.sort(r, axis=1) == np.arange(1, r.shape[1] + 1)):
             raise ValueError("every rank row must be a permutation of 1..m")
         object.__setattr__(self, "ranks", _readonly(_Owned(r) if owned else r))
 
@@ -308,6 +310,8 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
     if config is not None:
         if config.iterations < 1:
             errors.append(f"iterations must be >= 1, got {config.iterations}")
+        if not 0 <= config.seed < 2 ** 64:
+            errors.append(f"seed must be in [0, 2^64), got {config.seed}")
         for k, s in enumerate(config.custom_sets, start=1):
             if len(s) != n:
                 errors.append(

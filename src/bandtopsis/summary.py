@@ -78,16 +78,18 @@ def _check_summary(summary) -> dict:
     """Return a summary document unchanged if it has every key that
     `plot`, `rwm` and :func:`bandtopsis.io.final_ranking_from_summary`
     read, with the types, lengths and ranges :func:`build_summary` writes
-    (m >= 2 distinct alternatives, n >= 1 distinct criteria, positions a
-    permutation of 1..m, modal scores in 1..m, non-negative histogram
-    counts summing to the iteration count); else raise ProblemFormatError
+    (a seed in [0, 2^64), m >= 2 distinct alternatives, n >= 1 distinct
+    criteria, positions a permutation of 1..m, modal scores in 1..m,
+    non-negative histogram counts summing to the iteration count, and
+    five-number summaries in order); else raise ProblemFormatError
     naming the first key at fault."""
     _expect(summary, dict, "")
     config = _key(summary, "config", dict)
     iterations = _key(config, "iterations", int, "config")
     if iterations < 1:
         raise ProblemFormatError("summary 'config.iterations': must be >= 1")
-    _key(config, "seed", int, "config")
+    if not 0 <= _key(config, "seed", int, "config") < 2 ** 64:
+        raise ProblemFormatError("summary 'config.seed': must be in [0, 2^64)")
     alternatives = _key(summary, "alternatives", list, of=str)
     m = len(alternatives)
     if m < 2:
@@ -110,8 +112,11 @@ def _check_summary(summary) -> dict:
         fives = _key(summary, table, dict)
         for key in keys:
             five = _key(fives, key, dict, table)
-            for name in _FIVE_NUMBERS:
-                _key(five, name, float, f"{table}.{key}")
+            values = [_key(five, name, float, f"{table}.{key}") for name in _FIVE_NUMBERS]
+            if values != sorted(values):
+                raise ProblemFormatError(
+                    f"summary '{table}.{key}': must satisfy min <= q1 <= median <= q3 <= max"
+                )
     final = _key(summary, "final", dict)
     if sorted(_key(final, "positions", list, "final", m, of=int)) != list(range(1, m + 1)):
         raise ProblemFormatError(f"summary 'final.positions': must be a permutation of 1..{m}")

@@ -139,4 +139,5 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
             "degenerate problem: ideal equals anti-ideal on every weighted criterion"
         )
     xi = np.divide(dm, total, out=total)
+    del dp, dm, total  # free d_minus before ranking allocates its grids
     return xi, kernels.rank_rows(xi)

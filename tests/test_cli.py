@@ -199,6 +199,21 @@ _SMALL_JSON = {
         pytest.param({"custom_sets": [[0.5, 0.5], [None, 1]]}, "custom_sets[1][0]",
                      id="custom-null"),
         pytest.param({"custom_sets": [[False, 1]]}, "custom_sets[0][0]", id="custom-bool"),
+        pytest.param({"criteria": 5}, "'criteria'", id="criteria-number"),
+        pytest.param({"alternatives": 3}, "'alternatives'", id="alternatives-number"),
+        pytest.param({"alternatives": ["a1", {"x": 1}, "a3"]}, "alternatives[1]",
+                     id="alternative-object"),
+        pytest.param({"alternatives": ["a1", None, "a3"]}, "alternatives[1]",
+                     id="alternative-null"),
+        pytest.param({"criteria": [{"id": {"x": 1}, "direction": "max"}, ["g2", "min"]]},
+                     "criteria[0].id", id="criterion-id-object"),
+        pytest.param({"criteria": [["g1", "max"], {"id": "g2", "direction": "min",
+                                                   "label": [2]}]},
+                     "criteria[1].label", id="criterion-label-list"),
+        pytest.param({"criteria": [["g1", "max"], [True, "min"]]}, "criteria[1][0]",
+                     id="criterion-pair-id-bool"),
+        pytest.param({"seed": 2 ** 64}, "seed must be in [0, 2^64)", id="seed-2^64"),
+        pytest.param({"seed": -1}, "seed must be in [0, 2^64)", id="seed-negative"),
     ],
 )
 def test_mistyped_json_config_exits_2_naming_the_field(tmp_path, capsys, extra, field):
@@ -207,6 +222,37 @@ def test_mistyped_json_config_exits_2_naming_the_field(tmp_path, capsys, extra, 
     code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert field in err
+
+
+def test_json_numbers_as_ids_and_labels_become_text(tmp_path, capsys):
+    doc = dict(_SMALL_JSON, alternatives=[1, 2.5, "a3"],
+               criteria=[{"id": 7, "direction": "max", "label": 8}, [9, "min"]])
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = run_cli(["run", str(p), "--iterations", "20", "--out", str(tmp_path / "out")],
+                         capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["alternatives"] == ["1", "2.5", "a3"]
+    assert [(c["id"], c["label"]) for c in summary["criteria"]] == [("7", "8"), ("9", "9")]
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, -1, 2 ** 70])
+def test_seed_outside_64_bits_exits_2(social_csv, tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    code, _, err = run_cli(["run", str(social_csv), "--seed", str(seed), "--out", str(out)],
+                           capsys)
+    assert code == 2
+    assert f"seed must be in [0, 2^64), got {seed}" in err
+    assert not out.exists()
+
+
+def test_largest_seed_runs(social_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(["run", str(social_csv), "--seed", str(2 ** 64 - 1), "--iterations",
+                          "20", "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 2 ** 64 - 1
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +326,13 @@ _BAD_SUMMARIES = [
                  id="modal-zero"),
     pytest.param(_setting(["final", "modal_scores", 2], 4), "'final.modal_scores[2]'",
                  id="modal-above-m"),
+    pytest.param(_setting(["closeness_summary", "a1"],
+                          {"min": 0.0, "q1": 0.9, "median": 5.0, "q3": 0.1, "max": 9.0}),
+                 "'closeness_summary.a1'", id="quartiles-unordered"),
+    pytest.param(_setting(["rwm_summary", "g2", "min"], 2.0), "'rwm_summary.g2'",
+                 id="min-above-max"),
+    pytest.param(_setting(["config", "seed"], 2 ** 64), "'config.seed'", id="seed-2^64"),
+    pytest.param(_setting(["config", "seed"], -1), "'config.seed'", id="seed-negative"),
 ]
 
 

@@ -201,7 +201,8 @@ def _assert_matches_percentile(table):
     got = five_number_columns(table)
     assert len(got) == table.shape[1]
     for j, summary in enumerate(got):
-        ref = np.percentile(table[:, j], [0, 25, 50, 75, 100])
+        with np.errstate(over="ignore", invalid="ignore"):  # where the range overflows
+            ref = np.percentile(table[:, j], [0, 25, 50, 75, 100])
         values = np.array([summary[k] for k in ("min", "q1", "median", "q3", "max")])
         assert values.tobytes() == ref.tobytes(), (table.shape, j)
 
@@ -213,13 +214,17 @@ def test_five_numbers_equal_percentile_small_t(t):
     table = np.hstack([
         rng.uniform(-1.0, 1.0, (t, 3)) * scale,                 # mixed signs, wide magnitudes
         rng.integers(0, 3, (t, 2)).astype(float) * 1e-300,      # heavy ties
+        rng.uniform(0.0, 1.0, (t, 1)),                          # uniform
+        rng.uniform(-2.0, -1.0, (t, 1)),                        # negative
+        rng.integers(-3, 0, (t, 1)).astype(float),              # negative with ties
+        rng.choice([-1.5e308, 1.5e308], (t, 1)),                # range overflows
         np.full((t, 1), 0.1),                                   # constant column
         np.full((t, 1), 7.5e299),
     ])
     _assert_matches_percentile(table)
 
 
-@pytest.mark.parametrize("t", [100_000, 100_003, 262_147])
+@pytest.mark.parametrize("t", [100_000, 100_001, 100_002, 100_003, 262_147])
 def test_five_numbers_equal_percentile_large_t(t):
     rng = np.random.default_rng(t)
     table = np.column_stack([
@@ -227,6 +232,8 @@ def test_five_numbers_equal_percentile_large_t(t):
         rng.uniform(0.0, 1.0, t) * 1e300,
         rng.uniform(0.0, 1.0, t) * 1e-300,
         rng.integers(0, 5, t) * 0.25,                            # ties at every quartile
+        rng.uniform(-2.0, -1.0, t),
+        rng.integers(-3, 0, t).astype(float),
         np.full(t, 3.0),
     ])
     _assert_matches_percentile(table)

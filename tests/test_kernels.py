@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bandtopsis import kernels
 
@@ -26,16 +27,13 @@ def _batch_distances_loops(V, a_pos, a_neg, w_rows):
 def _rank_rows_loops(xi):
     """Plain-loop reference for kernels.rank_rows: one plus the number of
     alternatives with higher closeness or an equal one at a lower index."""
-    t, m = xi.shape
-    ranks = np.empty((t, m), dtype=np.int64)
-    for k in range(t):
-        for i in range(m):
-            r = 1
-            for j in range(m):
-                if xi[k, j] > xi[k, i] or (xi[k, j] == xi[k, i] and j < i):
-                    r += 1
-            ranks[k, i] = r
-    return ranks
+    ranks = []
+    for row in xi.tolist():
+        ranks.append([
+            1 + sum(x > xi_i or (x == xi_i and j < i) for j, x in enumerate(row))
+            for i, xi_i in enumerate(row)
+        ])
+    return np.array(ranks, dtype=np.int64).reshape(xi.shape)
 
 
 def _random_case(rng, t=40, m=6, n=9):
@@ -60,3 +58,40 @@ def test_numpy_ranks_against_plain_loops():
     xi = rng.uniform(size=(60, 5))
     xi[10] = [0.5, 0.5, 0.2, 0.5, 0.2]  # tie-heavy row
     assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi))
+
+
+def _closeness_rows(rng, kind, t, m):
+    if kind == "distinct":
+        return rng.uniform(size=(t, m))
+    if kind == "tie-heavy":
+        return rng.integers(0, 3, size=(t, m)) / 4.0
+    if kind == "equal-pair":  # two alternatives tie in every row
+        xi = rng.uniform(size=(t, m))
+        a, b = rng.choice(m, size=2, replace=False)
+        xi[:, b] = xi[:, a]
+        return xi
+    if kind == "ulps":  # distinct rows one ulp apart, then rows with ties
+        ulp = np.spacing(0.5)
+        xi = 0.5 + rng.integers(-3, 4, size=(t, m)) * ulp
+        xi[: t // 2] = 0.5 + rng.permuted(np.tile(np.arange(m), (t // 2, 1)), axis=1) * ulp
+        return xi
+    if kind == "signed-zeros":
+        return rng.choice([0.0, -0.0, 0.25, 1.0], size=(t, m))
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tie-heavy", "equal-pair", "ulps", "signed-zeros"])
+def test_ranks_against_plain_loops_on_random_shapes(kind):
+    # any sort orders distinct values alike; rows with equal values take the
+    # stable fix-up, which must agree with the lower-index-first rule. Short
+    # rows are ranked by the stable sort alone, so shapes sit on both sides.
+    rng = np.random.default_rng(7)
+    short = kernels._STABLE_MAX_M
+    shapes = [(1, 2), (300, 64), (200, short), (200, short + 1)] + [
+        (int(rng.integers(1, 301)), int(rng.integers(2, 65))) for _ in range(8)
+    ]
+    if kind != "equal-pair":
+        shapes.append((5, 1))
+    for t, m in shapes:
+        xi = _closeness_rows(rng, kind, t, m)
+        assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi)), (kind, t, m)

@@ -95,3 +95,19 @@ def test_extreme_power_of_two_column_scale_leaves_summary_unchanged(j, k):
     values[:, j] = np.ldexp(values[:, j], k)
     scaled = build_summary(run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), _SCALE_CFG))
     assert scaled == _SCALE_REF
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["social", "13-wide-a13-equals-a2"])
+def test_pipeline_rank_rows_are_permutations(wide):
+    # RankMatrix takes the pipeline's ranks without re-checking them. The wide
+    # problem goes through the SIMD sort, and its repeated alternative ties in
+    # every row, so every row also takes the stable fix-up.
+    values = SOCIAL_VALUES
+    if wide:
+        values = np.vstack([SOCIAL_VALUES, SOCIAL_VALUES * 0.9, SOCIAL_VALUES[1]])
+    cfg = RunConfig(iterations=3000, seed=7, custom_sets=((0.05,) * 12,))
+    ranks = run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), cfg).rank_matrix.ranks
+    m = values.shape[0]
+    assert np.array_equal(np.sort(ranks, axis=1), np.broadcast_to(np.arange(1, m + 1), ranks.shape))
+    if wide:  # equal closeness: the lower index ranks first
+        assert np.all(ranks[:, 12] == ranks[:, 1] + 1)
