@@ -15,22 +15,20 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _SOURCES = {
-    "aggregate": ("build_rank_matrix", "final_ranking", "modal_score", "rank_frequency"),
+    "aggregate": ("build_rank_matrix", "final_ranking", "rank_frequency"),
     "base": ("DEFAULT_ITERATIONS", "DEFAULT_SEED", "ComputationError", "ProblemFormatError",
              "ValidationError"),
     "charts": ("charts_from_summary", "emit_charts"),
-    "io": ("build_summary", "emit_rwm", "emit_tables", "final_ranking_from_summary",
-           "parse_problem"),
+    "io": ("build_summary", "emit_rwm", "emit_tables", "parse_problem"),
     "model": ("CriterionSpec", "DecisionMatrix", "Direction", "FinalRanking", "NamedWeightSet",
               "RandomWeightMatrix", "RankMatrix", "RunConfig", "TopsisResult", "WeightBounds",
               "problem_violations", "validate_problem"),
     "pipeline": ("RunReport", "collect_weight_sets", "run_pipeline"),
     "sampling": ("compute_bounds", "sample_rows", "sample_weight_matrix"),
     "summary": ("load_summary",),
-    "topsis": ("DistancePair", "IdealPair", "batch_topsis", "closeness", "distances",
-               "ideal_solutions", "rank_alternatives", "topsis_run", "vector_normalize"),
+    "topsis": ("IdealPair", "batch_topsis", "ideal_solutions", "topsis_run", "vector_normalize"),
     "weighting": ("CriticReport", "EntropyReport", "critic_weights", "entropy_weights",
-                  "minmax_normalize", "normalize_custom_set", "pearson"),
+                  "minmax_normalize", "normalize_custom_set"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

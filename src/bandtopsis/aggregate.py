@@ -11,48 +11,21 @@ by descending modal score. Ties are resolved deterministically:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .model import FinalRanking, RankMatrix, TopsisResult
+from .model import FinalRanking, RankMatrix
 
 
-def build_rank_matrix(results: Sequence[TopsisResult] | np.ndarray) -> RankMatrix:
-    """Stack per-iteration rank rows into a t x m matrix.
-
-    Accepts a sequence of evaluation results or a plain rank array.
-    """
-    if isinstance(results, np.ndarray):
-        return RankMatrix(results)
-    if len(results) == 0:
-        raise ValueError("at least one iteration is required")
-    m = results[0].m
-    for r in results:
-        if r.m != m:
-            raise ValueError("all iterations must rank the same number of alternatives")
-    return RankMatrix(np.vstack([r.ranks for r in results]))
+def build_rank_matrix(ranks: np.ndarray) -> RankMatrix:
+    """Wrap a t x m array of per-iteration rank rows, checking that every
+    row is a permutation of 1..m."""
+    return RankMatrix(ranks)
 
 
 def _largest_mode(hists: np.ndarray) -> np.ndarray:
     """Index of the top count along the last axis; the largest index wins
     a tie."""
     return hists.shape[-1] - 1 - np.argmax(hists[..., ::-1], axis=-1)
-
-
-def modal_score(scores: np.ndarray, m: int | None = None) -> tuple[int, np.ndarray]:
-    """Mode of one alternative's scores plus the full histogram.
-
-    The histogram is indexed by score (entry 0 unused). When several
-    scores share the top frequency the largest one is returned.
-    """
-    s = np.asarray(scores, dtype=np.int64)
-    if s.size == 0:
-        raise ValueError("empty score list")
-    if m is None:
-        m = int(s.max())
-    hist = np.bincount(s, minlength=m + 1)
-    return int(_largest_mode(hist)), hist
 
 
 def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:

@@ -181,7 +181,11 @@ def _cmd_topsis(args) -> int:
 
     matrix, _ = parse_problem(args.input, args.format)
     validate_problem(matrix)
-    w = normalize_custom_set(_parse_vector(args.weights), matrix.n, name="weights")
+    raw = _parse_vector(args.weights)
+    try:
+        w = normalize_custom_set(raw, matrix.n, name="--weights")
+    except ValueError as e:  # a bad flag value is a usage error, as in `run --custom`
+        raise ProblemFormatError(str(e)) from None
     result = topsis_run(matrix, w.weights)
     order = sorted(range(matrix.m), key=lambda j: result.ranks[j])
     print(f"{'rank':>4}  {'alternative':<16} closeness")

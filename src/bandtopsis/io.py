@@ -21,7 +21,6 @@ from .model import (
     CriterionSpec,
     DecisionMatrix,
     Direction,
-    FinalRanking,
     RunConfig,
     WeightBounds,
 )
@@ -369,22 +368,6 @@ def build_summary(report: RunReport) -> dict:
             "order": [matrix.alternatives[j] for j in final.order],
         },
     }
-
-
-def final_ranking_from_summary(summary: dict) -> FinalRanking:
-    """Rebuild the FinalRanking recorded in a summary document."""
-    fin = summary["final"]
-    hists = np.array(fin["score_histograms"], dtype=np.int64)
-    m = hists.shape[0]
-    padded = np.zeros((m, m + 1), dtype=np.int64)
-    padded[:, 1:] = hists
-    return FinalRanking(
-        np.array(fin["positions"], dtype=np.int64),
-        np.array(fin["modal_scores"], dtype=np.int64),
-        padded,
-        np.array(fin["mean_scores"], dtype=float),
-        np.array(fin["mean_closeness"], dtype=float),
-    )
 
 
 def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:

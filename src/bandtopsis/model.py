@@ -181,10 +181,6 @@ class TopsisResult:
         object.__setattr__(self, "closeness", _readonly(self.closeness, float))
         object.__setattr__(self, "ranks", _readonly(self.ranks, np.int64))
 
-    @property
-    def m(self) -> int:
-        return self.ranks.shape[0]
-
 
 @dataclass(frozen=True)
 class RankMatrix:

@@ -76,13 +76,13 @@ def _distinct(values: list[str], where: str) -> None:
 
 def _check_summary(summary) -> dict:
     """Return a summary document unchanged if it has every key that
-    `plot`, `rwm` and :func:`bandtopsis.io.final_ranking_from_summary`
-    read, with the types, lengths and ranges :func:`build_summary` writes
-    (a seed in [0, 2^64), m >= 2 distinct alternatives, n >= 1 distinct
-    criteria, positions a permutation of 1..m, modal scores in 1..m,
-    non-negative histogram counts summing to the iteration count, and
-    five-number summaries in order); else raise ProblemFormatError
-    naming the first key at fault."""
+    `plot` and `rwm` read, and the whole `final` ranking, with the types,
+    lengths and ranges :func:`build_summary` writes (a seed in
+    [0, 2^64), m >= 2 distinct alternatives, n >= 1 distinct criteria,
+    positions a permutation of 1..m, modal scores in 1..m, non-negative
+    histogram counts summing to the iteration count, and five-number
+    summaries in order); else raise ProblemFormatError naming the first
+    key at fault."""
     _expect(summary, dict, "")
     config = _key(summary, "config", dict)
     iterations = _key(config, "iterations", int, "config")

@@ -1,4 +1,6 @@
-"""Closeness-to-ideal ranking of one decision matrix under a weight vector.
+"""Closeness-to-ideal ranking of one decision matrix under weight rows:
+:func:`batch_topsis` ranks t rows at once, and :func:`topsis_run` is its
+single-row case.
 
 Pipeline: vector-normalize the matrix, form the ideal/anti-ideal points
 from per-column extremes, take weighted Euclidean distances to both, and
@@ -16,6 +18,7 @@ import numpy as np
 from . import kernels
 from .base import ComputationError
 from .model import DecisionMatrix, TopsisResult, _readonly
+from .weighting import _checked_weights
 
 
 @dataclass(frozen=True)
@@ -30,32 +33,9 @@ class IdealPair:
         object.__setattr__(self, "negative", _readonly(self.negative, float))
 
 
-@dataclass(frozen=True)
-class DistancePair:
-    """Per-alternative distances to the ideal (d_plus) and anti-ideal
-    (d_minus)."""
-
-    d_plus: np.ndarray
-    d_minus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_plus", _readonly(self.d_plus, float))
-        object.__setattr__(self, "d_minus", _readonly(self.d_minus, float))
-
-
-def _column_names(matrix) -> list[str]:
-    if isinstance(matrix, DecisionMatrix):
-        return matrix.criterion_ids()
-    ncols = np.asarray(matrix, dtype=float).reshape(len(matrix), -1).shape[1]
-    return [str(j + 1) for j in range(ncols)]
-
-
-def vector_normalize(matrix) -> np.ndarray:
-    """Scale every column to unit Euclidean norm.
-
-    Accepts a DecisionMatrix or a bare 2-D array (the kernel is useful on
-    raw grids in tests). Columns of zeros have no direction and are
-    rejected.
+def vector_normalize(matrix: DecisionMatrix) -> np.ndarray:
+    """Scale every column to unit Euclidean norm. Columns of zeros have
+    no direction and are rejected.
 
     Each column is first scaled by a power of two that brings its largest
     magnitude into [0.5, 1), so squaring neither overflows nor underflows
@@ -63,15 +43,13 @@ def vector_normalize(matrix) -> np.ndarray:
     unscaled X / ||X|| bit for bit wherever that neither overflows nor
     underflows.
     """
-    X = matrix.values if isinstance(matrix, DecisionMatrix) else np.asarray(matrix, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = matrix.values
     X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
     norms = np.sqrt((X ** 2).sum(axis=0))
     zero = np.nonzero(norms == 0)[0]
     if zero.size:
-        names = _column_names(matrix)
-        raise ComputationError(f"vector normalization: column {names[zero[0]]!r} is all zeros")
+        name = matrix.criterion_ids()[zero[0]]
+        raise ComputationError(f"vector normalization: column {name!r} is all zeros")
     return X / norms
 
 
@@ -84,41 +62,16 @@ def ideal_solutions(V: np.ndarray, is_benefit: np.ndarray) -> IdealPair:
     return IdealPair(np.where(is_benefit, hi, lo), np.where(is_benefit, lo, hi))
 
 
-def distances(V: np.ndarray, weights: np.ndarray, ideals: IdealPair) -> DistancePair:
-    """Weighted Euclidean distance of every alternative to both ideals."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    if not np.any(w > 0):
-        raise ValueError("at least one weight must be positive")
-    dp, dm = kernels.batch_distances(V, ideals.positive, ideals.negative, w[None, :])
-    return DistancePair(dp[0], dm[0])
-
-
-def closeness(dist: DistancePair) -> np.ndarray:
-    """Relative closeness d_minus / (d_minus + d_plus), in [0, 1]."""
-    total = dist.d_plus + dist.d_minus
-    if np.any(total == 0):
-        raise ComputationError(
-            "degenerate problem: ideal equals anti-ideal on every weighted criterion"
-        )
-    return dist.d_minus / total
-
-
-def rank_alternatives(xi: np.ndarray) -> np.ndarray:
-    """1-based ranks, best (highest closeness) first; exact ties go to the
-    lower alternative index."""
-    xi = np.asarray(xi, dtype=float)
-    return kernels.rank_rows(xi[None, :])[0]
-
-
 def topsis_run(matrix: DecisionMatrix, weights) -> TopsisResult:
-    """Full single-vector evaluation of a decision matrix."""
-    V = vector_normalize(matrix)
-    ideals = ideal_solutions(V, matrix.is_benefit)
-    d = distances(V, weights, ideals)
-    xi = closeness(d)
-    return TopsisResult(xi, rank_alternatives(xi))
+    """Rank one matrix under one weight vector: row 0 of
+    :func:`batch_topsis`.
+
+    The weights must be n finite, non-negative values, not all zero;
+    anything else raises ValueError.
+    """
+    w = _checked_weights(weights, matrix.n, "weights")
+    xi, ranks = batch_topsis(matrix, w[None, :])
+    return TopsisResult(xi[0], ranks[0])
 
 
 def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -129,18 +129,6 @@ def minmax_normalize(matrix: DecisionMatrix) -> np.ndarray:
     return Z
 
 
-def pearson(col_a: np.ndarray, col_b: np.ndarray) -> float:
-    """Pearson linear correlation of two equal-length vectors."""
-    a = np.asarray(col_a, dtype=float)
-    b = np.asarray(col_b, dtype=float)
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt((da * da).sum() * (db * db).sum())
-    if denom == 0:
-        raise ComputationError("pearson correlation undefined for a zero-variance input")
-    return float((da * db).sum() / denom)
-
-
 def critic_weights(matrix: DecisionMatrix, ddof: int = 1) -> CriticReport:
     """Weight criteria by contrast intensity times inter-criteria conflict.
 
@@ -171,8 +159,9 @@ def critic_weights(matrix: DecisionMatrix, ddof: int = 1) -> CriticReport:
     return CriticReport(Z, rho, sigma, index, NamedWeightSet("critic", w))
 
 
-def normalize_custom_set(raw, n: int | None = None, name: str = "custom") -> NamedWeightSet:
-    """Rescale a caller-supplied non-negative vector to unit sum."""
+def _checked_weights(raw, n: int | None, name: str) -> np.ndarray:
+    """`raw` as a flat float vector of n finite, non-negative weights, not
+    all zero; else ValueError naming `name`."""
     w = np.asarray(raw, dtype=float)
     if w.ndim != 1:
         raise ValueError(f"{name}: expected a flat vector")
@@ -182,7 +171,18 @@ def normalize_custom_set(raw, n: int | None = None, name: str = "custom") -> Nam
         raise ValueError(f"{name}: non-finite weight")
     if np.any(w < 0):
         raise ValueError(f"{name}: negative weight")
-    total = w.sum()
-    if total <= 0:
+    if not np.any(w > 0):
         raise ValueError(f"{name}: weights sum to zero")
-    return NamedWeightSet(name, w / total)
+    return w
+
+
+def normalize_custom_set(raw, n: int | None = None, name: str = "custom") -> NamedWeightSet:
+    """Rescale a caller-supplied non-negative vector to unit sum.
+
+    The vector is first scaled by the exact power of two that brings its
+    largest entry into [0.5, 1), so the sum cannot overflow; the shares
+    are the same bits wherever no value is subnormal.
+    """
+    w = _checked_weights(raw, n, name)
+    w = np.ldexp(w, -np.frexp(w.max())[1])
+    return NamedWeightSet(name, w / w.sum())

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bandtopsis import (
-    TopsisResult,
-    build_rank_matrix,
-    final_ranking,
-    modal_score,
-    rank_frequency,
-)
+from bandtopsis import build_rank_matrix, final_ranking, rank_frequency
+
+
+def modal_score(scores, m):
+    """Reference for one alternative's modal score: the histogram indexed
+    by score (entry 0 unused) and its top score, the largest on a tie."""
+    hist = np.bincount(np.asarray(scores, dtype=np.int64), minlength=m + 1)
+    return int(np.flatnonzero(hist == hist.max())[-1]), hist
 
 
 def brute_force_positions(rank_rows, xi_rows):
@@ -43,8 +44,7 @@ def test_scores_mirror_ranks():
 
 
 def test_single_iteration_matrix():
-    res = TopsisResult([0.9, 0.1], [1, 2])
-    rm = build_rank_matrix([res])
+    rm = build_rank_matrix(np.array([[1, 2]]))
     assert rm.t == 1
     assert rm.ranks[0].tolist() == [1, 2]
 
@@ -56,33 +56,46 @@ def test_rank_score_round_trip():
     assert np.array_equal(back, row)
 
 
-def test_mixed_m_rejected():
-    a = TopsisResult([0.9, 0.1], [1, 2])
-    b = TopsisResult([0.9, 0.1, 0.2], [1, 2, 3])
+@pytest.mark.parametrize("ranks", [[1, 2, 3], [[1, 2, 2]], [[0, 1, 2]], [[1, 2], [2, 3]]],
+                         ids=["one-row-1d", "repeated-rank", "zero-rank", "rank-above-m"])
+def test_malformed_rank_rows_rejected(ranks):
     with pytest.raises(ValueError):
-        build_rank_matrix([a, b])
+        build_rank_matrix(np.array(ranks))
 
 
 # -------------------------------------------------------------------- mode
 
+def _first_alternative(rank_column, m):
+    """final_ranking of rows that give alternative 0 the listed ranks and
+    keep the others in index order."""
+    rows = []
+    for r in rank_column:
+        others = [k for k in range(1, m + 1) if k != r]
+        rows.append([r] + others)
+    rows = np.array(rows)
+    return final_ranking(build_rank_matrix(rows), np.zeros(rows.shape))
+
+
 def test_mode_clear_majority():
-    mode, hist = modal_score([6, 6, 6, 5], m=6)
-    assert mode == 6
-    assert hist[6] == 3 and hist[5] == 1
+    fin = _first_alternative([1, 1, 1, 2], m=6)  # scores 6, 6, 6, 5
+    assert fin.modal_scores[0] == 6
+    assert fin.score_histograms[0, 6] == 3 and fin.score_histograms[0, 5] == 1
 
 
 def test_mode_multimodal_takes_largest():
-    mode, _ = modal_score([3, 3, 5, 5], m=6)
-    assert mode == 5
+    fin = _first_alternative([4, 4, 2, 2], m=6)  # scores 3, 3, 5, 5
+    assert fin.modal_scores[0] == 5
 
 
 def test_mode_is_histogram_maximizer():
     rng = np.random.default_rng(12)
     for _ in range(300):
         m = int(rng.integers(2, 7))
-        scores = rng.integers(1, m + 1, size=rng.integers(1, 30))
-        mode, hist = modal_score(scores, m)
-        assert hist[mode] == hist.max()
+        t = int(rng.integers(1, 30))
+        rows = np.array([rng.permutation(m) + 1 for _ in range(t)])
+        fin = final_ranking(build_rank_matrix(rows), np.zeros((t, m)))
+        hists = fin.score_histograms
+        assert np.array_equal(hists[np.arange(m), fin.modal_scores], hists.max(axis=1))
 
 
 # ----------------------------------------------------------- final ranking

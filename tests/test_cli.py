@@ -9,6 +9,7 @@ import pytest
 
 import bandtopsis
 from bandtopsis.cli import cli_main
+from conftest import REF_LOWER, REF_UPPER
 
 
 def run_cli(args, capsys):
@@ -102,6 +103,15 @@ def test_weights_subcommand_prints_bands(social_csv, capsys):
     assert "0.083" in stdout
 
 
+def test_social_json_weights_print_the_published_band(capsys):
+    social_json = Path(__file__).resolve().parent.parent / "data" / "social.json"
+    code, stdout, _ = run_cli(["weights", str(social_json)], capsys)
+    assert code == 0
+    rows = {line.split()[0]: line.split()[1:] for line in stdout.splitlines()[1:]}
+    assert rows["lower"] == [f"{v:.3f}" for v in REF_LOWER]
+    assert rows["upper"] == [f"{v:.3f}" for v in REF_UPPER]
+
+
 def test_topsis_subcommand_single_shot(social_csv, capsys):
     weights = "0.093,0.069,0.056,0.119,0.087,0.056,0.116,0.079,0.055,0.127,0.086,0.055"
     code, stdout, _ = run_cli(["topsis", str(social_csv), "--weights", weights], capsys)
@@ -113,8 +123,28 @@ def test_topsis_subcommand_single_shot(social_csv, capsys):
 
 def test_topsis_wrong_weight_count_errors(social_csv, capsys):
     code, _, err = run_cli(["topsis", str(social_csv), "--weights", "0.5,0.5"], capsys)
-    assert code != 0
-    assert "12" in err
+    assert code == 2
+    assert "--weights" in err and "12" in err
+
+
+@pytest.mark.parametrize("first, fault", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("-0.5", "negative"), ("0", "sum to zero"),
+], ids=["nan", "inf", "negative", "zero-sum"])
+def test_topsis_bad_weights_exit_2_naming_the_flag(social_csv, capsys, first, fault):
+    rest = "0" if fault == "sum to zero" else "1"
+    weights = ",".join([first] + [rest] * 11)
+    code, _, err = run_cli(["topsis", str(social_csv), f"--weights={weights}"], capsys)
+    assert code == 2
+    assert "--weights" in err and fault in err
+
+
+def test_custom_set_near_the_double_limit_runs(social_csv, tmp_path, capsys):
+    huge = ",".join(["1e308", "1e308"] + ["1"] * 10)
+    for argv in (["run", str(social_csv), "--custom", huge, "--iterations", "100",
+                  "--out", str(tmp_path)],
+                 ["topsis", str(social_csv), "--weights", huge]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
 
 
 def test_plot_from_run_directory(social_csv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pinned output bytes of `bandtopsis run data/social.csv --seed 42` plus
-`bandtopsis plot` and `bandtopsis rwm`.
+`bandtopsis plot` and `bandtopsis rwm`, and the stdout of a single-shot
+`bandtopsis topsis data/social.csv`.
 
 The hashes were taken on x86-64 Linux with numpy 2.4. Any change to
 sampling, distances, ranking, aggregation, summaries, table formatting or
@@ -10,6 +11,7 @@ import hashlib
 from pathlib import Path
 
 from bandtopsis.cli import cli_main
+from conftest import IDOCRIW_WEIGHTS
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "social.csv"
 
@@ -35,3 +37,20 @@ def test_run_and_plot_output_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == GOLDEN_SHA256
+
+
+TOPSIS_IDOCRIW_STDOUT = """\
+rank  alternative      closeness
+   1  a1               0.687062
+   2  a2               0.536726
+   3  a4               0.407920
+   4  a5               0.388998
+   5  a6               0.270956
+   6  a3               0.220238
+"""
+
+
+def test_topsis_stdout_is_pinned(capsys):
+    weights = ",".join(str(v) for v in IDOCRIW_WEIGHTS)
+    assert cli_main(["topsis", str(DATA), "--weights", weights]) == 0
+    assert capsys.readouterr().out == TOPSIS_IDOCRIW_STDOUT

@@ -1,5 +1,6 @@
 import io as _io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from bandtopsis import (
     build_summary,
     emit_rwm,
     emit_tables,
-    final_ranking_from_summary,
     load_summary,
     parse_problem,
     run_pipeline,
 )
 from bandtopsis.io import five_number_columns
-from conftest import REF_LOWER, REF_UPPER, SOCIAL_DIRECTIONS, SOCIAL_VALUES
+from conftest import REF_LOWER, REF_POSITIONS, REF_UPPER, SOCIAL_DIRECTIONS, SOCIAL_VALUES
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 # ------------------------------------------------------------------ parsing
@@ -55,6 +57,16 @@ def test_parse_json_with_utf8_bom(tmp_path):
     p.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
     matrix, _ = parse_problem(p)
     assert matrix.alternatives == ("x", "y")
+
+
+def test_social_json_is_social_csv_with_the_equal_weight_set():
+    matrix, cfg = parse_problem(DATA / "social.json")
+    csv_matrix, _ = parse_problem(DATA / "social.csv")
+    assert matrix.alternatives == csv_matrix.alternatives
+    assert matrix.criteria == csv_matrix.criteria
+    assert np.array_equal(matrix.values, csv_matrix.values)
+    assert cfg == RunConfig(custom_sets=((1.0,) * 12,))
+    assert run_pipeline(matrix, cfg).final.positions.tolist() == REF_POSITIONS
 
 
 def test_parse_csv_direction_case_folding():
@@ -153,14 +165,7 @@ def test_ranks_csv_row_count_matches_iterations(social_matrix, tmp_path):
 
 def test_summary_round_trips_final_ranking(social_report, tmp_path):
     paths = emit_tables(social_report, tmp_path)
-    summary = load_summary(paths["summary"])
-    rebuilt = final_ranking_from_summary(summary)
-    fin = social_report.final
-    assert np.array_equal(rebuilt.positions, fin.positions)
-    assert np.array_equal(rebuilt.modal_scores, fin.modal_scores)
-    assert np.array_equal(rebuilt.score_histograms, fin.score_histograms)
-    assert np.array_equal(rebuilt.mean_scores, fin.mean_scores)
-    assert np.array_equal(rebuilt.mean_closeness, fin.mean_closeness)
+    assert load_summary(paths["summary"])["final"] == build_summary(social_report)["final"]
 
 
 def test_load_summary_accepts_directory(social_report, tmp_path):

@@ -1,12 +1,17 @@
 """The runtime dependencies declared in pyproject.toml are exactly the
-third-party modules the package imports: none undeclared, none unused."""
+third-party modules the package imports: none undeclared, none unused.
+Every lazily loaded public name is defined where the package looks it up."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import bandtopsis
 
 try:
     import tomllib
@@ -38,3 +43,29 @@ def _declared_dependencies() -> set[str]:
 
 def test_declared_dependencies_equal_third_party_imports():
     assert _third_party_imports() == _declared_dependencies() == {"numpy"}
+
+
+def _top_level_names(module: str) -> set[str]:
+    tree = ast.parse((ROOT / "src" / "bandtopsis" / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_lazy_name_is_defined_by_the_module_it_names():
+    for module, names in bandtopsis._SOURCES.items():
+        missing = set(names) - _top_level_names(module)
+        assert not missing, f"bandtopsis.{module} does not define {sorted(missing)}"
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    code = "import bandtopsis\nfor name in bandtopsis.__all__: getattr(bandtopsis, name)\n"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr

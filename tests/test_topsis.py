@@ -3,12 +3,9 @@ import pytest
 
 from bandtopsis import (
     ComputationError,
-    DistancePair,
     batch_topsis,
-    closeness,
-    distances,
     ideal_solutions,
-    rank_alternatives,
+    kernels,
     topsis_run,
     vector_normalize,
 )
@@ -29,12 +26,12 @@ EQUAL_WEIGHT_XI = [
 # ------------------------------------------------------------ normalization
 
 def test_vector_normalize_triangle():
-    v = vector_normalize(np.array([[3.0], [4.0]]))
+    v = vector_normalize(make_matrix([[3.0], [4.0]], ["max"]))
     assert v[:, 0].tolist() == pytest.approx([0.6, 0.8])
 
 
 def test_vector_normalize_identity_kernel():
-    assert vector_normalize(np.array([[1.0]]))[0, 0] == 1.0
+    assert vector_normalize(make_matrix([[1.0]], ["max"]))[0, 0] == 1.0
 
 
 def test_vector_normalize_social_fourth_column(social_matrix):
@@ -74,63 +71,82 @@ def test_ideals_social_second_column_is_cost_min(social_matrix):
 
 # ---------------------------------------------------------------- distances
 
+def _distances(V, w, is_benefit):
+    ideals = ideal_solutions(V, is_benefit)
+    dp, dm = kernels.batch_distances(V, ideals.positive, ideals.negative, np.array([w], float))
+    return dp[0], dm[0]
+
+
 def test_distance_zero_at_ideal():
     V = np.array([[1.0, 0.5], [0.2, 0.1]])
-    ideals = ideal_solutions(V, [True, True])
-    d = distances(V, [0.7, 0.3], ideals)
-    assert d.d_plus[0] == 0.0
-    assert d.d_minus[1] == 0.0
+    d_plus, d_minus = _distances(V, [0.7, 0.3], [True, True])
+    assert d_plus[0] == 0.0
+    assert d_minus[1] == 0.0
 
 
 def test_distance_scales_with_sqrt_of_weights():
-    V = vector_normalize(np.array([[1.0, 4.0], [2.0, 1.0], [3.0, 2.0]]))
-    ideals = ideal_solutions(V, [True, False])
+    V = vector_normalize(make_matrix([[1.0, 4.0], [2.0, 1.0], [3.0, 2.0]], ["max", "min"]))
     w = np.array([0.4, 0.6])
-    d1 = distances(V, w, ideals)
-    d4 = distances(V, 4 * w, ideals)
-    assert np.allclose(d4.d_plus, 2 * d1.d_plus, atol=1e-15)
-    assert np.allclose(d4.d_minus, 2 * d1.d_minus, atol=1e-15)
+    d1 = _distances(V, w, [True, False])
+    d4 = _distances(V, 4 * w, [True, False])
+    assert np.allclose(d4[0], 2 * d1[0], atol=1e-15)
+    assert np.allclose(d4[1], 2 * d1[1], atol=1e-15)
 
 
 def test_distance_two_point_endpoints():
-    V = np.array([[0.0], [1.0]])
-    ideals = ideal_solutions(V, [True])
-    d = distances(V, [1.0], ideals)
-    assert d.d_plus.tolist() == [1.0, 0.0]
-    assert d.d_minus.tolist() == [0.0, 1.0]
+    d_plus, d_minus = _distances(np.array([[0.0], [1.0]]), [1.0], [True])
+    assert d_plus.tolist() == [1.0, 0.0]
+    assert d_minus.tolist() == [0.0, 1.0]
 
 
 def test_distance_weight_preconditions():
-    V = np.array([[0.0], [1.0]])
-    ideals = ideal_solutions(V, [True])
-    with pytest.raises(ValueError):
-        distances(V, [-0.5], ideals)
-    with pytest.raises(ValueError):
-        distances(V, [0.0], ideals)
+    matrix = make_matrix([[0.0], [1.0]], ["max"])
+    with pytest.raises(ValueError, match="negative"):
+        topsis_run(matrix, [-0.5])
+    with pytest.raises(ValueError, match="sum to zero"):
+        topsis_run(matrix, [0.0])
+
+
+@pytest.mark.parametrize("weights, match", [
+    pytest.param([np.nan] + [1.0] * 11, "non-finite", id="nan"),
+    pytest.param([np.inf] + [1.0] * 11, "non-finite", id="inf"),
+    pytest.param([1.0] * 11, "expected 12 weights, got 11", id="short"),
+    pytest.param([1.0] * 13, "expected 12 weights, got 13", id="long"),
+    pytest.param([[1.0] * 12], "flat vector", id="nested"),
+])
+def test_topsis_run_rejects_malformed_weights(social_matrix, weights, match):
+    with pytest.raises(ValueError, match=match):
+        topsis_run(social_matrix, weights)
 
 
 # ---------------------------------------------------------------- closeness
 
 def test_closeness_endpoints_and_midpoint():
-    assert closeness(DistancePair([0.0], [0.4]))[0] == 1.0
-    assert closeness(DistancePair([0.4], [0.0]))[0] == 0.0
-    assert closeness(DistancePair([0.3], [0.3]))[0] == 0.5
+    # a1 sits at the ideal, a3 at the anti-ideal and a2 halfway between:
+    # the power-of-two prescale keeps V[2] exactly 2 * V[1]
+    res = topsis_run(make_matrix([[2.0], [1.0], [0.0]], ["max"]), [1.0])
+    assert res.closeness.tolist() == [1.0, 0.5, 0.0]
+    assert res.ranks.tolist() == [1, 2, 3]
 
 
 def test_closeness_degenerate_rejected():
+    # criterion 1 is constant and criterion 2 unweighted: both ideals coincide
+    matrix = make_matrix([[1.0, 1.0], [1.0, 2.0]], ["max", "max"])
     with pytest.raises(ComputationError, match="degenerate"):
-        closeness(DistancePair([0.0, 0.2], [0.0, 0.1]))
+        topsis_run(matrix, [1.0, 0.0])
+    with pytest.raises(ComputationError, match="degenerate"):
+        batch_topsis(matrix, [[0.5, 0.5], [1.0, 0.0]])
 
 
 # ------------------------------------------------------------------ ranking
 
 def test_rank_descending():
-    assert rank_alternatives([0.9, 0.1, 0.5]).tolist() == [1, 3, 2]
+    assert kernels.rank_rows(np.array([[0.9, 0.1, 0.5]])).tolist() == [[1, 3, 2]]
 
 
 def test_rank_tie_goes_to_lower_index():
-    assert rank_alternatives([0.5, 0.5]).tolist() == [1, 2]
-    assert rank_alternatives([0.2, 0.7, 0.7, 0.2]).tolist() == [3, 1, 2, 4]
+    assert kernels.rank_rows(np.array([[0.5, 0.5]])).tolist() == [[1, 2]]
+    assert kernels.rank_rows(np.array([[0.2, 0.7, 0.7, 0.2]])).tolist() == [[3, 1, 2, 4]]
 
 
 # ----------------------------------------------------------------- full run
@@ -193,10 +209,19 @@ def test_improving_a_benefit_value_never_hurts_two_alternatives():
 
 
 def test_batch_matches_single_runs(social_matrix):
+    """topsis_run is row k of batch_topsis bit for bit, on the case study
+    and on random shapes across wide magnitudes."""
     rng = np.random.default_rng(5)
-    W = rng.uniform(0.01, 0.2, size=(25, 12))
-    xi, ranks = batch_topsis(social_matrix, W)
-    for k in (0, 7, 24):
-        single = topsis_run(social_matrix, W[k])
-        assert np.allclose(xi[k], single.closeness, atol=1e-12)
-        assert np.array_equal(ranks[k], single.ranks)
+    cases = [(social_matrix, rng.uniform(0.01, 0.2, size=(25, 12)))]
+    for _ in range(60):
+        m, n = int(rng.integers(2, 31)), int(rng.integers(1, 21))
+        scale = 10.0 ** rng.integers(-50, 51, size=n)
+        dirs = ["max" if b else "min" for b in rng.integers(0, 2, size=n)]
+        values = rng.uniform(0.1, 1.0, size=(m, n)) * scale
+        cases.append((make_matrix(values, dirs), rng.uniform(0.01, 1.0, size=(4, n))))
+    for matrix, W in cases:
+        xi, ranks = batch_topsis(matrix, W)
+        for k in range(W.shape[0]):
+            single = topsis_run(matrix, W[k])
+            assert np.array_equal(xi[k], single.closeness)
+            assert np.array_equal(ranks[k], single.ranks)

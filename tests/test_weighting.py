@@ -5,13 +5,27 @@ from hypothesis import strategies as st
 
 from bandtopsis import (
     ComputationError,
+    RunConfig,
     critic_weights,
     entropy_weights,
     minmax_normalize,
     normalize_custom_set,
-    pearson,
+    run_pipeline,
 )
 from conftest import REF_CRITIC, REF_ENTROPY, make_matrix
+
+
+def pearson(col_a, col_b) -> float:
+    """Reference for one entry of CRITIC's correlation grid: Pearson
+    linear correlation of two equal-length vectors."""
+    a = np.asarray(col_a, dtype=float)
+    b = np.asarray(col_b, dtype=float)
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = np.sqrt((da * da).sum() * (db * db).sum())
+    if denom == 0:
+        raise ComputationError("pearson correlation undefined for a zero-variance input")
+    return float((da * db).sum() / denom)
 
 
 # ------------------------------------------------------------------ entropy
@@ -187,6 +201,26 @@ def test_custom_set_idempotent():
     once = normalize_custom_set([3.0, 1.0, 4.0], 3).weights
     twice = normalize_custom_set(once, 3).weights
     assert np.max(np.abs(once - twice)) <= 1e-12
+
+
+# Two entries 2^23 times the rest: scaled by 2^1000 they sum past the
+# largest double.
+_SKEWED_SET = (2.0 ** 23, 2.0 ** 23) + (1.0,) * 10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-1000, -500, -1, 1, 500, 1000])
+def test_custom_set_scaled_by_a_power_of_two_runs_the_same(social_matrix, k):
+    def run(custom):
+        report = run_pipeline(social_matrix, RunConfig(iterations=300, custom_sets=(custom,)))
+        return report.weight_table(), report.final.positions
+
+    table, positions = run(_SKEWED_SET)
+    scaled_table, scaled_positions = run(tuple(2.0 ** k * v for v in _SKEWED_SET))
+    assert [name for name, _ in scaled_table] == [name for name, _ in table]
+    for (_, scaled), (_, plain) in zip(scaled_table, table):
+        assert np.array_equal(scaled, plain)
+    assert np.array_equal(scaled_positions, positions)
 
 
 # --------------------------------------------------------------- properties
