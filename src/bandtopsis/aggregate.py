@@ -11,8 +11,11 @@ by descending modal score. Ties are resolved deterministically:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
+from .kernels import _chunk_rows, _for_chunks
 from .model import FinalRanking, RankMatrix
 
 
@@ -54,7 +57,21 @@ def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:
 
 def rank_frequency(rm: RankMatrix) -> np.ndarray:
     """Occupancy counts: entry (j, r-1) is how many iterations put
-    alternative j at rank r. Every row sums to t."""
-    m = rm.m
-    cells = rm.ranks + np.arange(0, m * m, m) - 1  # cell j*m + r-1 of an m x m grid
-    return np.bincount(cells.ravel(), minlength=m * m).reshape(m, m)
+    alternative j at rank r. Every row sums to t.
+
+    The rank grid is counted one row chunk at a time and each chunk's
+    integer counts are added to the total as soon as they exist, so
+    neither a t x m temporary nor a set of per-chunk counts is held."""
+    ranks = rm.ranks
+    t, m = ranks.shape
+    offsets = np.arange(-1, m * m - 1, m)  # rank r of alternative j -> cell j*m + r-1
+    total = np.zeros(m * m, dtype=np.int64)
+    lock = threading.Lock()
+
+    def count(lo, hi):
+        counts = np.bincount((ranks[lo:hi] + offsets).ravel(), minlength=m * m)
+        with lock:
+            np.add(total, counts, out=total)
+
+    _for_chunks(t, _chunk_rows(m), count)
+    return total.reshape(m, m)

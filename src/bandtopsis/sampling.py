@@ -4,9 +4,10 @@ from them.
 Sampling is counter-based (see kernels.unit_uniforms): entry (i, j) is a
 pure function of (seed, i, j, bounds), so the matrix is reproducible
 bit-for-bit regardless of fill order or parallel scheduling. The stream
-is generated block by block, and the band transform lower + u * width is
-applied in place on the one t x n buffer, which the returned matrix
-then owns without a further copy.
+is generated in row chunks (see kernels._for_chunks), each written
+straight into its rows of the one t x n buffer and moved into its band,
+lower + u * width, in place; the returned matrix owns that buffer
+without a further copy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import unit_uniforms
+from .kernels import (
+    _chunk_rows,
+    _fill_uniforms,
+    _for_chunks,
+    _per_thread,
+    _uniform_scratch,
+    unit_uniforms,
+)
 from .model import NamedWeightSet, RandomWeightMatrix, WeightBounds, _Owned
 
 
@@ -59,7 +67,14 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     n = bounds.n
-    rows = unit_uniforms(seed, 0, iterations * n).reshape(iterations, n)
-    np.multiply(rows, bounds.width, out=rows)
-    np.add(rows, bounds.lower, out=rows)
+    rows = np.empty((iterations, n))
+    scratch = _per_thread(lambda: _uniform_scratch(iterations * n))
+
+    def draw(lo, hi):
+        block = rows[lo:hi]
+        _fill_uniforms(seed, lo * n, block.reshape(-1), scratch())
+        np.multiply(block, bounds.width, out=block)
+        np.add(block, bounds.lower, out=block)
+
+    _for_chunks(iterations, _chunk_rows(n), draw)
     return RandomWeightMatrix(iterations, _Owned(rows), int(seed), bounds)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandtopsis import (
@@ -167,11 +167,14 @@ def _plain_splitmix64(seed: int, start: int, count: int) -> list[float]:
     st.integers(min_value=1, max_value=2 ** 48),
     st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 3]),
 )
+@example(1, 5, 3)
 @settings(max_examples=25, deadline=None)
 def test_uniforms_equal_plain_integer_splitmix64(seed, start, count):
     u = unit_uniforms(seed, start, count)
     assert u.dtype == np.float64 and u.shape == (count,)
     assert u.tolist() == _plain_splitmix64(seed, start, count)
+    # numpy integers, as a slice bound or a shape entry may be, name the same values
+    assert unit_uniforms(np.uint64(seed), np.int64(start), np.int64(count)).tolist() == u.tolist()
 
 
 def test_sample_rows_match_matrix_across_a_block_boundary():
