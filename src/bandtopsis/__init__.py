@@ -18,7 +18,7 @@ _SOURCES = {
     "aggregate": ("build_rank_matrix", "final_ranking", "rank_frequency"),
     "base": ("DEFAULT_ITERATIONS", "DEFAULT_SEED", "ComputationError", "ProblemFormatError",
              "ValidationError"),
-    "charts": ("charts_from_summary", "emit_charts"),
+    "charts": ("charts_from_summary",),
     "io": ("build_summary", "emit_rwm", "emit_tables", "parse_problem"),
     "model": ("CriterionSpec", "DecisionMatrix", "Direction", "FinalRanking", "NamedWeightSet",
               "RandomWeightMatrix", "RankMatrix", "RunConfig", "TopsisResult", "WeightBounds",

@@ -25,12 +25,6 @@ def build_rank_matrix(ranks: np.ndarray) -> RankMatrix:
     return RankMatrix(ranks)
 
 
-def _largest_mode(hists: np.ndarray) -> np.ndarray:
-    """Index of the top count along the last axis; the largest index wins
-    a tie."""
-    return hists.shape[-1] - 1 - np.argmax(hists[..., ::-1], axis=-1)
-
-
 def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:
     """Order alternatives by modal score with the documented tie chain."""
     xi = np.asarray(closeness_log, dtype=float)
@@ -39,9 +33,11 @@ def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:
             f"closeness log shape {xi.shape} does not match rank matrix {rm.ranks.shape}"
         )
     m = rm.m
+    counts = rank_frequency(rm)
+    # the first top count is the best rank, i.e. the largest tied score
+    modal = m - counts.argmax(axis=1)
     hists = np.zeros((m, m + 1), dtype=np.int64)
-    hists[:, 1:] = rank_frequency(rm)[:, ::-1]  # score = m + 1 - rank
-    modal = _largest_mode(hists)
+    hists[:, 1:] = counts[:, ::-1]  # score = m + 1 - rank
     # integer sums below 2^53, so this equals scores.mean(axis=0) exactly
     mean_scores = hists @ np.arange(m + 1) / rm.t
     mean_xi = xi.mean(axis=0)

@@ -13,12 +13,6 @@ charts are self-describing and testable.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .pipeline import RunReport
-
 WIDTH = 900
 HEIGHT = 360
 MARGIN_LEFT = 60
@@ -193,54 +187,27 @@ def final_bars_svg(title: str, alternatives: list[str], positions: list[int],
     return c.render()
 
 
-def _charts_from_parts(alternatives, criteria_ids, rwm_fives, xi_fives,
-                       rank_counts, positions, modal_scores) -> dict[str, str]:
-    return {
-        "figure2.svg": boxplot_svg(
-            "Sampled weight distribution per criterion", criteria_ids, rwm_fives, "criterion"
-        ),
-        "figure3.svg": rank_bars_svg(
-            "Rank occupancy per alternative", alternatives, rank_counts
-        ),
-        "figure4.svg": boxplot_svg(
-            "Closeness distribution per alternative", alternatives, xi_fives, "alternative"
-        ),
-        "figure5.svg": final_bars_svg(
-            "Final ranking by modal score", alternatives, positions, modal_scores
-        ),
-    }
-
-
 def charts_from_summary(summary: dict) -> dict[str, str]:
     """Rebuild all four figures from a summary document alone."""
     alternatives = summary["alternatives"]
     ids = [c["id"] for c in summary["criteria"]]
+    final = summary["final"]
     m = len(alternatives)
     # rank r count = score (m + 1 - r) count
-    counts = [[summary["final"]["score_histograms"][a][m - r] for r in range(1, m + 1)]
+    counts = [[final["score_histograms"][a][m - r] for r in range(1, m + 1)]
               for a in range(m)]
-    return _charts_from_parts(
-        alternatives,
-        ids,
-        [summary["rwm_summary"][i] for i in ids],
-        [summary["closeness_summary"][a] for a in alternatives],
-        counts,
-        summary["final"]["positions"],
-        summary["final"]["modal_scores"],
-    )
-
-
-def emit_charts(report: RunReport, out_dir) -> dict[str, Path]:
-    """Write figure2.svg ... figure5.svg for a run."""
-    from .io import build_summary
-
-    docs = charts_from_summary(build_summary(report))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, svg in docs.items():
-        p = out / name
-        with open(p, "w", encoding="utf-8", newline="") as f:
-            f.write(svg)
-        paths[name] = p
-    return paths
+    return {
+        "figure2.svg": boxplot_svg(
+            "Sampled weight distribution per criterion", ids,
+            [summary["rwm_summary"][i] for i in ids], "criterion"
+        ),
+        "figure3.svg": rank_bars_svg("Rank occupancy per alternative", alternatives, counts),
+        "figure4.svg": boxplot_svg(
+            "Closeness distribution per alternative", alternatives,
+            [summary["closeness_summary"][a] for a in alternatives], "alternative"
+        ),
+        "figure5.svg": final_bars_svg(
+            "Final ranking by modal score", alternatives, final["positions"],
+            final["modal_scores"]
+        ),
+    }

@@ -105,28 +105,21 @@ def _merged_config(file_cfg: RunConfig, args) -> RunConfig:
     return dataclasses.replace(file_cfg, **updates)
 
 
-def _print_weight_rows(rows, ids):
-    name_w = max(len(name) for name, _ in rows)
-    print(" " * (name_w + 2) + "  ".join(f"{i:>7s}" for i in ids))
-    for name, vec in rows:
-        print(f"{name:<{name_w}}  " + "  ".join(f"{v:7.3f}" for v in vec))
-
-
 def _cmd_weights(args) -> int:
     from .io import parse_problem
     from .model import validate_problem
-    from .pipeline import collect_weight_sets
+    from .pipeline import _weight_rows, collect_weight_sets
     from .sampling import compute_bounds
 
     matrix, cfg = parse_problem(args.input, args.format)
     cfg = _merged_config(cfg, args)
     validate_problem(matrix, cfg)
     sets = collect_weight_sets(matrix, cfg)
-    bounds = compute_bounds(sets)
-    rows = [(s.name, s.weights) for s in sets]
-    rows.append(("lower", bounds.lower))
-    rows.append(("upper", bounds.upper))
-    _print_weight_rows(rows, matrix.criterion_ids())
+    rows = _weight_rows(sets, compute_bounds(sets))
+    name_w = max(len(name) for name, _ in rows)
+    print(" " * (name_w + 2) + "  ".join(f"{i:>7s}" for i in matrix.criterion_ids()))
+    for name, vec in rows:
+        print(f"{name:<{name_w}}  " + "  ".join(f"{v:7.3f}" for v in vec))
     return 0
 
 
@@ -153,9 +146,8 @@ def _run_dir(summary_arg: str) -> Path:
 def _cmd_plot(args) -> int:
     from .charts import charts_from_summary
 
-    summary = load_summary(args.summary)
+    docs = charts_from_summary(load_summary(args.summary))
     out = _run_dir(args.summary)
-    docs = charts_from_summary(summary)
     for name, svg in docs.items():
         with open(out / name, "w", encoding="utf-8", newline="") as f:
             f.write(svg)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from io import StringIO
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -231,36 +232,40 @@ def _parse_json(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
 
 # ----------------------------------------------------------------- emission
 
-def _fmt_full(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_display(x: float) -> str:
-    return f"{float(x):.3f}"
-
-
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 _ROW_BLOCK = 1 << 10
 
 
-def _write_rows(path: Path, header: list[str], rows: np.ndarray, cell: str) -> None:
+def _csv_label(label):
+    """`label` as csv.writer writes it ahead of other fields; an int, such
+    as a row number, needs no quotes and is returned as is."""
+    if isinstance(label, int):
+        return label
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([label, ""])
+    return buf.getvalue()[:-2]  # drop the empty field's "," and the "\n"
+
+
+def _write_rows(path: Path, header: list[str], labels, rows: np.ndarray, cell: str) -> None:
     """Write the header through csv.writer, then one line per row of a
-    t x k array: its 1-based number and every value in `cell` format
-    ('%r' for floats is their shortest round-trip repr). Rows are
-    converted to Python numbers one block at a time, so memory stays
-    bounded for any t."""
-    line = "%d" + ("," + cell) * rows.shape[1] + "\n"
+    t x k array: labels[i] (see _csv_label) and the row's values in
+    `cell` format ('%r' gives a float's shortest round-trip repr). Rows
+    become Python numbers one block at a time, so memory stays bounded."""
+    line = "%s" + ("," + cell) * rows.shape[1] + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerow(header)
         for start in range(0, rows.shape[0], _ROW_BLOCK):
-            block = rows[start:start + _ROW_BLOCK].tolist()
-            f.writelines(line % (i, *row) for i, row in enumerate(block, start + 1))
+            stop = start + _ROW_BLOCK
+            block = zip(map(_csv_label, labels[start:stop]), rows[start:stop].tolist())
+            f.writelines(line % (label, *row) for label, row in block)
+
+
+def _write_pair(out: Path, stem: str, header: list[str], labels, rows) -> dict[str, Path]:
+    """Write stem.csv at full precision and stem_display.csv with 3 decimals."""
+    paths = {}
+    for suffix, cell in (("", "%r"), ("_display", "%.3f")):
+        paths[stem + suffix] = p = out / f"{stem}{suffix}.csv"
+        _write_rows(p, header, labels, rows, cell)
+    return paths
 
 
 def _linear_pick(n: int, q: float) -> tuple[int, int, float]:
@@ -385,24 +390,15 @@ def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix = report.matrix
-    ids = matrix.criterion_ids()
-    paths: dict[str, Path] = {}
-
-    table = report.weight_table()
-    for suffix, fmt in (("", _fmt_full), ("_display", _fmt_display)):
-        p = out / f"weights{suffix}.csv"
-        _write_csv(p, ["set"] + ids, [[name] + [fmt(v) for v in vec] for name, vec in table])
-        paths[f"weights{suffix}"] = p
-
-    p = out / "ranks.csv"
-    _write_rows(p, ["iteration"] + list(matrix.alternatives), report.rank_matrix.ranks, "%d")
-    paths["ranks"] = p
-
-    p = out / "summary.json"
+    names, vectors = zip(*report.weight_table())
+    paths = _write_pair(out, "weights", ["set"] + matrix.criterion_ids(), names, np.array(vectors))
+    paths["ranks"] = p = out / "ranks.csv"
+    _write_rows(p, ["iteration"] + list(matrix.alternatives), range(1, report.rank_matrix.t + 1),
+                report.rank_matrix.ranks, "%d")
+    paths["summary"] = p = out / "summary.json"
     with open(p, "w", encoding="utf-8", newline="") as f:
         json.dump(build_summary(report), f, indent=2)
         f.write("\n")
-    paths["summary"] = p
     return paths
 
 
@@ -425,9 +421,4 @@ def emit_rwm(summary: dict, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["iteration"] + [c["id"] for c in summary["criteria"]]
-    paths: dict[str, Path] = {}
-    for suffix, cell in (("", "%r"), ("_display", "%.3f")):
-        p = out / f"rwm{suffix}.csv"
-        _write_rows(p, header, rows, cell)
-        paths[f"rwm{suffix}"] = p
-    return paths
+    return _write_pair(out, "rwm", header, range(1, rows.shape[0] + 1), rows)

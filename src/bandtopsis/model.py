@@ -10,7 +10,6 @@ so t-sized results are never held twice.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +116,9 @@ class NamedWeightSet:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError(f"weight set {self.name!r} must be one-dimensional")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError(f"weight set {self.name!r} has negative or non-finite entries")
+        reason = _weight_fault(w, None)
+        if reason:
+            raise ValueError(f"weight set {self.name!r}: {reason}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weight set {self.name!r} sums to {w.sum()!r}, expected 1 within {WEIGHT_SUM_TOL}"
@@ -263,6 +261,22 @@ class RunConfig:
         )
 
 
+def _weight_fault(w: np.ndarray, n: int | None) -> str | None:
+    """Why `w` is not a flat vector of n (any length if None) finite,
+    non-negative weights, not all zero; None if it is one."""
+    if w.ndim != 1:
+        return "expected a flat vector"
+    if n is not None and w.shape[0] != n:
+        return f"wrong length: expected {n} weights, got {w.shape[0]}"
+    if not np.all(np.isfinite(w)):
+        return "non-finite weight"
+    if np.any(w < 0):
+        return "negative weight"
+    if not np.any(w > 0):
+        return "weights sum to zero"
+    return None
+
+
 def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) -> list[str]:
     """Collect every invariant violation of a problem (empty list = valid)."""
     errors: list[str] = []
@@ -309,17 +323,9 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
         if not 0 <= config.seed < 2 ** 64:
             errors.append(f"seed must be in [0, 2^64), got {config.seed}")
         for k, s in enumerate(config.custom_sets, start=1):
-            if len(s) != n:
-                errors.append(
-                    f"custom set {k} has length {len(s)}, expected {n}"
-                )
-                continue
-            if any(not math.isfinite(x) for x in s):
-                errors.append(f"custom set {k} has a non-finite entry")
-            elif any(x < 0 for x in s):
-                errors.append(f"custom set {k} has a negative entry")
-            elif sum(s) <= 0:
-                errors.append(f"custom set {k} sums to zero")
+            reason = _weight_fault(np.asarray(s, dtype=float), n)
+            if reason:
+                errors.append(f"custom set {k}: {reason}")
 
     return errors
 

@@ -44,10 +44,12 @@ class RunReport:
 
     def weight_table(self) -> list[tuple[str, np.ndarray]]:
         """Display rows: each contributing set, then the band envelope."""
-        rows = [(s.name, s.weights) for s in self.weight_sets]
-        rows.append(("lower", self.bounds.lower))
-        rows.append(("upper", self.bounds.upper))
-        return rows
+        return _weight_rows(self.weight_sets, self.bounds)
+
+
+def _weight_rows(sets, bounds: WeightBounds) -> list[tuple[str, np.ndarray]]:
+    """(name, weights) of each contributing set, then `lower` and `upper`."""
+    return [(s.name, s.weights) for s in sets] + [("lower", bounds.lower), ("upper", bounds.upper)]
 
 
 def collect_weight_sets(matrix: DecisionMatrix, config: RunConfig) -> list[NamedWeightSet]:

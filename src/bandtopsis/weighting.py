@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ComputationError
-from .model import DecisionMatrix, NamedWeightSet, _readonly
+from .model import DecisionMatrix, NamedWeightSet, _readonly, _weight_fault
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,16 @@ def entropy_weights(matrix: DecisionMatrix) -> EntropyReport:
             f"entropy weighting: cost column {ids[bad[0]]!r} has a non-positive "
             "entry, reciprocal transform undefined"
         )
-    # Shares are scale-free, so each column is first scaled by an exact
-    # power of two that brings a benefit column's largest entry and a cost
-    # column's smallest into [0.5, 1): neither the reciprocal nor the
-    # column sum can then overflow, and the shares are the same bits.
-    Xt = X.copy()
-    ref = np.where(is_benefit, X.max(axis=0), X.min(axis=0))
-    np.ldexp(Xt, -np.frexp(ref)[1], out=Xt)
-    Xt[:, cost] = 1.0 / Xt[:, cost]
+    # Shares are scale-free, so each column is scaled by the exact power of
+    # two 2^shift that brings a benefit column's largest entry and a cost
+    # column's smallest into [0.5, 1), and a cost entry mant * 2^e becomes
+    # (1 / mant) * 2^-(e + shift) without being scaled first: nothing can
+    # overflow, and the shares are the same bits.
+    mant, exp = np.frexp(X)
+    exp -= np.frexp(np.where(is_benefit, X.max(axis=0), X.min(axis=0)))[1]
+    mant[:, cost] = 1.0 / mant[:, cost]
+    exp[:, cost] *= -1
+    Xt = np.ldexp(mant, exp)
 
     colsum = Xt.sum(axis=0)
     zero = np.nonzero(colsum == 0)[0]
@@ -161,18 +163,11 @@ def critic_weights(matrix: DecisionMatrix, ddof: int = 1) -> CriticReport:
 
 def _checked_weights(raw, n: int | None, name: str) -> np.ndarray:
     """`raw` as a flat float vector of n finite, non-negative weights, not
-    all zero; else ValueError naming `name`."""
+    all zero; else ValueError naming `name` and the fault."""
     w = np.asarray(raw, dtype=float)
-    if w.ndim != 1:
-        raise ValueError(f"{name}: expected a flat vector")
-    if n is not None and w.shape[0] != n:
-        raise ValueError(f"{name}: expected {n} weights, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name}: non-finite weight")
-    if np.any(w < 0):
-        raise ValueError(f"{name}: negative weight")
-    if not np.any(w > 0):
-        raise ValueError(f"{name}: weights sum to zero")
+    reason = _weight_fault(w, n)
+    if reason:
+        raise ValueError(f"{name}: {reason}")
     return w
 
 

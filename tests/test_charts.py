@@ -6,10 +6,11 @@ from bandtopsis import (
     RunConfig,
     build_summary,
     charts_from_summary,
-    emit_charts,
+    emit_tables,
     run_pipeline,
 )
 from bandtopsis.charts import boxplot_svg
+from bandtopsis.cli import cli_main
 
 LINE_RE = re.compile(
     r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)"[^/]*'
@@ -25,10 +26,16 @@ def social_report(social_matrix):
     return run_pipeline(social_matrix, RunConfig(custom_sets=((0.05,) * 12,)))
 
 
+def _plot(report, out):
+    """The figures `bandtopsis plot` writes for a run's tables under out."""
+    emit_tables(report, out)
+    assert cli_main(["plot", str(out)]) == 0
+    return {p.name: p for p in sorted(out.glob("*.svg"))}
+
+
 @pytest.fixture(scope="module")
 def figures(social_report, tmp_path_factory):
-    out = tmp_path_factory.mktemp("charts")
-    return emit_charts(social_report, out)
+    return _plot(social_report, tmp_path_factory.mktemp("charts"))
 
 
 def _whisker_spans(svg_text):
@@ -84,8 +91,9 @@ def test_zero_width_boxes_collapse():
 
 
 def test_chart_bytes_deterministic(social_report, tmp_path):
-    a = emit_charts(social_report, tmp_path / "a")
-    b = emit_charts(social_report, tmp_path / "b")
+    a = _plot(social_report, tmp_path / "a")
+    b = _plot(social_report, tmp_path / "b")
+    assert sorted(a) == sorted(b)
     for name in a:
         assert a[name].read_bytes() == b[name].read_bytes()
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bandtopsis
+from bandtopsis import normalize_custom_set
 from bandtopsis.cli import cli_main
 from conftest import REF_LOWER, REF_UPPER
 
@@ -136,6 +137,25 @@ def test_topsis_bad_weights_exit_2_naming_the_flag(social_csv, capsys, first, fa
     code, _, err = run_cli(["topsis", str(social_csv), f"--weights={weights}"], capsys)
     assert code == 2
     assert "--weights" in err and fault in err
+
+
+@pytest.mark.parametrize("weights, reason", [
+    (["nan"] + ["1"] * 11, "non-finite weight"),
+    (["-0.5"] + ["1"] * 11, "negative weight"),
+    (["0"] * 12, "weights sum to zero"),
+    (["1"] * 11, "wrong length: expected 12 weights, got 11"),
+], ids=["nan", "negative", "all-zero", "wrong-length"])
+def test_weight_vector_faults_read_the_same_everywhere(social_csv, tmp_path, capsys,
+                                                        weights, reason):
+    with pytest.raises(ValueError) as e:
+        normalize_custom_set([float(w) for w in weights], 12, name="api")
+    assert str(e.value) == f"api: {reason}"
+    text = ",".join(weights)
+    code, _, err = run_cli(["run", str(social_csv), f"--custom={text}", "--iterations", "10",
+                            "--out", str(tmp_path)], capsys)
+    assert (code, err) == (2, f"error: custom set 1: {reason}\n")
+    code, _, err = run_cli(["topsis", str(social_csv), f"--weights={text}"], capsys)
+    assert (code, err) == (2, f"error: --weights: {reason}\n")
 
 
 def test_custom_set_near_the_double_limit_runs(social_csv, tmp_path, capsys):

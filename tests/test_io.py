@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import io as _io
 import json
 from pathlib import Path
@@ -11,6 +13,7 @@ from bandtopsis import (
     CriterionSpec,
     DecisionMatrix,
     Direction,
+    NamedWeightSet,
     ProblemFormatError,
     RunConfig,
     build_summary,
@@ -20,7 +23,7 @@ from bandtopsis import (
     parse_problem,
     run_pipeline,
 )
-from bandtopsis.io import five_number_columns
+from bandtopsis.io import _write_rows, five_number_columns
 from conftest import REF_LOWER, REF_POSITIONS, REF_UPPER, SOCIAL_DIRECTIONS, SOCIAL_VALUES
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -188,6 +191,33 @@ def test_full_precision_columns_round_trip(social_report, tmp_path):
     lines = paths["rwm"].read_text().splitlines()[1:]
     parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
     assert np.array_equal(parsed, social_report.rwm.rows)
+
+
+def test_set_names_are_quoted_as_csv_writer_quotes_them(social_report, tmp_path):
+    name = 'the "fair", set'
+    weights = np.full(12, 1 / 12)
+    report = dataclasses.replace(
+        social_report, weight_sets=(NamedWeightSet(name, weights),) + social_report.weight_sets
+    )
+    paths = emit_tables(report, tmp_path)
+    with open(paths["weights"], newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[1] == [name] + [repr(float(v)) for v in weights]
+    names = [s.name for s in social_report.weight_sets] + ["lower", "upper"]
+    assert [row[0] for row in rows[2:]] == names
+
+
+@pytest.mark.parametrize("label", [
+    "plain", 'a "quoted" name', "a, b", "line\nbreak", "carriage\rreturn", "", " padded ",
+])
+def test_row_labels_match_csv_writer_bytes(tmp_path, label):
+    rows = np.array([[0.1, 2.5]])
+    _write_rows(tmp_path / "t.csv", ["set", "x", "y"], [label], rows, "%r")
+    expected = _io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["set", "x", "y"])
+    writer.writerow([label, "0.1", "2.5"])
+    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_summary_config_echo(social_report, tmp_path):

@@ -69,3 +69,27 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def _file_writers() -> set[tuple[str, str]]:
+    """(module, function) of every open() call in the package whose mode
+    writes."""
+    found = set()
+    for path in (ROOT / "src" / "bandtopsis").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+                    continue
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(isinstance(m, ast.Constant) and "w" in str(m.value) for m in modes):
+                    found.add((path.stem, func.name))
+    return found
+
+
+def test_each_output_file_has_one_writer():
+    """Tables are written by io's row writer (summary.json by emit_tables),
+    and figures only by the `plot` command."""
+    assert _file_writers() == {("io", "_write_rows"), ("io", "emit_tables"), ("cli", "_cmd_plot")}

@@ -65,6 +65,25 @@ def test_entropy_cost_column_with_zero_rejected():
         entropy_weights(make_matrix([[0.0, 1.0], [2.0, 2.0]], ["min", "max"]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_entropy_cost_column_spanning_past_the_double_range(tmp_path, capsys):
+    """A cost column whose largest entry is 1e600 times its smallest: the
+    largest entry, scaled before its reciprocal, would pass the largest
+    double. Its share, 1e-600, is zero as a double, so the weights equal
+    those with that entry at 1e8, which the scaled path handled too."""
+    from bandtopsis.cli import cli_main
+
+    report = entropy_weights(make_matrix([[1e-300, 1], [1e300, 2], [1, 3]], ["min", "max"]))
+    assert report.share[:, 0].tolist() == [1.0, 0.0, 1e-300]
+    near = entropy_weights(make_matrix([[1e-300, 1], [1e8, 2], [1, 3]], ["min", "max"]))
+    assert np.array_equal(report.weights.weights, near.weights.weights)
+
+    path = tmp_path / "spanning.csv"
+    path.write_text("c0,c1\nmin,max\na0,1e-300,1\na1,1e300,2\na2,1,3\n")
+    assert cli_main(["weights", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["entropy", "0.926", "0.074"]
+
+
 def test_entropy_all_uniform_rejected():
     with pytest.raises(ComputationError, match="uniform"):
         entropy_weights(make_matrix([[2.0, 3.0], [2.0, 3.0]], ["max", "max"]))
