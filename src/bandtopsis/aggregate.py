@@ -32,14 +32,19 @@ def final_ranking(rm: RankMatrix, closeness_log: np.ndarray) -> FinalRanking:
         raise ValueError(
             f"closeness log shape {xi.shape} does not match rank matrix {rm.ranks.shape}"
         )
-    m = rm.m
-    counts = rank_frequency(rm)
+    return _rank_by_mode(rank_frequency(rm), xi)
+
+
+def _rank_by_mode(counts: np.ndarray, xi: np.ndarray) -> FinalRanking:
+    """final_ranking from the occupancy counts of rank_frequency and the
+    t x m closeness they were ranked from."""
+    t, m = xi.shape
     # the first top count is the best rank, i.e. the largest tied score
     modal = m - counts.argmax(axis=1)
     hists = np.zeros((m, m + 1), dtype=np.int64)
     hists[:, 1:] = counts[:, ::-1]  # score = m + 1 - rank
     # integer sums below 2^53, so this equals scores.mean(axis=0) exactly
-    mean_scores = hists @ np.arange(m + 1) / rm.t
+    mean_scores = hists @ np.arange(m + 1) / t
     mean_xi = xi.mean(axis=0)
 
     order = sorted(
@@ -60,14 +65,32 @@ def rank_frequency(rm: RankMatrix) -> np.ndarray:
     neither a t x m temporary nor a set of per-chunk counts is held."""
     ranks = rm.ranks
     t, m = ranks.shape
-    offsets = np.arange(-1, m * m - 1, m)  # rank r of alternative j -> cell j*m + r-1
-    total = np.zeros(m * m, dtype=np.int64)
-    lock = threading.Lock()
+    counts = _RankCounts(m)
+    _for_chunks(t, _chunk_rows(m), lambda lo, hi: counts.add(ranks[lo:hi]))
+    return counts.grid()
 
-    def count(lo, hi):
-        counts = np.bincount((ranks[lo:hi] + offsets).ravel(), minlength=m * m)
-        with lock:
-            np.add(total, counts, out=total)
 
-    _for_chunks(t, _chunk_rows(m), count)
-    return total.reshape(m, m)
+class _RankCounts:
+    """The counting stage as a chunk body: occupancy counts that chunks
+    running on any thread add to."""
+
+    def __init__(self, m: int):
+        self.offsets = np.arange(-1, m * m - 1, m)  # rank r of alternative j -> cell j*m + r-1
+        self.total = np.zeros(m * m, dtype=np.int64)
+        self.lock = threading.Lock()
+
+    def add(self, ranks: np.ndarray, one: np.ndarray | None = None) -> None:
+        """Count the rank rows `ranks`; `one`, if given, is the rank row
+        that every one of them equals, so each alternative adds the row
+        count at one cell and no row is read."""
+        if one is None:
+            counts = np.bincount((ranks + self.offsets).ravel(), minlength=self.total.size)
+            with self.lock:
+                np.add(self.total, counts, out=self.total)
+        else:
+            with self.lock:
+                self.total[self.offsets + one] += len(ranks)
+
+    def grid(self) -> np.ndarray:
+        m = len(self.offsets)
+        return self.total.reshape(m, m)

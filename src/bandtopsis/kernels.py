@@ -2,11 +2,20 @@
 and the counter-based uniform stream the weight matrix is drawn from,
 plus the row-chunk runner the t-sized stages share.
 
-Each stage has one numpy implementation. The uniform stream and the
-distance kernel avoid whole-array temporaries: the stream is generated
-block by block through fixed-size scratch arrays, and the distance roots
-are taken in place in the einsum outputs. Each output is bit-identical
-to the plain whole-array expression it replaces.
+Each stage has one numpy implementation, written as a chunk body that
+works on a range of rows: the public functions run one body over every
+chunk, and ``run_pipeline`` runs one pass in which each chunk is drawn,
+scored, ranked and counted while it is in cache. The uniform stream and
+the distance kernel avoid whole-array temporaries: the stream is
+generated block by block through fixed-size scratch arrays, and the
+distance roots are taken in place in their output rows. Each output is
+bit-identical to the plain whole-array expression it replaces.
+
+Ranking has an exact fast path for rows of at most ``_STABLE_MAX_M``
+values: a chunk in which every row strictly descends along the order of
+its first row takes that order's ranks without a sort, which is almost
+every chunk when the weights come from a narrow band. A tie or any row
+in another order sends the chunk to the stable sort.
 
 The t-sized stages (sampling, distances, ranking, rank counting and the
 five-number summaries) work in chunks of about 2^16 elements. A call of
@@ -114,23 +123,31 @@ def batch_distances(V, a_pos, a_neg, w_rows):
     """
     w_rows = np.asarray(w_rows, dtype=np.float64)
     t, m = w_rows.shape[0], V.shape[0]
-    sq_pos, sq_neg = (V - a_pos) ** 2, (V - a_neg) ** 2
+    distances = _distance_body(V, a_pos, a_neg)
     dp = np.empty((t, m))
     dm = np.empty((t, m))
+    _for_chunks(t, _chunk_rows(m), lambda lo, hi: distances(w_rows[lo:hi], dp[lo:hi], dm[lo:hi]))
+    return dp, dm
 
-    def rows(lo, hi):
+
+def _distance_body(V, a_pos, a_neg):
+    """The distance stage as a chunk body: body(w, dp, dm) writes the
+    distances of weight rows `w` into the rows `dp` and `dm`."""
+    sq_pos, sq_neg = (V - a_pos) ** 2, (V - a_neg) ** 2
+
+    def body(w, dp, dm):
         # optimize=False (the default) keeps a fixed reduction order, no BLAS call.
-        for sq, d in ((sq_pos, dp[lo:hi]), (sq_neg, dm[lo:hi])):
-            np.einsum("tj,ij->ti", w_rows[lo:hi], sq, out=d)
+        for sq, d in ((sq_pos, dp), (sq_neg, dm)):
+            np.einsum("tj,ij->ti", w, sq, out=d)
             np.sqrt(d, out=d)
 
-    _for_chunks(t, _chunk_rows(m), rows)
-    return dp, dm
+    return body
 
 
 # ------------------------------------------------------------------ ranking
 
-# Rows of at most this many alternatives are ranked with the stable sort alone.
+# Rows of at most this many alternatives are ranked with the stable sort alone
+# (or take its ranks without a sort when their chunk keeps one order).
 # On an AVX-512 CPU it took 0.85 to 1.2 times as long as the SIMD sort plus the
 # tie check on rows of random values, and half as long on rows that share one
 # order, as rows drawn from a narrow weight band do.
@@ -142,6 +159,10 @@ def rank_rows(xi):
     lower alternative index: the ranks a stable sort of the negated
     values gives. `xi` must hold no NaN; closeness never does.
 
+    Rows are ranked a chunk at a time. A chunk of rows of at most
+    ``_STABLE_MAX_M`` values in which every row strictly descends along
+    the order of the chunk's first row gets that order's ranks without a
+    sort; any other chunk of such rows is ranked by the stable sort.
     Rows of more than ``_STABLE_MAX_M`` values are ordered by numpy's
     default argsort, which may dispatch to an unstable SIMD sort. Every
     sort orders distinct values alike, so only a row holding two equal
@@ -153,14 +174,41 @@ def rank_rows(xi):
     xi = np.asarray(xi, dtype=np.float64)
     t, m = xi.shape
     ranks = np.empty((t, m), dtype=np.int64)
+    _for_chunks(t, _chunk_rows(m), lambda lo, hi: _rank_chunk(xi[lo:hi], ranks[lo:hi]))
+    return ranks
 
-    def rank(lo, hi):
-        if m <= _STABLE_MAX_M:
-            _rank_stable(xi[lo:hi], np.arange(lo * m + m - 1, hi * m, m), ranks)
-        else:
-            _rank_fixed_up(xi[lo:hi], ranks[lo:hi])
 
-    _for_chunks(t, _chunk_rows(m), rank)
+def _rank_chunk(xi, ranks):
+    """The ranking stage as a chunk body: rank closeness rows `xi` into
+    the contiguous rows `ranks`. Returns the one rank row every row got
+    when the chunk keeps one order, else None."""
+    m = xi.shape[1]
+    if m > _STABLE_MAX_M:
+        _rank_fixed_up(xi, ranks)
+        return None
+    one = _one_order(xi)
+    if one is None:
+        _rank_stable(xi, np.arange(m - 1, ranks.size, m), ranks)
+    else:
+        ranks[...] = one
+    return one
+
+
+def _one_order(xi):
+    """The ranks of the first row of `xi` if every row strictly descends
+    along that row's order, else None.
+
+    Strict descent leaves no tie for the stable sort to break, so each
+    row's stable ranks equal the first row's. The check stops at the
+    first pair of neighbouring alternatives that fails it.
+    """
+    first = xi[0].tolist()
+    order = sorted(range(len(first)), key=first.__getitem__, reverse=True)
+    for a, b in zip(order, order[1:]):
+        if not np.greater(xi[:, a], xi[:, b]).all():
+            return None
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(1, len(order) + 1)
     return ranks
 
 
@@ -228,9 +276,11 @@ def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _uniform_scratch(count: int):
-    """The counter ramp 1, 2, ... and the two uint64 work arrays that
-    _fill_uniforms needs for `count` values, one block at a time."""
+    """The ramp 1 * gamma, 2 * gamma, ... (mod 2^64) and the two uint64
+    work arrays that _fill_uniforms needs for `count` values, one block
+    at a time."""
     ramp = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64)
+    np.multiply(ramp, _GAMMA, out=ramp)
     return ramp, np.empty_like(ramp), np.empty_like(ramp)
 
 
@@ -240,13 +290,11 @@ def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch) -> None:
     for some n >= len(out)."""
     count, start = len(out), int(start)
     ramp, z, tmp = scratch
-    seed64 = np.uint64(int(seed) & _U64)
     for lo in range(0, count, _BLOCK):
         k = min(_BLOCK, count - lo)
         zb, tb = z[:k], tmp[:k]
-        np.add(ramp[:k], np.uint64((start + lo) & _U64), out=zb)  # counter + 1
-        np.multiply(zb, _GAMMA, out=zb)
-        np.add(zb, seed64, out=zb)
+        # (start + lo + i) * gamma + seed for i = 1..k, in one add mod 2^64
+        np.add(ramp[:k], np.uint64(((start + lo) * int(_GAMMA) + int(seed)) & _U64), out=zb)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(zb, np.uint64(shift), out=tb)
             np.bitwise_xor(zb, tb, out=zb)
@@ -254,4 +302,5 @@ def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch) -> None:
         np.right_shift(zb, np.uint64(31), out=tb)
         np.bitwise_xor(zb, tb, out=zb)
         np.right_shift(zb, np.uint64(11), out=zb)
-        np.multiply(zb, 2.0 ** -53, out=out[lo:lo + k])
+        # below 2^53 the int64 view holds the same value and converts exactly
+        np.multiply(zb.view(np.int64), 2.0 ** -53, out=out[lo:lo + k])

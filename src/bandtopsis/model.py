@@ -10,6 +10,7 @@ so t-sized results are never held twice.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ import numpy as np
 from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
+
+# C0 controls and DEL: a CSV writer may leave "\r" unquoted, and a line
+# break or tab in a name splits a table row or a printed line.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 class Direction(enum.Enum):
@@ -316,6 +321,15 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
             errors.append(f"duplicate criterion id {c.id!r}")
         else:
             seen.add(c.id)
+
+    names = [("alternative label", a) for a in matrix.alternatives]
+    for c in matrix.criteria:
+        names.append(("criterion id", c.id))
+        if c.label != c.id:
+            names.append(("criterion label", c.label))
+    for kind, name in names:
+        if _CONTROL.search(str(name)):
+            errors.append(f"control character in {kind} {name!r}")
 
     if config is not None:
         if config.iterations < 1:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import final_ranking
+from .aggregate import _RankCounts, _rank_by_mode
+from .kernels import _chunk_rows, _for_chunks
 from .model import (
     DecisionMatrix,
     FinalRanking,
@@ -20,15 +21,21 @@ from .model import (
     _readonly,
     validate_problem,
 )
-from .sampling import compute_bounds, sample_weight_matrix
-from .topsis import batch_topsis
+from .sampling import _draw_body, compute_bounds
+from .topsis import _score_body
 from .weighting import critic_weights, entropy_weights, normalize_custom_set
 
 
 @dataclass(frozen=True)
 class RunReport:
     """Everything a run produced, sufficient to re-derive every output
-    file. Re-running with the echoed config reproduces it exactly."""
+    file. Re-running with the echoed config reproduces it exactly.
+
+    `rwm.rows`, `closeness` and `rank_matrix` are filled by one pass over
+    row chunks and equal, bit for bit, what sample_weight_matrix,
+    batch_topsis and final_ranking give when run one after another. A
+    chunk whose rows all keep one order is ranked and counted without a
+    sort; its ranks are the ones the stable sort would give."""
 
     matrix: DecisionMatrix
     config: RunConfig
@@ -69,13 +76,29 @@ def collect_weight_sets(matrix: DecisionMatrix, config: RunConfig) -> list[Named
 
 
 def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> RunReport:
-    """Validate the problem and run the full randomized-band ranking."""
+    """Validate the problem and run the full randomized-band ranking.
+
+    The t-sized stages run as one pass over row chunks: each chunk's
+    weight rows are drawn, scored, ranked and counted while they are in
+    cache, by the same chunk bodies that sample_weight_matrix,
+    batch_topsis and rank_frequency run alone.
+    """
     config = config or RunConfig()
     validate_problem(matrix, config)
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
-    rwm = sample_weight_matrix(bounds, config.iterations, config.seed)
-    xi, ranks = batch_topsis(matrix, rwm.rows)
+    t = config.iterations
+    step = _chunk_rows(matrix.m)
+    rows, draw = _draw_body(bounds, t, config.seed)
+    xi, ranks, score = _score_body(matrix, rows, step)
+    counts = _RankCounts(matrix.m)
+
+    def chunk(lo, hi):
+        draw(lo, hi)
+        counts.add(ranks[lo:hi], score(lo, hi))
+
+    _for_chunks(t, step, chunk)
+    rwm = RandomWeightMatrix(t, _Owned(rows), int(config.seed), bounds)
     rm = RankMatrix(_Owned(ranks))
-    final = final_ranking(rm, xi)
+    final = _rank_by_mode(counts.grid(), xi)
     return RunReport(matrix, config, tuple(sets), bounds, rwm, _Owned(xi), rm, final)

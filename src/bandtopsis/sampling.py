@@ -66,15 +66,22 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    n = bounds.n
+    rows, draw = _draw_body(bounds, iterations, seed)
+    _for_chunks(iterations, _chunk_rows(bounds.n), draw)
+    return RandomWeightMatrix(iterations, _Owned(rows), int(seed), bounds)
+
+
+def _draw_body(bounds: WeightBounds, iterations: int, seed: int):
+    """The sampling stage as a chunk body: (rows, draw), where draw(lo, hi)
+    writes rows lo:hi of the weight matrix into the t x n buffer `rows`."""
+    n, lower, width = bounds.n, bounds.lower, bounds.width
     rows = np.empty((iterations, n))
     scratch = _per_thread(lambda: _uniform_scratch(iterations * n))
 
     def draw(lo, hi):
         block = rows[lo:hi]
         _fill_uniforms(seed, lo * n, block.reshape(-1), scratch())
-        np.multiply(block, bounds.width, out=block)
-        np.add(block, bounds.lower, out=block)
+        np.multiply(block, width, out=block)
+        np.add(block, lower, out=block)
 
-    _for_chunks(iterations, _chunk_rows(n), draw)
-    return RandomWeightMatrix(iterations, _Owned(rows), int(seed), bounds)
+    return rows, draw

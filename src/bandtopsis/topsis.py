@@ -78,19 +78,44 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
     """Evaluate many weight rows against one matrix.
 
     Returns (closeness, ranks), each of shape t x m with row order equal
-    to the weight row order.
+    to the weight row order. Each row chunk is taken through distances,
+    closeness and ranking in turn while it is in cache.
     """
     W = np.ascontiguousarray(np.asarray(weight_rows, dtype=float))
     if W.ndim != 2:
         raise ValueError("weight_rows must be a 2-D array (iterations x criteria)")
+    step = kernels._chunk_rows(matrix.m)
+    xi, ranks, score = _score_body(matrix, W, step)
+    kernels._for_chunks(W.shape[0], step, score)
+    return xi, ranks
+
+
+def _score_body(matrix: DecisionMatrix, W: np.ndarray, step: int):
+    """The distance, closeness and ranking stages as one chunk body:
+    (closeness, ranks, score), where score(lo, hi) fills rows lo:hi of
+    the t x m grids `closeness` and `ranks` from rows lo:hi of `W`, and
+    returns what kernels._rank_chunk returns. A chunk holds at most
+    `step` rows.
+
+    d_plus is taken into the closeness rows and d_minus into scratch of
+    the calling thread, so no t x m distance grid is held.
+    """
     V = np.ascontiguousarray(vector_normalize(matrix))
     ideals = ideal_solutions(V, matrix.is_benefit)
-    dp, dm = kernels.batch_distances(V, ideals.positive, ideals.negative, W)
-    total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
-    if np.any(total == 0):
-        raise ComputationError(
-            "degenerate problem: ideal equals anti-ideal on every weighted criterion"
-        )
-    xi = np.divide(dm, total, out=total)
-    del dp, dm, total  # free d_minus before ranking allocates its grids
-    return xi, kernels.rank_rows(xi)
+    distances = kernels._distance_body(V, ideals.positive, ideals.negative)
+    xi = np.empty((W.shape[0], matrix.m))
+    ranks = np.empty(xi.shape, dtype=np.int64)
+    scratch = kernels._per_thread(lambda: np.empty((min(step, len(W)), matrix.m)))
+
+    def score(lo, hi):
+        dp, dm = xi[lo:hi], scratch()[: hi - lo]
+        distances(W[lo:hi], dp, dm)
+        total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
+        if np.any(total == 0):
+            raise ComputationError(
+                "degenerate problem: ideal equals anti-ideal on every weighted criterion"
+            )
+        np.divide(dm, total, out=total)
+        return kernels._rank_chunk(dp, ranks[lo:hi])
+
+    return xi, ranks, score

@@ -94,6 +94,20 @@ def test_duplicate_alternative_labels_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["weights", "run", "topsis"])
+def test_carriage_return_in_a_name_exits_2(command, tmp_path, capsys):
+    # a "\r" left unquoted by csv.writer would split the ranks.csv header
+    p = tmp_path / "cr.json"
+    p.write_text(json.dumps({"criteria": [{"id": "g1", "direction": "max"}],
+                             "alternatives": ["a\rb", "x", "y"], "values": [[1], [2], [3]]}))
+    out = tmp_path / "out"
+    extra = {"run": ["--out", str(out)], "topsis": ["--weights", "1"], "weights": []}[command]
+    code, _, err = run_cli([command, str(p), *extra], capsys)
+    assert code == 2
+    assert "control character in alternative label 'a\\rb'" in err
+    assert not out.exists()
+
+
 def test_weights_subcommand_prints_bands(social_csv, capsys):
     code, stdout, _ = run_cli(
         ["weights", str(social_csv), "--custom", ",".join(["0.05"] * 12)], capsys

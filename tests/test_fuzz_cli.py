@@ -26,7 +26,7 @@ values = st.one_of(
 )
 faults = st.one_of(st.sampled_from([-1.0, float("nan"), float("inf")]), st.floats())
 directions = st.sampled_from(["max", "min", "benefit", "cost", "+", "-", "MAX"])
-names = st.text("ab ,\"", min_size=1, max_size=3)
+names = st.text("ab ,\"\r\n\t", min_size=1, max_size=3)
 
 
 def _spoil(draw, items, spoiled):

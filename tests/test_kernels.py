@@ -95,3 +95,52 @@ def test_ranks_against_plain_loops_on_random_shapes(kind):
     for t, m in shapes:
         xi = _closeness_rows(rng, kind, t, m)
         assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi)), (kind, t, m)
+
+
+def _one_order_grid(rng, t, m):
+    """t rows that strictly descend along one random order of m columns."""
+    steps = rng.uniform(0.01, 0.1, size=(t, m))
+    xi = np.empty((t, m))
+    xi[:, rng.permutation(m)] = 1.0 - np.cumsum(steps, axis=1)
+    return xi
+
+
+def _plant(xi, row, how, pair):
+    """Break the shared order in one row: tie or swap the columns at
+    places `pair` and `pair` + 1 of its descending order."""
+    a, b = np.argsort(-xi[row], kind="stable")[pair:pair + 2]
+    if how == "tie":
+        xi[row, a] = xi[row, b]
+    else:
+        xi[row, [a, b]] = xi[row, [b, a]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 8])
+def test_narrow_rows_of_one_order_against_plain_loops(m, monkeypatch):
+    # a chunk whose rows all keep its first row's order is ranked without a
+    # sort; one tied or flipped row anywhere in it sends it to the stable sort
+    monkeypatch.setattr(kernels, "_CHUNK", 64)
+    step = kernels._chunk_rows(m)
+    stable_calls = []
+    real = kernels._rank_stable
+    monkeypatch.setattr(kernels, "_rank_stable",
+                        lambda *a: stable_calls.append(1) or real(*a))
+    rng = np.random.default_rng(m)
+    t = 5 * step + 3
+    xi = _one_order_grid(rng, t, m)
+    assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi))
+    assert not stable_calls
+    cases = [(how, where, pair) for how in ("tie", "flip") for where in (0, step // 2, step - 1)
+             for pair in sorted({0, m - 2})]
+    for how, where, pair in cases:
+        planted = xi.copy()
+        _plant(planted, 2 * step + where, how, pair)
+        assert np.array_equal(kernels.rank_rows(planted), _rank_rows_loops(planted)), (
+            how, where, pair)
+    assert len(stable_calls) == len(cases)  # only the chunk holding the planted row
+    # a tie in a chunk's first row: every row shares that row's sorted order,
+    # but the tie must still go to the lower alternative index
+    planted = xi.copy()
+    planted[step:, :] = xi[step]
+    _plant(planted, step, "tie", m - 2)
+    assert np.array_equal(kernels.rank_rows(planted), _rank_rows_loops(planted))

@@ -75,6 +75,28 @@ def test_duplicate_alternative_label_rejected():
         validate_problem(matrix)
 
 
+@pytest.mark.parametrize("char", ["\r", "\n", "\t", "\x00", "\x1f", "\x7f"])
+def test_control_characters_in_names_rejected(char):
+    bad = f"a{char}b"
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    cases = {
+        "alternative label": DecisionMatrix((bad, "x"), (CriterionSpec("g1"), CriterionSpec("g2")),
+                                            values),
+        "criterion id": DecisionMatrix(("x", "y"), (CriterionSpec(bad), CriterionSpec("g2")),
+                                       values),
+        "criterion label": DecisionMatrix(
+            ("x", "y"), (CriterionSpec("g1", label=bad), CriterionSpec("g2")), values),
+    }
+    for kind, matrix in cases.items():
+        assert problem_violations(matrix) == [f"control character in {kind} {bad!r}"]
+
+
+def test_printable_names_accepted():
+    matrix = DecisionMatrix(("a b", "x,\"y\"\u00e9"), (CriterionSpec("g 1", label="G\u2013one"),),
+                            np.array([[1.0], [2.0]]))
+    assert problem_violations(matrix) == []
+
+
 def test_negative_values_rejected():
     matrix = make_matrix([[1.0, -2.0], [3.0, 4.0]], ["max", "max"])
     assert problem_violations(matrix) == ["negative value at row 1, column 2"]

@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandtopsis import (
+    RankMatrix,
     RunConfig,
     ValidationError,
+    batch_topsis,
     build_summary,
+    collect_weight_sets,
+    compute_bounds,
+    final_ranking,
+    kernels,
     run_pipeline,
+    sample_weight_matrix,
     topsis_run,
 )
 from conftest import REF_POSITIONS, SOCIAL_DIRECTIONS, SOCIAL_VALUES, make_matrix
@@ -111,3 +118,41 @@ def test_pipeline_rank_rows_are_permutations(wide):
     assert np.array_equal(np.sort(ranks, axis=1), np.broadcast_to(np.arange(1, m + 1), ranks.shape))
     if wide:  # equal closeness: the lower index ranks first
         assert np.all(ranks[:, 12] == ranks[:, 1] + 1)
+
+
+def _report_arrays(report):
+    return [a.tobytes() for a in (
+        report.rwm.rows, report.closeness, report.rank_matrix.ranks, report.final.positions,
+        report.final.modal_scores, report.final.score_histograms, report.final.mean_scores,
+        report.final.mean_closeness)]
+
+
+_PROBLEMS = {
+    # seed 1 puts one of the 20,000 rows in a second order
+    "social-two-orders": SOCIAL_VALUES,
+    # a7 equals a2, so every row holds a tie
+    "7-narrow-a7-equals-a2": np.vstack([SOCIAL_VALUES, SOCIAL_VALUES[1]]),
+    "13-wide": np.vstack([SOCIAL_VALUES, SOCIAL_VALUES * 0.9, SOCIAL_VALUES[1]]),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
+    # small chunks: many chunks keep one order, and the others do not
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 9)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    matrix = make_matrix(_PROBLEMS[problem], SOCIAL_DIRECTIONS)
+    cfg = RunConfig(iterations=20_000, seed=1, custom_sets=((0.05,) * 12,))
+    fused = run_pipeline(matrix, cfg)
+
+    bounds = compute_bounds(collect_weight_sets(matrix, cfg))
+    rwm = sample_weight_matrix(bounds, cfg.iterations, cfg.seed)
+    xi, ranks = batch_topsis(matrix, rwm.rows)
+    rm = RankMatrix(ranks)
+    staged = type(fused)(matrix, cfg, fused.weight_sets, bounds, rwm, xi, rm,
+                         final_ranking(rm, xi))
+    assert _report_arrays(fused) == _report_arrays(staged)
+    assert build_summary(fused) == build_summary(staged)
+    if problem == "social-two-orders":
+        assert len(np.unique(ranks, axis=0)) == 2

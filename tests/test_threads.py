@@ -26,6 +26,7 @@ from bandtopsis import (
     run_pipeline,
     sample_weight_matrix,
 )
+from bandtopsis import sampling
 from bandtopsis.cli import cli_main
 from bandtopsis.io import five_number_columns
 from test_golden import DATA, GOLDEN_SHA256
@@ -168,7 +169,7 @@ def test_pipeline_and_summary_do_not_depend_on_the_cpu_count(social_matrix, monk
     one = _with_cpus(monkeypatch, 1, lambda: _report_bytes(run_pipeline(social_matrix, config)))
     assert not pools
     three = _with_cpus(monkeypatch, 3, lambda: _report_bytes(run_pipeline(social_matrix, config)))
-    assert len(pools) >= 6  # sampling, two kernels, rank counting, both summaries
+    assert len(pools) == 3  # the one pass over row chunks, then both summaries
     assert one == three
 
 
@@ -193,7 +194,8 @@ def test_golden_files_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch
                          ids=["ComputationError", "MemoryError"])
 def test_error_in_a_worker_chunk_exits_1_without_traceback(
         error, social_csv, tmp_path, monkeypatch, capsys, pools):
-    real = kernels._rank_stable
+    # every chunk of the pipeline's one pass draws its weight rows first
+    real = sampling._fill_uniforms
     raised = []
 
     def failing(*args, **kwargs):
@@ -202,7 +204,7 @@ def test_error_in_a_worker_chunk_exits_1_without_traceback(
             raise error
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "_rank_stable", failing)
+    monkeypatch.setattr(sampling, "_fill_uniforms", failing)
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 3)
     code = cli_main(["run", str(social_csv), "--iterations", "200000",
                      "--out", str(tmp_path / "out")])
