@@ -11,11 +11,12 @@ generated block by block through fixed-size scratch arrays, and the
 distance roots are taken in place in their output rows. Each output is
 bit-identical to the plain whole-array expression it replaces.
 
-Ranking has an exact fast path for rows of at most ``_STABLE_MAX_M``
-values: a chunk in which every row strictly descends along the order of
-its first row takes that order's ranks without a sort, which is almost
-every chunk when the weights come from a narrow band. A tie or any row
-in another order sends the chunk to the stable sort.
+Ranking has one rule for rows of any width: a chunk in which every row
+strictly descends along the order of its first row takes that order's
+ranks without a sort, which is almost every chunk when the weights come
+from a narrow band. Any other chunk is ordered by numpy's default
+argsort, and its rows that hold a tie are ranked again by the stable
+sort.
 
 The t-sized stages (sampling, distances, ranking, rank counting and the
 five-number summaries) work in chunks of about 2^16 elements. A call of
@@ -146,28 +147,18 @@ def _distance_body(V, a_pos, a_neg):
 
 # ------------------------------------------------------------------ ranking
 
-# Rows of at most this many alternatives are ranked with the stable sort alone
-# (or take its ranks without a sort when their chunk keeps one order).
-# On an AVX-512 CPU it took 0.85 to 1.2 times as long as the SIMD sort plus the
-# tie check on rows of random values, and half as long on rows that share one
-# order, as rows drawn from a narrow weight band do.
-_STABLE_MAX_M = 8
-
-
 def rank_rows(xi):
     """1-based rank of every closeness row, descending, ties to the
     lower alternative index: the ranks a stable sort of the negated
     values gives. `xi` must hold no NaN; closeness never does.
 
-    Rows are ranked a chunk at a time. A chunk of rows of at most
-    ``_STABLE_MAX_M`` values in which every row strictly descends along
-    the order of the chunk's first row gets that order's ranks without a
-    sort; any other chunk of such rows is ranked by the stable sort.
-    Rows of more than ``_STABLE_MAX_M`` values are ordered by numpy's
-    default argsort, which may dispatch to an unstable SIMD sort. Every
-    sort orders distinct values alike, so only a row holding two equal
-    values can differ from the stable order; such rows, found by
-    comparing neighbours in sorted order, are ranked again with the
+    Rows are ranked a chunk at a time. A chunk in which every row
+    strictly descends along the order of the chunk's first row gets
+    that order's ranks without a sort. Any other chunk is ordered by
+    numpy's default argsort, which may dispatch to an unstable SIMD
+    sort. Every sort orders distinct values alike, so only a row holding
+    two equal values can differ from the stable order; such rows, found
+    by comparing neighbours in sorted order, are ranked again with the
     stable sort. The ranks therefore do not depend on which sort the CPU
     runs, nor on the chunk boundaries.
     """
@@ -182,13 +173,9 @@ def _rank_chunk(xi, ranks):
     """The ranking stage as a chunk body: rank closeness rows `xi` into
     the contiguous rows `ranks`. Returns the one rank row every row got
     when the chunk keeps one order, else None."""
-    m = xi.shape[1]
-    if m > _STABLE_MAX_M:
-        _rank_fixed_up(xi, ranks)
-        return None
     one = _one_order(xi)
     if one is None:
-        _rank_stable(xi, np.arange(m - 1, ranks.size, m), ranks)
+        _rank_fixed_up(xi, ranks)
     else:
         ranks[...] = one
     return one
@@ -227,22 +214,12 @@ def _rank_fixed_up(xi, ranks):
     del s, tie
     ranks.ravel()[order] = np.arange(m, 0, -1)
     if len(tied):
-        _rank_stable(xi[tied], tied * m + m - 1, ranks)
-
-
-def _rank_stable(xi, last, ranks):
-    """Write the ranks of closeness rows `xi` into `ranks`, where `last`
-    holds the flat index in `ranks` of each row's last alternative.
-
-    The ascending stable order of a reversed row, read backwards, is the
-    descending order with ties to the lower index, so no negated copy is
-    needed: ascending position k of reversed index r gives alternative
-    m - 1 - r the rank m - k.
-    """
-    m = xi.shape[1]
-    order = np.argsort(xi[:, ::-1], axis=1, kind="stable")
-    np.subtract(last[:, None], order, out=order)  # flat indices into ranks
-    ranks.ravel()[order] = np.arange(m, 0, -1)
+        # the ascending stable order of a reversed row, read backwards, is the
+        # descending order with ties to the lower index, so no negated copy is
+        # needed: position k of reversed index r gives alternative m - 1 - r rank m - k
+        order = np.argsort(xi[tied, ::-1], axis=1, kind="stable")
+        np.subtract((tied * m + m - 1)[:, None], order, out=order)  # flat indices into ranks
+        ranks.ravel()[order] = np.arange(m, 0, -1)
 
 
 # --------------------------------------------------- counter-based uniforms

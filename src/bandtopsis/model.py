@@ -10,18 +10,13 @@ so t-sized results are never held twice.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError
+from .base import _CONTROL, DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
-
-# C0 controls and DEL: a CSV writer may leave "\r" unquoted, and a line
-# break or tab in a name splits a table row or a printed line.
-_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 class Direction(enum.Enum):

@@ -88,16 +88,15 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
     t = config.iterations
-    step = _chunk_rows(matrix.m)
     rows, draw = _draw_body(bounds, t, config.seed)
-    xi, ranks, score = _score_body(matrix, rows, step)
+    xi, ranks, score = _score_body(matrix, rows)
     counts = _RankCounts(matrix.m)
 
     def chunk(lo, hi):
         draw(lo, hi)
         counts.add(ranks[lo:hi], score(lo, hi))
 
-    _for_chunks(t, step, chunk)
+    _for_chunks(t, _chunk_rows(matrix.m), chunk)
     rwm = RandomWeightMatrix(t, _Owned(rows), int(config.seed), bounds)
     rm = RankMatrix(_Owned(ranks))
     final = _rank_by_mode(counts.grid(), xi)

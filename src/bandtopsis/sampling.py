@@ -16,14 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import (
-    _chunk_rows,
-    _fill_uniforms,
-    _for_chunks,
-    _per_thread,
-    _uniform_scratch,
-    unit_uniforms,
-)
+from .kernels import _chunk_rows, _fill_uniforms, _for_chunks, _per_thread, _uniform_scratch
 from .model import NamedWeightSet, RandomWeightMatrix, WeightBounds, _Owned
 
 
@@ -48,11 +41,10 @@ def sample_rows(bounds: WeightBounds, seed: int, row_indices: Sequence[int]) -> 
     drawn alongside it; this is the order-independence contract.
     """
     n = bounds.n
-    lo, width = bounds.lower, bounds.width
     out = np.empty((len(row_indices), n))
+    scratch = _uniform_scratch(n)
     for k, i in enumerate(row_indices):
-        u = unit_uniforms(seed, int(i) * n, n)
-        out[k] = lo + u * width
+        _draw_into(bounds, seed, int(i), out[k], scratch)
     return out
 
 
@@ -74,14 +66,20 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
 def _draw_body(bounds: WeightBounds, iterations: int, seed: int):
     """The sampling stage as a chunk body: (rows, draw), where draw(lo, hi)
     writes rows lo:hi of the weight matrix into the t x n buffer `rows`."""
-    n, lower, width = bounds.n, bounds.lower, bounds.width
-    rows = np.empty((iterations, n))
-    scratch = _per_thread(lambda: _uniform_scratch(iterations * n))
+    rows = np.empty((iterations, bounds.n))
+    scratch = _per_thread(lambda: _uniform_scratch(rows.size))
 
     def draw(lo, hi):
-        block = rows[lo:hi]
-        _fill_uniforms(seed, lo * n, block.reshape(-1), scratch())
-        np.multiply(block, width, out=block)
-        np.add(block, lower, out=block)
+        _draw_into(bounds, seed, lo, rows[lo:hi], scratch())
 
     return rows, draw
+
+
+def _draw_into(bounds: WeightBounds, seed: int, first: int, block: np.ndarray, scratch) -> None:
+    """Write weight rows first, first + 1, ... into the contiguous rows
+    `block`: the stream's values from counter first * n on, each moved
+    into its band as lower + u * width, in place. `scratch` is
+    _uniform_scratch(k) for some k >= block.size."""
+    _fill_uniforms(seed, first * bounds.n, block.reshape(-1), scratch)
+    np.multiply(block, bounds.width, out=block)
+    np.add(block, bounds.lower, out=block)

@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .base import ProblemFormatError
+from .base import _CONTROL, ProblemFormatError
 
 _FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
@@ -64,11 +64,13 @@ def _key(doc: dict, key: str, kind, where: str = "", length: int | None = None, 
     return _expect(doc[key], kind, path, length, of)
 
 
-def _distinct(values: list[str], where: str) -> None:
+def _names(values: list[str], where: str) -> None:
     """Raise naming `where` (formatted with the index) at the first value
-    that repeats an earlier one."""
+    that holds a control character or repeats an earlier one."""
     seen: set[str] = set()
     for k, v in enumerate(values):
+        if _CONTROL.search(v):
+            raise ProblemFormatError(f"summary {where.format(k)!r}: control character in {v!r}")
         if v in seen:
             raise ProblemFormatError(f"summary {where.format(k)!r}: repeats {v!r}")
         seen.add(v)
@@ -79,6 +81,7 @@ def _check_summary(summary) -> dict:
     `plot` and `rwm` read, and the whole `final` ranking, with the types,
     lengths and ranges :func:`build_summary` writes (a seed in
     [0, 2^64), m >= 2 distinct alternatives, n >= 1 distinct criteria,
+    names free of control characters,
     positions a permutation of 1..m, modal scores in 1..m, non-negative
     histogram counts summing to the iteration count, and five-number
     summaries in order); else raise ProblemFormatError naming the first
@@ -94,13 +97,13 @@ def _check_summary(summary) -> dict:
     m = len(alternatives)
     if m < 2:
         raise ProblemFormatError(f"summary 'alternatives': m >= 2 required, got {m}")
-    _distinct(alternatives, "alternatives[{}]")
+    _names(alternatives, "alternatives[{}]")
     ids = []
     for k, c in enumerate(_key(summary, "criteria", list)):
         ids.append(_key(_expect(c, dict, f"criteria[{k}]"), "id", str, f"criteria[{k}]"))
     if not ids:
         raise ProblemFormatError("summary 'criteria': n >= 1 required, got 0")
-    _distinct(ids, "criteria[{}].id")
+    _names(ids, "criteria[{}].id")
     weights = _key(summary, "weights", list)
     for k, row in enumerate(weights):
         where = f"weights[{k}]"

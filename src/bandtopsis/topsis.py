@@ -84,31 +84,29 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
     W = np.ascontiguousarray(np.asarray(weight_rows, dtype=float))
     if W.ndim != 2:
         raise ValueError("weight_rows must be a 2-D array (iterations x criteria)")
-    step = kernels._chunk_rows(matrix.m)
-    xi, ranks, score = _score_body(matrix, W, step)
-    kernels._for_chunks(W.shape[0], step, score)
+    xi, ranks, score = _score_body(matrix, W)
+    kernels._for_chunks(W.shape[0], kernels._chunk_rows(matrix.m), score)
     return xi, ranks
 
 
-def _score_body(matrix: DecisionMatrix, W: np.ndarray, step: int):
+def _score_body(matrix: DecisionMatrix, W: np.ndarray):
     """The distance, closeness and ranking stages as one chunk body:
     (closeness, ranks, score), where score(lo, hi) fills rows lo:hi of
     the t x m grids `closeness` and `ranks` from rows lo:hi of `W`, and
-    returns what kernels._rank_chunk returns. A chunk holds at most
-    `step` rows.
+    returns what kernels._rank_chunk returns.
 
-    d_plus is taken into the closeness rows and d_minus into scratch of
-    the calling thread, so no t x m distance grid is held.
+    d_plus is taken into the closeness rows and d_minus into the chunk's
+    own rank rows, viewed as float64, which the ranks overwrite last; so
+    no t x m distance grid and no scratch is held.
     """
     V = np.ascontiguousarray(vector_normalize(matrix))
     ideals = ideal_solutions(V, matrix.is_benefit)
     distances = kernels._distance_body(V, ideals.positive, ideals.negative)
     xi = np.empty((W.shape[0], matrix.m))
     ranks = np.empty(xi.shape, dtype=np.int64)
-    scratch = kernels._per_thread(lambda: np.empty((min(step, len(W)), matrix.m)))
 
     def score(lo, hi):
-        dp, dm = xi[lo:hi], scratch()[: hi - lo]
+        dp, dm = xi[lo:hi], ranks[lo:hi].view(np.float64)
         distances(W[lo:hi], dp, dm)
         total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
         if np.any(total == 0):

@@ -348,6 +348,16 @@ def _setting(path, value):
     return edit
 
 
+def _renaming(path, table, name):
+    """Rename the name at `path`, and its key in the five-number `table`."""
+    def edit(doc):
+        old = _parent(doc, path)[path[-1]]
+        _parent(doc, path)[path[-1]] = name
+        doc[table][name] = doc[table].pop(old)
+        return doc
+    return edit
+
+
 _BAD_SUMMARIES = [
     pytest.param(lambda doc: [1, 2], "summary: expected an object, got list", id="list"),
     pytest.param(lambda doc: {"config": {}}, "'config.iterations'", id="empty-config"),
@@ -397,6 +407,10 @@ _BAD_SUMMARIES = [
                  id="min-above-max"),
     pytest.param(_setting(["config", "seed"], 2 ** 64), "'config.seed'", id="seed-2^64"),
     pytest.param(_setting(["config", "seed"], -1), "'config.seed'", id="seed-negative"),
+    pytest.param(_renaming(["alternatives", 0], "closeness_summary", "a\u00011"),
+                 "'alternatives[0]'", id="alternative-control-character"),
+    pytest.param(_renaming(["criteria", 0, "id"], "rwm_summary", "g\r1"), "'criteria[0].id'",
+                 id="criterion-id-control-character"),
 ]
 
 

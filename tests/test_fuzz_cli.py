@@ -2,14 +2,17 @@
 `weights`, `run` and `topsis` with every warning raised as an error.
 Each call must return 0, 1 or 2 and never raise: a malformed input exits
 2, a degenerate one 1, and no input reaches a traceback or a numpy
-floating-point warning."""
+floating-point warning. Generated `summary.json` text goes through
+`plot` and `rwm`, which must return 0 or 2 and write well-formed files."""
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -79,9 +82,102 @@ def test_cli_returns_an_exit_code_for_any_problem_text(problem):
         for argv in (["weights", str(path)],
                      ["run", str(path), "--iterations", "20", "--out", str(Path(tmp) / "out")],
                      ["topsis", str(path), f"--weights={weights}"]):
-            sink = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
-                warnings.simplefilter("error")
-                code = cli_main(argv)
-            assert code in (0, 1, 2), (argv, sink.getvalue())
+            code, said = _call(argv)
+            assert code in (0, 1, 2), (argv, said)
+
+
+def _call(argv):
+    """cli_main(argv) with every warning raised as an error: (exit code,
+    what it printed)."""
+    sink = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        warnings.simplefilter("error")
+        code = cli_main(argv)
+    return code, sink.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_summary() -> str:
+    """summary.json text of a t = 20 run on a 3 x 2 problem."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps({
+            "criteria": [["g1", "max"], ["g2", "min"]], "alternatives": ["a1", "a2", "a3"],
+            "values": [[0.3, 0.1], [0.2, 0.3], [0.5, 0.2]], "iterations": 20}))
+        assert _call(["run", str(path), "--out", tmp])[0] == 0
+        return (Path(tmp) / "summary.json").read_text(encoding="utf-8")
+
+
+# values of the wrong type, out of range or not finite
+odd_values = st.one_of(
+    st.sampled_from([None, True, "x", [], {}, [0.5], {"min": 0.0}, -1, 0, 2 ** 64, -0.5, 1.5,
+                     float("nan"), float("inf")]),
+    st.integers(min_value=-2, max_value=2 ** 65),
+    st.floats(),
+)
+controls = st.sampled_from([chr(c) for c in range(32)] + ["\x7f"])
+
+
+def _node(draw, doc):
+    """(container, key) of a node below the root, chosen by a random walk;
+    (None, None) when the root is empty."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    return parent, key
+
+
+@st.composite
+def summary_texts(draw):
+    """summary.json text from a valid t = 20 run with a few faults: a name
+    with a control character (renamed in its five-number table too), then
+    deleted keys and values of a wrong type or out of range, and sometimes
+    the text cut short."""
+    doc = json.loads(_valid_summary())
+    if draw(st.integers(0, 3)) == 0:
+        names = [(doc["alternatives"], k, "closeness_summary") for k in range(3)]
+        names += [(c, "id", "rwm_summary") for c in doc["criteria"]]
+        holder, key, table = draw(st.sampled_from(names))
+        old = holder[key]
+        cut = draw(st.integers(0, len(old)))
+        holder[key] = old[:cut] + draw(controls) + old[cut:]
+        doc[table][holder[key]] = doc[table].pop(old)
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = _node(draw, doc)
+        if parent is None:
+            break
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(odd_values)
+    config = doc.get("config")
+    if isinstance(config, dict) and isinstance(config.get("iterations"), int):
+        config["iterations"] = min(config["iterations"], 1000)  # rwm draws this many rows
+    text = json.dumps(doc)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(summary_texts())
+def test_plot_and_rwm_return_an_exit_code_for_any_summary_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "summary.json").write_text(text, encoding="utf-8")
+        for command in ("plot", "rwm"):
+            before = set(out.iterdir())
+            code, said = _call([command, tmp])
+            assert code in (0, 2), (command, said)
+            written = set(out.iterdir()) - before
+            assert bool(written) == (code == 0), (command, said)
+            for path in written:
+                if path.suffix == ".svg":
+                    ET.parse(path)
+                else:
+                    with open(path, newline="", encoding="utf-8") as f:
+                        header = next(csv.reader(f))
+                    assert len(header) == len(json.loads(text)["criteria"]) + 1, path.name

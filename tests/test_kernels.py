@@ -83,11 +83,9 @@ def _closeness_rows(rng, kind, t, m):
 @pytest.mark.parametrize("kind", ["distinct", "tie-heavy", "equal-pair", "ulps", "signed-zeros"])
 def test_ranks_against_plain_loops_on_random_shapes(kind):
     # any sort orders distinct values alike; rows with equal values take the
-    # stable fix-up, which must agree with the lower-index-first rule. Short
-    # rows are ranked by the stable sort alone, so shapes sit on both sides.
+    # stable fix-up, which must agree with the lower-index-first rule
     rng = np.random.default_rng(7)
-    short = kernels._STABLE_MAX_M
-    shapes = [(1, 2), (300, 64), (200, short), (200, short + 1)] + [
+    shapes = [(1, 2), (300, 64), (200, 8), (200, 9)] + [
         (int(rng.integers(1, 301)), int(rng.integers(2, 65))) for _ in range(8)
     ]
     if kind != "equal-pair":
@@ -115,21 +113,22 @@ def _plant(xi, row, how, pair):
         xi[row, [a, b]] = xi[row, [b, a]]
 
 
-@pytest.mark.parametrize("m", [2, 3, 6, 8])
-def test_narrow_rows_of_one_order_against_plain_loops(m, monkeypatch):
+@pytest.mark.parametrize("m", [2, 3, 6, 8, 9, 12, 40])
+def test_rows_of_one_order_against_plain_loops(m, monkeypatch):
     # a chunk whose rows all keep its first row's order is ranked without a
-    # sort; one tied or flipped row anywhere in it sends it to the stable sort
+    # sort, at any width; one tied or flipped row anywhere in it sends it to
+    # the argsort and its stable fix-up
     monkeypatch.setattr(kernels, "_CHUNK", 64)
     step = kernels._chunk_rows(m)
-    stable_calls = []
-    real = kernels._rank_stable
-    monkeypatch.setattr(kernels, "_rank_stable",
-                        lambda *a: stable_calls.append(1) or real(*a))
+    fallbacks = []
+    real = kernels._rank_fixed_up
+    monkeypatch.setattr(kernels, "_rank_fixed_up",
+                        lambda *a: fallbacks.append(1) or real(*a))
     rng = np.random.default_rng(m)
     t = 5 * step + 3
     xi = _one_order_grid(rng, t, m)
     assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi))
-    assert not stable_calls
+    assert not fallbacks
     cases = [(how, where, pair) for how in ("tie", "flip") for where in (0, step // 2, step - 1)
              for pair in sorted({0, m - 2})]
     for how, where, pair in cases:
@@ -137,10 +136,30 @@ def test_narrow_rows_of_one_order_against_plain_loops(m, monkeypatch):
         _plant(planted, 2 * step + where, how, pair)
         assert np.array_equal(kernels.rank_rows(planted), _rank_rows_loops(planted)), (
             how, where, pair)
-    assert len(stable_calls) == len(cases)  # only the chunk holding the planted row
+    assert len(fallbacks) == len(cases)  # only the chunk holding the planted row
     # a tie in a chunk's first row: every row shares that row's sorted order,
     # but the tie must still go to the lower alternative index
     planted = xi.copy()
     planted[step:, :] = xi[step]
     _plant(planted, step, "tie", m - 2)
     assert np.array_equal(kernels.rank_rows(planted), _rank_rows_loops(planted))
+
+
+@pytest.mark.parametrize("m", [3, 6, 8])
+@pytest.mark.parametrize("grid", ["one-order", "random"])
+def test_rows_where_one_alternative_repeats_another_against_plain_loops(m, grid, monkeypatch):
+    # every row holds a tie, so every chunk falls back to the argsort and has
+    # each of its rows ranked again by the stable sort
+    monkeypatch.setattr(kernels, "_CHUNK", 64)
+    step = kernels._chunk_rows(m)
+    fallbacks = []
+    real = kernels._rank_fixed_up
+    monkeypatch.setattr(kernels, "_rank_fixed_up",
+                        lambda *a: fallbacks.append(1) or real(*a))
+    rng = np.random.default_rng(10 + m)
+    t = 5 * step + 3
+    for copy, source in ((m - 1, 0), (0, m - 1), (m // 2, m // 2 - 1)):
+        xi = _one_order_grid(rng, t, m) if grid == "one-order" else rng.uniform(size=(t, m))
+        xi[:, copy] = xi[:, source]
+        assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi)), (copy, source)
+    assert len(fallbacks) == 3 * 6  # every chunk of each grid

@@ -104,7 +104,9 @@ def _summaries(k):
     return lambda: np.array([list(d.values()) for d in five_number_columns(table)])
 
 
-# kernel -> (its rows per chunk, a maker of the call at a given number of rows)
+# kernel -> (its rows per chunk, a maker of the call at a given number of rows);
+# rank_rows ranks rows of every width by one rule, and its two keys cover it
+# on tie-heavy rows of 6 and of 12 alternatives
 KERNELS = {
     "sample_weight_matrix": (lambda: kernels._chunk_rows(7), _sampling),
     "batch_distances": (lambda: kernels._chunk_rows(6), _distances),
