@@ -6,6 +6,7 @@ floating-point warning. Generated `summary.json` text goes through
 `plot` and `rwm`, which must return 0 or 2 and write well-formed files."""
 
 import contextlib
+import copy
 import csv
 import functools
 import io
@@ -152,7 +153,7 @@ def summary_texts(draw):
         if draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = draw(odd_values)
+            parent[key] = copy.deepcopy(draw(odd_values))  # a later step may edit it
     config = doc.get("config")
     if isinstance(config, dict) and isinstance(config.get("iterations"), int):
         config["iterations"] = min(config["iterations"], 1000)  # rwm draws this many rows
