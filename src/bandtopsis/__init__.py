@@ -24,7 +24,7 @@ _SOURCES = {
               "RandomWeightMatrix", "RankMatrix", "RunConfig", "TopsisResult", "WeightBounds",
               "problem_violations", "validate_problem"),
     "pipeline": ("RunReport", "collect_weight_sets", "run_pipeline"),
-    "sampling": ("compute_bounds", "sample_rows", "sample_weight_matrix"),
+    "sampling": ("compute_bounds", "sample_weight_matrix"),
     "summary": ("load_summary",),
     "topsis": ("IdealPair", "batch_topsis", "ideal_solutions", "topsis_run", "vector_normalize"),
     "weighting": ("CriticReport", "EntropyReport", "critic_weights", "entropy_weights",

@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .base import ProblemFormatError
+from .base import ProblemFormatError, _read_text
 from .kernels import _chunk_rows, _for_chunks, _per_thread
 from .model import (
     CriterionSpec,
@@ -32,12 +32,6 @@ from .summary import _FIVE_NUMBERS, _is_number
 
 
 # ------------------------------------------------------------------ parsing
-
-def _open_source(source, mode="r"):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, mode, encoding="utf-8-sig", newline=""), True
-
 
 def _infer_format(source, fmt: str | None) -> str:
     if fmt:
@@ -65,16 +59,13 @@ def parse_problem(source, fmt: str | None = None) -> tuple[DecisionMatrix, RunCo
     JSON layout: one object with "criteria" (id/direction/label objects),
     "alternatives", "values", and optional "custom_sets", "iterations",
     "seed".
+
+    A file must be UTF-8 text; other bytes raise ProblemFormatError
+    giving the offset of the first that cannot be decoded.
     """
     fmt = _infer_format(source, fmt)
-    f, should_close = _open_source(source)
-    try:
-        if fmt == "csv":
-            return _parse_csv(f)
-        return _parse_json(f)
-    finally:
-        if should_close:
-            f.close()
+    f = source if hasattr(source, "read") else StringIO(_read_text(source), newline="")
+    return _parse_csv(f) if fmt == "csv" else _parse_json(f)
 
 
 def _parse_direction(token: str, where: str) -> Direction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _CONTROL, DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError
+from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError, _name_fault
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -157,12 +157,10 @@ class WeightBounds:
 
 @dataclass(frozen=True)
 class RandomWeightMatrix:
-    """t sampled weight rows plus the seed and bounds that produced them."""
+    """t sampled weight rows, t x n. The run's config and bounds record
+    the t, seed and band that drew them."""
 
-    iterations: int
     rows: np.ndarray
-    seed: int
-    bounds: WeightBounds
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _readonly(self.rows, float))
@@ -323,8 +321,9 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
         if c.label != c.id:
             names.append(("criterion label", c.label))
     for kind, name in names:
-        if _CONTROL.search(str(name)):
-            errors.append(f"control character in {kind} {name!r}")
+        fault = _name_fault(str(name))
+        if fault:
+            errors.append(f"{fault} in {kind} {name!r}")
 
     if config is not None:
         if config.iterations < 1:

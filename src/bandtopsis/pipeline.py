@@ -97,7 +97,7 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
         counts.add(ranks[lo:hi], score(lo, hi))
 
     _for_chunks(t, _chunk_rows(matrix.m), chunk)
-    rwm = RandomWeightMatrix(t, _Owned(rows), int(config.seed), bounds)
+    rwm = RandomWeightMatrix(_Owned(rows))
     rm = RankMatrix(_Owned(ranks))
     final = _rank_by_mode(counts.grid(), xi)
     return RunReport(matrix, config, tuple(sets), bounds, rwm, _Owned(xi), rm, final)

@@ -1,13 +1,13 @@
 """Per-criterion weight bands and the randomized weight matrix drawn
 from them.
 
-Sampling is counter-based (see kernels.unit_uniforms): entry (i, j) is a
-pure function of (seed, i, j, bounds), so the matrix is reproducible
-bit-for-bit regardless of fill order or parallel scheduling. The stream
-is generated in row chunks (see kernels._for_chunks), each written
-straight into its rows of the one t x n buffer and moved into its band,
-lower + u * width, in place; the returned matrix owns that buffer
-without a further copy.
+Sampling is counter-based (see kernels.unit_uniforms): entry (i, j) is
+stream value i * n + j moved into its band, lower_j + u * width_j, so
+the matrix is reproducible bit for bit whatever the fill order or thread
+schedule. One chunk body, _draw_body, draws every weight row, for
+sample_weight_matrix, run_pipeline and `bandtopsis rwm` alike; each
+chunk is written straight into its rows of the one t x n buffer, which
+the returned matrix owns without a further copy.
 """
 
 from __future__ import annotations
@@ -34,20 +34,6 @@ def compute_bounds(sets: Sequence[NamedWeightSet]) -> WeightBounds:
     return WeightBounds(stacked.min(axis=0), stacked.max(axis=0))
 
 
-def sample_rows(bounds: WeightBounds, seed: int, row_indices: Sequence[int]) -> np.ndarray:
-    """Sample the given rows of the weight matrix, in the order requested.
-
-    Row i always reproduces the same values no matter which other rows are
-    drawn alongside it; this is the order-independence contract.
-    """
-    n = bounds.n
-    out = np.empty((len(row_indices), n))
-    scratch = _uniform_scratch(n)
-    for k, i in enumerate(row_indices):
-        _draw_into(bounds, seed, int(i), out[k], scratch)
-    return out
-
-
 def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> RandomWeightMatrix:
     """Draw the full t x n weight matrix.
 
@@ -60,26 +46,23 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     rows, draw = _draw_body(bounds, iterations, seed)
     _for_chunks(iterations, _chunk_rows(bounds.n), draw)
-    return RandomWeightMatrix(iterations, _Owned(rows), int(seed), bounds)
+    return RandomWeightMatrix(_Owned(rows))
 
 
 def _draw_body(bounds: WeightBounds, iterations: int, seed: int):
     """The sampling stage as a chunk body: (rows, draw), where draw(lo, hi)
-    writes rows lo:hi of the weight matrix into the t x n buffer `rows`."""
-    rows = np.empty((iterations, bounds.n))
+    writes weight rows lo:hi into the t x n buffer `rows`: the stream's
+    values from counter lo * n on, each moved into its band as
+    lower + u * width, in place. Rows may be drawn in any order, one
+    range at a time, on any thread."""
+    n, lower, width = bounds.n, bounds.lower, bounds.width
+    rows = np.empty((iterations, n))
     scratch = _per_thread(lambda: _uniform_scratch(rows.size))
 
     def draw(lo, hi):
-        _draw_into(bounds, seed, lo, rows[lo:hi], scratch())
+        block = rows[lo:hi]
+        _fill_uniforms(seed, lo * n, block.reshape(-1), scratch())
+        np.multiply(block, width, out=block)
+        np.add(block, lower, out=block)
 
     return rows, draw
-
-
-def _draw_into(bounds: WeightBounds, seed: int, first: int, block: np.ndarray, scratch) -> None:
-    """Write weight rows first, first + 1, ... into the contiguous rows
-    `block`: the stream's values from counter first * n on, each moved
-    into its band as lower + u * width, in place. `scratch` is
-    _uniform_scratch(k) for some k >= block.size."""
-    _fill_uniforms(seed, first * bounds.n, block.reshape(-1), scratch)
-    np.multiply(block, bounds.width, out=block)
-    np.add(block, bounds.lower, out=block)

@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .base import _CONTROL, ProblemFormatError
+from .base import ProblemFormatError, _name_fault, _read_text
 
 _FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
@@ -25,14 +25,13 @@ def _is_number(v) -> bool:
 
 
 def load_summary(path) -> dict:
-    """Read a run's summary.json (or the one in a run directory). A key
-    that `plot` or `rwm` reads and that is missing, mistyped or out of
-    range raises ProblemFormatError naming it."""
+    """Read a run's summary.json (or the one in a run directory). A file
+    that is not UTF-8, or a key that `plot` or `rwm` reads and that is
+    missing, mistyped or out of range, raises ProblemFormatError naming it."""
     p = Path(path)
     if p.is_dir():
         p = p / "summary.json"
-    with open(p, encoding="utf-8-sig") as f:
-        return _check_summary(json.load(f))
+    return _check_summary(json.loads(_read_text(p)))
 
 
 def _expect(value, kind, where: str, length: int | None = None, of=None):
@@ -66,11 +65,13 @@ def _key(doc: dict, key: str, kind, where: str = "", length: int | None = None, 
 
 def _names(values: list[str], where: str) -> None:
     """Raise naming `where` (formatted with the index) at the first value
-    that holds a control character or repeats an earlier one."""
+    that holds a control character or a lone surrogate, or repeats an
+    earlier one."""
     seen: set[str] = set()
     for k, v in enumerate(values):
-        if _CONTROL.search(v):
-            raise ProblemFormatError(f"summary {where.format(k)!r}: control character in {v!r}")
+        fault = _name_fault(v)
+        if fault:
+            raise ProblemFormatError(f"summary {where.format(k)!r}: {fault} in {v!r}")
         if v in seen:
             raise ProblemFormatError(f"summary {where.format(k)!r}: repeats {v!r}")
         seen.add(v)
@@ -81,7 +82,7 @@ def _check_summary(summary) -> dict:
     `plot` and `rwm` read, and the whole `final` ranking, with the types,
     lengths and ranges :func:`build_summary` writes (a seed in
     [0, 2^64), m >= 2 distinct alternatives, n >= 1 distinct criteria,
-    names free of control characters,
+    names free of control characters and lone surrogates,
     positions a permutation of 1..m, modal scores in 1..m, non-negative
     histogram counts summing to the iteration count, and five-number
     summaries in order); else raise ProblemFormatError naming the first

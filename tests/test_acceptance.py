@@ -19,11 +19,11 @@ from bandtopsis import (
     final_ranking,
     normalize_custom_set,
     run_pipeline,
-    sample_rows,
     sample_weight_matrix,
     topsis_run,
 )
 from bandtopsis.cli import cli_main
+from bandtopsis.sampling import _draw_body
 from conftest import (
     IDOCRIW_WEIGHTS,
     MEREC_WEIGHTS,
@@ -184,7 +184,10 @@ def test_criterion_09_sampling_contracts():
     bounds = WeightBounds([0.1, 0.0, 0.3], [0.2, 1.0, 0.9])
     full = sample_weight_matrix(bounds, 1000, seed=1234).rows
     again = sample_weight_matrix(bounds, 1000, seed=1234).rows
-    reversed_fill = sample_rows(bounds, 1234, list(reversed(range(1000))))[::-1]
+    reversed_fill, draw = _draw_body(bounds, 1000, 1234)
+    reversed_fill[...] = np.nan
+    for i in reversed(range(1000)):
+        draw(i, i + 1)
     determinism_ok = np.array_equal(full, again) and np.array_equal(full, reversed_fill)
 
     wide = WeightBounds([0.2], [0.8])

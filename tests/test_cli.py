@@ -108,6 +108,51 @@ def test_carriage_return_in_a_name_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["weights", "run", "topsis"])
+def test_lone_surrogate_in_a_name_exits_2_before_any_output(command, tmp_path, capsys):
+    # a JSON "\ud800" escape decodes to a name that no UTF-8 file or stdout can hold
+    p = tmp_path / "surrogate.json"
+    p.write_text(json.dumps({"criteria": [["g1", "max"], ["g2", "min"]],
+                             "alternatives": ["a\ud8001", "a2", "a3"],
+                             "values": [[1, 2], [2, 3], [3, 1]]}))
+    out = tmp_path / "out"
+    extra = {"run": ["--out", str(out)], "topsis": ["--weights", "1,1"], "weights": []}[command]
+    code, stdout, err = run_cli([command, str(p), *extra], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "lone surrogate in alternative label 'a\\ud8001'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix, text", [
+    pytest.param(".csv", b"c,g1,g2\n,max,min\na\xff1,1,5\nb,2,7\nc,3,6\n", id="csv"),
+    pytest.param(".json", b'{"criteria": [["g1", "max"], ["g2", "min"]],'
+                          b' "alternatives": ["a\xff1", "b", "c"],'
+                          b' "values": [[1, 5], [2, 7], [3, 6]]}', id="json"),
+])
+def test_problem_that_is_not_utf8_exits_2_naming_the_byte(suffix, text, tmp_path, capsys):
+    p = tmp_path / f"latin1{suffix}"
+    p.write_bytes(b"\xef\xbb\xbf" + text)  # the offset counts the byte order mark too
+    out = tmp_path / "out"
+    code, _, err = run_cli(["run", str(p), "--out", str(out)], capsys)
+    bad = 3 + text.index(b"\xff")
+    assert code == 2
+    assert f"{p}: not valid UTF-8 at byte offset {bad}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["plot", "rwm"])
+def test_summary_that_is_not_utf8_exits_2_naming_the_byte(
+        small_summary, tmp_path, capsys, command):
+    text = json.dumps(small_summary).encode()
+    p = tmp_path / "summary.json"
+    p.write_bytes(text + b"\xff")
+    code, _, err = run_cli([command, str(tmp_path)], capsys)
+    assert code == 2
+    assert f"{p}: not valid UTF-8 at byte offset {len(text)}" in err
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["summary.json"]
+
+
 def test_weights_subcommand_prints_bands(social_csv, capsys):
     code, stdout, _ = run_cli(
         ["weights", str(social_csv), "--custom", ",".join(["0.05"] * 12)], capsys
@@ -411,6 +456,10 @@ _BAD_SUMMARIES = [
                  "'alternatives[0]'", id="alternative-control-character"),
     pytest.param(_renaming(["criteria", 0, "id"], "rwm_summary", "g\r1"), "'criteria[0].id'",
                  id="criterion-id-control-character"),
+    pytest.param(_renaming(["alternatives", 0], "closeness_summary", "a\ud8001"),
+                 "'alternatives[0]': lone surrogate", id="alternative-surrogate"),
+    pytest.param(_renaming(["criteria", 0, "id"], "rwm_summary", "g\udfff1"),
+                 "'criteria[0].id': lone surrogate", id="criterion-id-surrogate"),
 ]
 
 

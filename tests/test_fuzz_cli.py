@@ -30,7 +30,9 @@ values = st.one_of(
 )
 faults = st.one_of(st.sampled_from([-1.0, float("nan"), float("inf")]), st.floats())
 directions = st.sampled_from(["max", "min", "benefit", "cost", "+", "-", "MAX"])
-names = st.text("ab ,\"\r\n\t", min_size=1, max_size=3)
+# a lone surrogate reaches a JSON problem as a "\ud800" escape and a CSV one
+# as the bytes ED A0 80, which are not UTF-8
+names = st.text("ab ,\"\r\n\t\ud800", min_size=1, max_size=3)
 
 
 def _spoil(draw, items, spoiled):
@@ -79,7 +81,7 @@ def test_cli_returns_an_exit_code_for_any_problem_text(problem):
     suffix, text, weights = problem
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"problem{suffix}"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
         for argv in (["weights", str(path)],
                      ["run", str(path), "--iterations", "20", "--out", str(Path(tmp) / "out")],
                      ["topsis", str(path), f"--weights={weights}"]):
@@ -117,7 +119,7 @@ odd_values = st.one_of(
     st.integers(min_value=-2, max_value=2 ** 65),
     st.floats(),
 )
-controls = st.sampled_from([chr(c) for c in range(32)] + ["\x7f"])
+unwritable = st.sampled_from([chr(c) for c in range(32)] + ["\x7f", "\ud800", "\udfff"])
 
 
 def _node(draw, doc):
@@ -134,9 +136,9 @@ def _node(draw, doc):
 @st.composite
 def summary_texts(draw):
     """summary.json text from a valid t = 20 run with a few faults: a name
-    with a control character (renamed in its five-number table too), then
-    deleted keys and values of a wrong type or out of range, and sometimes
-    the text cut short."""
+    with a control character or a lone surrogate (renamed in its
+    five-number table too), then deleted keys and values of a wrong type
+    or out of range, and sometimes the text cut short."""
     doc = json.loads(_valid_summary())
     if draw(st.integers(0, 3)) == 0:
         names = [(doc["alternatives"], k, "closeness_summary") for k in range(3)]
@@ -144,7 +146,7 @@ def summary_texts(draw):
         holder, key, table = draw(st.sampled_from(names))
         old = holder[key]
         cut = draw(st.integers(0, len(old)))
-        holder[key] = old[:cut] + draw(controls) + old[cut:]
+        holder[key] = old[:cut] + draw(unwritable) + old[cut:]
         doc[table][holder[key]] = doc[table].pop(old)
     for _ in range(draw(st.integers(0, 2))):
         parent, key = _node(draw, doc)

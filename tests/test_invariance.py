@@ -101,3 +101,36 @@ def test_permuting_criteria_permutes_weights_band_and_single_rankings():
                               _weight_tolerance(values, directions), q)
         w = rng.uniform(0.1, 1.0, values.shape[1])
         assert np.array_equal(topsis_run(matrix, w).ranks, topsis_run(permuted, w[q]).ranks), k
+
+
+def _row_scaling_tolerance(n):
+    """Bound on how far closeness moves when a weight row of n criteria is
+    scaled by any c > 0 that neither overflows nor underflows.
+
+    With unit roundoff u = EPS / 2, each distance is the root of a sum of
+    n non-negative products w_j * s_j, which carries at most n roundings,
+    a relative error of n u. The scaled row's entries fl(c w_j) add one
+    more, so the two sums differ from an exact ratio c by (2n + 1) u, and
+    their roots (halving that, then rounding once each) from sqrt(c) by
+    e = (n + 5/2) u. Closeness d- / (d+ + d-) moves by xi (1 - xi) times
+    the difference of the two roots' relative errors, at most e / 2, and
+    its add and divide round twice in each run, at most 4u in all:
+    (n / 2 + 21 / 4) u = (2n + 21) EPS / 8, to first order in u.
+    """
+    return (2 * n + 21) * EPS / 8
+
+
+def test_scaling_whole_weight_rows_keeps_closeness_and_ranks():
+    for k, (rng, _, _, report) in enumerate(_problems(4)):
+        matrix, rows = report.matrix, report.rwm.rows
+        # a power of 4 scales every product and sum exactly, and each root by 2^j
+        j = int(rng.integers(1, 21)) * int(rng.choice([-1, 1]))
+        xi, ranks = batch_topsis(matrix, rows * 4.0 ** j)
+        assert np.array_equal(xi, report.closeness), k
+        assert np.array_equal(ranks, report.rank_matrix.ranks), k
+        tol = _row_scaling_tolerance(matrix.n)
+        xi, ranks = batch_topsis(matrix, rows * 10.0 ** rng.uniform(-3, 3))
+        assert np.max(np.abs(xi - report.closeness)) <= tol, k
+        # a row whose closest pair is more than 2 tol apart cannot change order
+        apart = np.diff(np.sort(report.closeness, axis=1), axis=1).min(axis=1) > 2 * tol
+        assert np.array_equal(ranks[apart], report.rank_matrix.ranks[apart]), k

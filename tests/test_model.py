@@ -75,11 +75,10 @@ def test_duplicate_alternative_label_rejected():
         validate_problem(matrix)
 
 
-@pytest.mark.parametrize("char", ["\r", "\n", "\t", "\x00", "\x1f", "\x7f"])
-def test_control_characters_in_names_rejected(char):
-    bad = f"a{char}b"
+def _matrices_naming(bad):
+    """kind of name -> a valid 2 x 2 problem but for that one name `bad`."""
     values = np.array([[1.0, 2.0], [3.0, 4.0]])
-    cases = {
+    return {
         "alternative label": DecisionMatrix((bad, "x"), (CriterionSpec("g1"), CriterionSpec("g2")),
                                             values),
         "criterion id": DecisionMatrix(("x", "y"), (CriterionSpec(bad), CriterionSpec("g2")),
@@ -87,8 +86,21 @@ def test_control_characters_in_names_rejected(char):
         "criterion label": DecisionMatrix(
             ("x", "y"), (CriterionSpec("g1", label=bad), CriterionSpec("g2")), values),
     }
-    for kind, matrix in cases.items():
+
+
+@pytest.mark.parametrize("char", ["\r", "\n", "\t", "\x00", "\x1f", "\x7f"])
+def test_control_characters_in_names_rejected(char):
+    bad = f"a{char}b"
+    for kind, matrix in _matrices_naming(bad).items():
         assert problem_violations(matrix) == [f"control character in {kind} {bad!r}"]
+
+
+@pytest.mark.parametrize("char", ["\ud800", "\udbff", "\udc00", "\udfff"])
+def test_lone_surrogates_in_names_rejected(char):
+    # no UTF-8 encoding exists, so no output file or printed line could hold the name
+    bad = f"a{char}1"
+    for kind, matrix in _matrices_naming(bad).items():
+        assert problem_violations(matrix) == [f"lone surrogate in {kind} {bad!r}"]
 
 
 def test_printable_names_accepted():
@@ -190,8 +202,7 @@ def test_acceptance_matches_invariant_evaluation(matrix):
 
 def test_random_weight_matrix_copies_caller_rows():
     rows = np.array([[0.2, 0.3], [0.25, 0.35]])
-    bounds = WeightBounds([0.2, 0.3], [0.3, 0.4])
-    rwm = RandomWeightMatrix(2, rows, 7, bounds)
+    rwm = RandomWeightMatrix(rows)
     rows[0, 0] = 9.0
     assert rwm.rows[0, 0] == 0.2
     assert not rwm.rows.flags.writeable

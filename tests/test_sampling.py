@@ -10,11 +10,11 @@ from bandtopsis import (
     critic_weights,
     entropy_weights,
     normalize_custom_set,
-    sample_rows,
     sample_weight_matrix,
 )
 from bandtopsis import kernels
 from bandtopsis.kernels import unit_uniforms
+from bandtopsis.sampling import _draw_body
 from conftest import REF_LOWER, REF_UPPER
 
 
@@ -79,10 +79,20 @@ def test_same_seed_reproduces_bitwise():
     assert np.array_equal(a.rows, c.rows)
 
 
+def _drawn_one_at_a_time(bounds, t, seed, row_indices):
+    """The t x n buffer of the draw body after drawing each of
+    `row_indices`, in that order, as a range of one row."""
+    rows, draw = _draw_body(bounds, t, seed)
+    rows[...] = np.nan
+    for i in row_indices:
+        draw(i, i + 1)
+    return rows
+
+
 def test_reverse_order_fill_matches_sequential():
     b = WeightBounds([0.1, 0.0], [0.4, 1.0])
     full = sample_weight_matrix(b, 200, seed=5).rows
-    reordered = sample_rows(b, 5, list(reversed(range(200))))[::-1]
+    reordered = _drawn_one_at_a_time(b, 200, 5, reversed(range(200)))
     assert np.array_equal(full, reordered)
 
 
@@ -90,7 +100,7 @@ def test_single_rows_match_full_matrix():
     b = WeightBounds([0.0, 0.2, 0.1], [1.0, 0.8, 0.1])
     full = sample_weight_matrix(b, 64, seed=31).rows
     for i in (0, 1, 17, 63):
-        assert np.array_equal(sample_rows(b, 31, [i])[0], full[i])
+        assert np.array_equal(_drawn_one_at_a_time(b, 64, 31, [i])[i], full[i])
 
 
 def test_different_seeds_differ():
@@ -177,11 +187,12 @@ def test_uniforms_equal_plain_integer_splitmix64(seed, start, count):
     assert unit_uniforms(np.uint64(seed), np.int64(start), np.int64(count)).tolist() == u.tolist()
 
 
-def test_sample_rows_match_matrix_across_a_block_boundary():
+def test_single_rows_match_matrix_across_a_block_boundary():
     n = 7  # _B is a power of two, so some row straddles each block edge
     b = WeightBounds([0.0, 0.1, 0.2, 0.0, 0.05, 0.3, 0.0], [0.4, 0.1, 0.6, 1.0, 0.5, 0.9, 0.2])
     edge = _B // n
     assert edge * n < _B < (edge + 1) * n
-    full = sample_weight_matrix(b, 2 * edge + 5, seed=2 ** 64 - 3).rows
+    t = 2 * edge + 5
+    full = sample_weight_matrix(b, t, seed=2 ** 64 - 3).rows
     rows = [0, edge - 1, edge, edge + 1, 2 * edge, 2 * edge + 1, 2 * edge + 4]
-    assert np.array_equal(sample_rows(b, 2 ** 64 - 3, rows), full[rows])
+    assert np.array_equal(_drawn_one_at_a_time(b, t, 2 ** 64 - 3, rows)[rows], full[rows])
