@@ -1,6 +1,7 @@
 """Names every layer shares that need no numpy: the exception types, the
-run defaults, the rule for the characters no name may hold and the
-reading of UTF-8 input files.
+run defaults, the rule for the characters no name may hold, the reading
+of UTF-8 input files and the one reader and shape checker of the JSON
+documents the package reads (a problem file and a run's summary.json).
 
 The CLI imports only this module (and :mod:`bandtopsis.summary`) before it
 knows the command, so `--help`, usage errors and `plot` never load numpy.
@@ -8,7 +9,10 @@ knows the command, so `--help`, usage errors and `plot` never load numpy.
 
 from __future__ import annotations
 
+import json
 import re
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +47,12 @@ class ComputationError(ValueError):
     (constant column, zero column sum, degenerate ideal, ...)."""
 
 
+def _most_iterations(width: int) -> int:
+    """The largest t for which numpy can shape a t x width array of
+    8-byte values, as every t-sized array of a run or `rwm` is."""
+    return sys.maxsize // 8 // max(width, 1)
+
+
 def _name_fault(name: str) -> str | None:
     """What `name` holds that no output may: "control character" or
     "lone surrogate"; None if it holds neither."""
@@ -57,3 +67,55 @@ def _read_text(path) -> str:
         return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise ProblemFormatError(f"{path}: not valid UTF-8 at byte offset {e.start}") from None
+
+
+def _read_json(source, doc: str):
+    """The JSON value in a UTF-8 file (see _read_text) or an open text file.
+    Bad syntax, nesting too deep for the decoder and an integer literal
+    longer than int() converts raise ProblemFormatError "<doc>: invalid JSON"."""
+    text = source.read() if hasattr(source, "read") else _read_text(source)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ProblemFormatError(f"{doc}: invalid JSON: {e}") from None
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a finite number"}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The shape checks of one JSON document, named `doc` ("summary" or
+    "problem") in every ProblemFormatError they raise with the key path."""
+
+    doc: str
+
+    def expect(self, value, kind, where: str, length: int | None = None, of=None):
+        """`value` checked to be a `kind` (of `length` entries, each an
+        `of`). `object` is any value; `float` is a finite number, which
+        an int past the double range is not (compared without converting)."""
+        if kind is float:
+            ok = _is_number(value) and abs(value) <= sys.float_info.max
+        else:
+            ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+        at = f"{self.doc} {where!r}" if where else self.doc
+        if not ok:
+            raise ProblemFormatError(f"{at}: expected {_KINDS[kind]}, got {type(value).__name__}")
+        if length is not None and len(value) != length:
+            raise ProblemFormatError(f"{at}: expected {length} entries, got {len(value)}")
+        if of is not None:
+            for k, v in enumerate(value):
+                self.expect(v, of, f"{where}[{k}]")
+        return value
+
+    def key(self, obj: dict, key: str, kind, where="", length=None, of=None):
+        """obj[key], checked as by expect; its path is `where`.`key`."""
+        path = f"{where}.{key}" if where else key
+        if key not in obj:
+            raise ProblemFormatError(f"{self.doc}: missing key {path!r}")
+        return self.expect(obj[key], kind, path, length, of)

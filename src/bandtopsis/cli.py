@@ -7,8 +7,9 @@ Subcommands:
   rwm      regenerate a prior run's sampled weight tables from its summary
   topsis   single-shot ranking under an explicit weight vector
 
-Exit codes: 0 success, 1 computation error (degenerate problem),
-2 usage or input/output error.
+Exit codes: 0 success, 1 computation error (degenerate problem) or out
+of memory, 2 usage or input/output error. Any other exception is a bug
+and propagates.
 
 Each handler imports the modules it uses, so `plot`, `--help` and usage
 errors run without loading numpy.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -206,13 +206,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"error: cannot open {e.filename}", file=sys.stderr)
         return 2
-    except (ProblemFormatError, ValidationError, json.JSONDecodeError) as e:
+    except (ProblemFormatError, ValidationError, OSError, UnicodeEncodeError) as e:
+        # an output stream that cannot encode a name is an output error
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ComputationError, ValueError) as e:
+    except ComputationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .base import ProblemFormatError, _read_text
+from .base import ProblemFormatError, _is_number, _read_json, _read_text, _Shape
 from .kernels import _chunk_rows, _for_chunks, _per_thread
 from .model import (
     CriterionSpec,
@@ -28,7 +28,7 @@ from .model import (
 )
 from .pipeline import RunReport
 from .sampling import sample_weight_matrix
-from .summary import _FIVE_NUMBERS, _is_number
+from .summary import _FIVE_NUMBERS
 
 
 # ------------------------------------------------------------------ parsing
@@ -61,14 +61,18 @@ def parse_problem(source, fmt: str | None = None) -> tuple[DecisionMatrix, RunCo
     "seed".
 
     A file must be UTF-8 text; other bytes raise ProblemFormatError
-    giving the offset of the first that cannot be decoded.
+    giving the offset of the first that cannot be decoded. JSON goes
+    through :mod:`bandtopsis.base`'s reader and shape checker, as
+    summary.json does.
     """
     fmt = _infer_format(source, fmt)
-    f = source if hasattr(source, "read") else StringIO(_read_text(source), newline="")
-    return _parse_csv(f) if fmt == "csv" else _parse_json(f)
+    if fmt == "json":
+        return _parse_json(_read_json(source, "problem"))
+    return _parse_csv(source if hasattr(source, "read") else
+                      StringIO(_read_text(source), newline=""))
 
 
-def _parse_direction(token: str, where: str) -> Direction:
+def _parse_direction(token, where: str) -> Direction:
     try:
         return Direction.parse(token)
     except ValueError:
@@ -137,88 +141,45 @@ def _parse_csv(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
     return DecisionMatrix(tuple(alternatives), criteria, np.array(values)), RunConfig()
 
 
+_PROBLEM = _Shape("problem")
+
+
 def _name(value, where: str) -> str:
     """An id or label: a JSON string as is, or a JSON number as its text."""
-    if isinstance(value, str):
-        return value
-    if _is_number(value):
+    if isinstance(value, str) or _is_number(value):
         return str(value)
-    raise ProblemFormatError(f"{where}: expected a string or number, got {value!r}")
+    raise ProblemFormatError(
+        f"problem {where!r}: expected a string or number, got {type(value).__name__}"
+    )
 
 
-def _parse_json(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
-    try:
-        doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ProblemFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ProblemFormatError("top-level JSON value must be an object")
+def _criterion(entry, where: str) -> CriterionSpec:
+    """A criteria entry: an {"id", "direction"[, "label"]} object or an
+    [id, direction] pair."""
+    if isinstance(entry, list) and len(entry) == 2:
+        cid = _name(entry[0], f"{where}[0]")
+        return CriterionSpec(cid, _parse_direction(entry[1], f"{where}[1]"), cid)
+    if not isinstance(entry, dict):
+        raise ProblemFormatError(f"problem {where!r}: expected an object or [id, direction] pair")
+    cid = _name(_PROBLEM.key(entry, "id", object, where), f"{where}.id")
+    d = _parse_direction(_PROBLEM.key(entry, "direction", object, where), f"{where}.direction")
+    label = _name(entry["label"], f"{where}.label") if "label" in entry else cid
+    return CriterionSpec(cid, d, label)
 
-    for key in ("criteria", "alternatives", "values"):
-        if key not in doc:
-            raise ProblemFormatError(f"missing required key {key!r}")
 
-    for key in ("criteria", "alternatives"):
-        if not isinstance(doc[key], list):
-            raise ProblemFormatError(f"{key!r} must be a list")
-
-    criteria = []
-    for k, entry in enumerate(doc["criteria"]):
-        where = f"criteria[{k}]"
-        if isinstance(entry, dict):
-            if "id" not in entry or "direction" not in entry:
-                raise ProblemFormatError(f"{where}: need 'id' and 'direction'")
-            d = _parse_direction(str(entry["direction"]), f"{where}.direction")
-            cid = _name(entry["id"], f"{where}.id")
-            label = _name(entry["label"], f"{where}.label") if "label" in entry else cid
-            criteria.append(CriterionSpec(id=cid, direction=d, label=label))
-        elif isinstance(entry, list) and len(entry) == 2:
-            d = _parse_direction(str(entry[1]), f"{where}[1]")
-            cid = _name(entry[0], f"{where}[0]")
-            criteria.append(CriterionSpec(id=cid, direction=d, label=cid))
-        else:
-            raise ProblemFormatError(f"{where}: expected an object or [id, direction] pair")
-
-    alternatives = [_name(a, f"alternatives[{k}]") for k, a in enumerate(doc["alternatives"])]
-    n = len(criteria)
-    values = []
-    raw_values = doc["values"]
-    if not isinstance(raw_values, list):
-        raise ProblemFormatError("'values' must be a list of rows")
-    for r, row in enumerate(raw_values):
-        if not isinstance(row, list) or len(row) != n:
-            got = len(row) if isinstance(row, list) else type(row).__name__
-            raise ProblemFormatError(f"values[{r}]: expected {n} numbers, got {got}")
-        parsed = []
-        for c, cell in enumerate(row):
-            if not _is_number(cell):
-                raise ProblemFormatError(
-                    f"values[{r}][{c}]: cannot use {cell!r} as a number"
-                )
-            parsed.append(float(cell))
-        values.append(parsed)
-
-    kwargs = {}
-    for key in ("iterations", "seed"):
-        if key in doc:
-            v = doc[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ProblemFormatError(f"{key!r}: expected an integer, got {v!r}")
-            kwargs[key] = v
+def _parse_json(doc) -> tuple[DecisionMatrix, RunConfig]:
+    _PROBLEM.expect(doc, dict, "")
+    criteria = [_criterion(e, f"criteria[{k}]")
+                for k, e in enumerate(_PROBLEM.key(doc, "criteria", list))]
+    alternatives = [_name(a, f"alternatives[{k}]")
+                    for k, a in enumerate(_PROBLEM.key(doc, "alternatives", list))]
+    values = [_PROBLEM.expect(row, list, f"values[{r}]", len(criteria), of=float)
+              for r, row in enumerate(_PROBLEM.key(doc, "values", list))]
+    config = {key: _PROBLEM.key(doc, key, int) for key in ("iterations", "seed") if key in doc}
     if "custom_sets" in doc:
-        cs = doc["custom_sets"]
-        if not isinstance(cs, list) or not all(isinstance(s, list) for s in cs):
-            raise ProblemFormatError("'custom_sets' must be a list of weight lists")
-        for k, s in enumerate(cs):
-            for c, v in enumerate(s):
-                if not _is_number(v):
-                    raise ProblemFormatError(
-                        f"custom_sets[{k}][{c}]: cannot use {v!r} as a number"
-                    )
-        kwargs["custom_sets"] = tuple(tuple(float(v) for v in s) for s in cs)
-
-    matrix = DecisionMatrix(tuple(alternatives), tuple(criteria), np.array(values))
-    return matrix, RunConfig(**kwargs)
+        config["custom_sets"] = [_PROBLEM.expect(s, list, f"custom_sets[{k}]", of=float)
+                                 for k, s in enumerate(_PROBLEM.key(doc, "custom_sets", list))]
+    return DecisionMatrix(alternatives, criteria, values), RunConfig(**config)
 
 
 # ----------------------------------------------------------------- emission

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError, _name_fault
+from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError, _most_iterations, _name_fault
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -326,8 +326,11 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
             errors.append(f"{fault} in {kind} {name!r}")
 
     if config is not None:
+        most = _most_iterations(max(m, n))
         if config.iterations < 1:
             errors.append(f"iterations must be >= 1, got {config.iterations}")
+        elif config.iterations > most:
+            errors.append(f"iterations must be <= {most} for this problem, got {config.iterations}")
         if not 0 <= config.seed < 2 ** 64:
             errors.append(f"seed must be in [0, 2^64), got {config.seed}")
         for k, s in enumerate(config.custom_sets, start=1):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import _RankCounts, _rank_by_mode
+from .base import ComputationError
 from .kernels import _chunk_rows, _for_chunks
 from .model import (
     DecisionMatrix,
@@ -69,7 +70,7 @@ def collect_weight_sets(matrix: DecisionMatrix, config: RunConfig) -> list[Named
     for k, raw in enumerate(config.custom_sets, start=1):
         sets.append(normalize_custom_set(raw, matrix.n, name=f"custom {k}"))
     if not sets:
-        raise ValueError(
+        raise ComputationError(
             "no weight sets: both objective weighters are disabled and no custom sets given"
         )
     return sets

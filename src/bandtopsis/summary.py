@@ -3,64 +3,32 @@
 `plot` and `rwm` start from this file, so every key they read is checked
 here, with the types, lengths and ranges :func:`bandtopsis.io.build_summary`
 writes; a malformed document raises ProblemFormatError naming the first
-key at fault.
+key at fault. The JSON reader and the shape checker are
+:mod:`bandtopsis.base`'s, shared with problem files; this module holds
+the summary's own rules.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from pathlib import Path
 
-from .base import ProblemFormatError, _name_fault, _read_text
+from .base import ProblemFormatError, _most_iterations, _name_fault, _read_json, _Shape
 
 _FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-          float: "a finite number"}
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_SUMMARY = _Shape("summary")
+_expect, _key = _SUMMARY.expect, _SUMMARY.key
 
 
 def load_summary(path) -> dict:
     """Read a run's summary.json (or the one in a run directory). A file
-    that is not UTF-8, or a key that `plot` or `rwm` reads and that is
-    missing, mistyped or out of range, raises ProblemFormatError naming it."""
+    that is not UTF-8 or not JSON, or a key that `plot` or `rwm` reads and
+    that is missing, mistyped or out of range, raises ProblemFormatError
+    naming it."""
     p = Path(path)
     if p.is_dir():
         p = p / "summary.json"
-    return _check_summary(json.loads(_read_text(p)))
-
-
-def _expect(value, kind, where: str, length: int | None = None, of=None):
-    """`value` checked to be a `kind` (of `length` entries, each an `of`);
-    the error names `where`."""
-    if kind is float:
-        ok = _is_number(value) and math.isfinite(value)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    loc = f" {where!r}" if where else ""
-    if not ok:
-        raise ProblemFormatError(
-            f"summary{loc}: expected {_KINDS[kind]}, got {type(value).__name__}"
-        )
-    if length is not None and len(value) != length:
-        raise ProblemFormatError(f"summary{loc}: expected {length} entries, got {len(value)}")
-    if of is not None:
-        for k, v in enumerate(value):
-            _expect(v, of, f"{where}[{k}]")
-    return value
-
-
-def _key(doc: dict, key: str, kind, where: str = "", length: int | None = None, of=None):
-    path = f"{where}.{key}" if where else key
-    if key not in doc:
-        raise ProblemFormatError(f"summary: missing key {path!r}")
-    return _expect(doc[key], kind, path, length, of)
+    return _check_summary(_read_json(p, "summary"))
 
 
 def _names(values: list[str], where: str) -> None:
@@ -81,7 +49,8 @@ def _check_summary(summary) -> dict:
     """Return a summary document unchanged if it has every key that
     `plot` and `rwm` read, and the whole `final` ranking, with the types,
     lengths and ranges :func:`build_summary` writes (a seed in
-    [0, 2^64), m >= 2 distinct alternatives, n >= 1 distinct criteria,
+    [0, 2^64), an iteration count whose t x max(m, n) arrays numpy can
+    shape, m >= 2 distinct alternatives, n >= 1 distinct criteria,
     names free of control characters and lone surrogates,
     positions a permutation of 1..m, modal scores in 1..m, non-negative
     histogram counts summing to the iteration count, and five-number
@@ -105,6 +74,9 @@ def _check_summary(summary) -> dict:
     if not ids:
         raise ProblemFormatError("summary 'criteria': n >= 1 required, got 0")
     _names(ids, "criteria[{}].id")
+    most = _most_iterations(max(m, len(ids)))
+    if iterations > most:
+        raise ProblemFormatError(f"summary 'config.iterations': must be <= {most}")
     weights = _key(summary, "weights", list)
     for k, row in enumerate(weights):
         where = f"weights[{k}]"

@@ -84,6 +84,64 @@ def test_out_of_memory_exits_1_without_traceback(social_csv, tmp_path, monkeypat
     assert err.startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("fault, code", [
+    pytest.param(bandtopsis.ComputationError("constant column"), 1, id="computation"),
+    pytest.param(MemoryError(), 1, id="memory"),
+    pytest.param(bandtopsis.ProblemFormatError("bad cell"), 2, id="format"),
+    pytest.param(OSError("disk full"), 2, id="os"),
+    pytest.param(UnicodeEncodeError("ascii", "\u00e9", 0, 1, "ordinal not in range(128)"), 2,
+                 id="unencodable-output"),
+    pytest.param(ValueError("a bug"), None, id="other-value-error"),
+])
+def test_exit_1_only_for_a_degenerate_problem_or_exhausted_memory(
+        social_csv, tmp_path, monkeypatch, capsys, fault, code):
+    def failing(matrix, config):
+        raise fault
+
+    monkeypatch.setattr("bandtopsis.pipeline.run_pipeline", failing)
+    argv = ["run", str(social_csv), "--out", str(tmp_path / "out")]
+    if code is None:  # any other exception is a bug, so it propagates as a traceback
+        with pytest.raises(ValueError, match="a bug"):
+            cli_main(argv)
+    else:
+        assert run_cli(argv, capsys)[0] == code
+
+
+_MOST_ITERATIONS = sys.maxsize // 8 // 12  # social.csv's rows are 12 wide
+
+
+@pytest.mark.parametrize("iterations, expected, said", [
+    pytest.param(2 ** 62, 2, f"iterations must be <= {_MOST_ITERATIONS} for this problem",
+                 id="2^62"),
+    pytest.param(10 ** 30, 2, f"iterations must be <= {_MOST_ITERATIONS} for this problem",
+                 id="10^30"),
+    # numpy can shape this t x 12 array, but no address space holds its 2^63 bytes
+    pytest.param(_MOST_ITERATIONS, 1, "out of memory", id="at-the-limit"),
+])
+def test_iteration_count_past_the_array_limit_exits_2_before_any_output(
+        social_csv, tmp_path, capsys, iterations, expected, said):
+    out = tmp_path / "out"
+    code, _, err = run_cli(["run", str(social_csv), "--iterations", str(iterations),
+                            "--out", str(out)], capsys)
+    assert code == expected
+    assert said in err
+    assert not out.exists()
+
+
+def test_name_the_output_stream_cannot_encode_exits_2(tmp_path):
+    p = tmp_path / "accent.csv"
+    p.write_text("c,g1,g2\n,max,min\n\u00e91,1,5\nb,2,7\n", encoding="utf-8")
+    package_root = Path(bandtopsis.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONIOENCODING="ascii")
+    out = subprocess.run(
+        [sys.executable, "-m", "bandtopsis.cli", "run", str(p), "--iterations", "20",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "'ascii' codec can't encode character" in out.stderr
+
+
 def test_duplicate_alternative_labels_exit_2(tmp_path, capsys):
     p = tmp_path / "dup.csv"
     p.write_text("c,g1,g2\n,max,min\na,1,5\na,2,7\nb,3,6\n")
@@ -323,6 +381,11 @@ _SMALL_JSON = {
                      id="criterion-pair-id-bool"),
         pytest.param({"seed": 2 ** 64}, "seed must be in [0, 2^64)", id="seed-2^64"),
         pytest.param({"seed": -1}, "seed must be in [0, 2^64)", id="seed-negative"),
+        pytest.param({"values": [[10 ** 400, 0.1], [0.2, 0.3], [0.5, 0.2]]}, "values[0][0]",
+                     id="value-past-double-range"),
+        pytest.param({"custom_sets": [[10 ** 400, 1]]}, "custom_sets[0][0]",
+                     id="custom-past-double-range"),
+        pytest.param({"iterations": 10 ** 30}, "iterations must be <=", id="iterations-10^30"),
     ],
 )
 def test_mistyped_json_config_exits_2_naming_the_field(tmp_path, capsys, extra, field):
@@ -393,6 +456,16 @@ def _setting(path, value):
     return edit
 
 
+def _iterations(t):
+    """Set the iteration count to t, with every histogram's t counts on score 1."""
+    def edit(doc):
+        doc["config"]["iterations"] = t
+        for hist in doc["final"]["score_histograms"]:
+            hist[:] = [t] + [0] * (len(hist) - 1)
+        return doc
+    return edit
+
+
 def _renaming(path, table, name):
     """Rename the name at `path`, and its key in the five-number `table`."""
     def edit(doc):
@@ -414,6 +487,7 @@ _BAD_SUMMARIES = [
     pytest.param(_setting(["config", "seed"], "42"), "'config.seed'", id="seed-string"),
     pytest.param(_setting(["config", "iterations"], 0), "'config.iterations'",
                  id="iterations-zero"),
+    pytest.param(_iterations(10 ** 30), "'config.iterations'", id="iterations-past-array-limit"),
     pytest.param(_setting(["alternatives"], "a1"), "'alternatives'", id="alternatives-string"),
     pytest.param(_setting(["weights", 0, "values"], [0.5]), "'weights[0].values'",
                  id="weights-short"),
@@ -424,6 +498,8 @@ _BAD_SUMMARIES = [
                  "'final.score_histograms[1][2]'", id="histogram-string"),
     pytest.param(_setting(["final", "mean_closeness", 0], None), "'final.mean_closeness[0]'",
                  id="closeness-null"),
+    pytest.param(_setting(["final", "mean_scores", 0], 10 ** 400), "'final.mean_scores[0]'",
+                 id="mean-score-past-double-range"),
     pytest.param(_setting(["weights", -2, "values", 1], float("nan")), "'weights[2].values[1]'",
                  id="bound-nan"),
     pytest.param(_setting(["alternatives"], []), "'alternatives'", id="no-alternatives"),
@@ -473,6 +549,33 @@ def test_malformed_summary_exits_2_naming_the_key(
     assert code == 2
     assert err.startswith("error: summary")
     assert named in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+# JSON that the decoder itself rejects: nesting past its recursion limit, and
+# an integer literal longer than int() converts (4,300 digits by default)
+_UNDECODABLE = [pytest.param("[" * 10 ** 5, id="deep"),
+                pytest.param('{"seed": ' + "1" * 5000 + "}", id="long-integer")]
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE)
+def test_undecodable_problem_exits_2_before_any_output(tmp_path, capsys, text):
+    p = tmp_path / "problem.json"
+    p.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["run", str(p), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: problem: invalid JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["plot", "rwm"])
+@pytest.mark.parametrize("text", _UNDECODABLE)
+def test_undecodable_summary_exits_2_before_any_output(tmp_path, capsys, command, text):
+    (tmp_path / "summary.json").write_text(text)
+    code, _, err = run_cli([command, str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: summary: invalid JSON: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
 

@@ -29,6 +29,9 @@ values = st.one_of(
     st.integers(min_value=0, max_value=10),
 )
 faults = st.one_of(st.sampled_from([-1.0, float("nan"), float("inf")]), st.floats())
+# an int past the double range reaches the values and custom sets of a JSON
+# problem; the --weights string is built with float(), which cannot hold it
+json_faults = st.one_of(faults, st.just(10 ** 400))
 directions = st.sampled_from(["max", "min", "benefit", "cost", "+", "-", "MAX"])
 # a lone surrogate reaches a JSON problem as a "\ud800" escape and a CSV one
 # as the bytes ED A0 80, which are not UTF-8
@@ -53,7 +56,7 @@ def problems(draw):
     dirs = _spoil(draw, draw(st.lists(directions, min_size=n, max_size=n)), st.just("up"))
     alternatives = _spoil(draw, draw(st.lists(names, min_size=m, max_size=m, unique=True)), names)
     grid = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=m, max_size=m))
-    _spoil(draw, grid[draw(st.integers(0, m - 1))], faults)
+    _spoil(draw, grid[draw(st.integers(0, m - 1))], json_faults)
     if draw(st.integers(0, 7)) == 0:
         grid[draw(st.integers(0, m - 1))].pop()
     w = _spoil(draw, draw(st.lists(values, min_size=n, max_size=n)), faults)
@@ -69,7 +72,7 @@ def problems(draw):
            "alternatives": alternatives, "values": grid}
     if draw(st.booleans()):
         doc["custom_sets"] = [_spoil(draw, draw(st.lists(values, min_size=n, max_size=n)),
-                                     faults)]
+                                     json_faults)]
     if draw(st.integers(0, 3)) == 0:
         doc["seed"] = draw(st.integers(min_value=-1, max_value=2 ** 65))
     return ".json", json.dumps(doc), weights
@@ -112,10 +115,11 @@ def _valid_summary() -> str:
         return (Path(tmp) / "summary.json").read_text(encoding="utf-8")
 
 
-# values of the wrong type, out of range or not finite
+# values of the wrong type, out of range or not finite (10**400 is an int past
+# the double range)
 odd_values = st.one_of(
     st.sampled_from([None, True, "x", [], {}, [0.5], {"min": 0.0}, -1, 0, 2 ** 64, -0.5, 1.5,
-                     float("nan"), float("inf")]),
+                     float("nan"), float("inf"), 10 ** 400]),
     st.integers(min_value=-2, max_value=2 ** 65),
     st.floats(),
 )
