@@ -1,7 +1,8 @@
 """Names every layer shares that need no numpy: the exception types, the
-run defaults, the rule for the characters no name may hold, the reading
-of UTF-8 input files and the one reader and shape checker of the JSON
-documents the package reads (a problem file and a run's summary.json).
+run defaults, the rules of a run's config, the rule for the characters
+no name may hold, the reading of UTF-8 input files and the one reader
+and shape checker of the JSON documents the package reads (a problem
+file and a run's summary.json).
 
 The CLI imports only this module (and :mod:`bandtopsis.summary`) before it
 knows the command, so `--help`, usage errors and `plot` never load numpy.
@@ -47,10 +48,22 @@ class ComputationError(ValueError):
     (constant column, zero column sum, degenerate ideal, ...)."""
 
 
-def _most_iterations(width: int) -> int:
-    """The largest t for which numpy can shape a t x width array of
-    8-byte values, as every t-sized array of a run or `rwm` is."""
-    return sys.maxsize // 8 // max(width, 1)
+def _config_faults(iterations: int, seed: int, width: int) -> list[tuple[str, str]]:
+    """The rules a run's config keeps, in a problem and in the summary
+    that echoes it: (key, fault) for each of `iterations` and `seed` that
+    breaks one. t must be at least 1 and small enough for numpy to shape
+    a t x width array of 8-byte values, as every t-sized array of a run
+    or `rwm` is, where width is the larger of m and n; the seed must be
+    in [0, 2^64)."""
+    faults = []
+    most = sys.maxsize // 8 // max(width, 1)
+    if iterations < 1:
+        faults.append(("iterations", f"must be >= 1, got {iterations}"))
+    elif iterations > most:
+        faults.append(("iterations", f"must be <= {most} for this problem, got {iterations}"))
+    if not 0 <= seed < 2 ** 64:
+        faults.append(("seed", f"must be in [0, 2^64), got {seed}"))
+    return faults
 
 
 def _name_fault(name: str) -> str | None:

@@ -105,6 +105,13 @@ def _merged_config(file_cfg: RunConfig, args) -> RunConfig:
     return dataclasses.replace(file_cfg, **updates)
 
 
+def _check_printable(text: str) -> None:
+    """Encode `text` as stdout will: a name or path the stream cannot hold
+    raises UnicodeEncodeError (exit 2). Commands that write files call
+    this before the first one, so such a fault leaves no output behind."""
+    text.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+
+
 def _cmd_weights(args) -> int:
     from .io import parse_problem
     from .model import validate_problem
@@ -117,9 +124,9 @@ def _cmd_weights(args) -> int:
     sets = collect_weight_sets(matrix, cfg)
     rows = _weight_rows(sets, compute_bounds(sets))
     name_w = max(len(name) for name, _ in rows)
-    print(" " * (name_w + 2) + "  ".join(f"{i:>7s}" for i in matrix.criterion_ids()))
-    for name, vec in rows:
-        print(f"{name:<{name_w}}  " + "  ".join(f"{v:7.3f}" for v in vec))
+    lines = [" " * (name_w + 2) + "  ".join(f"{i:>7s}" for i in matrix.criterion_ids())]
+    lines += [f"{name:<{name_w}}  " + "  ".join(f"{v:7.3f}" for v in vec) for name, vec in rows]
+    print("\n".join(lines))  # one write: an unencodable name prints nothing
     return 0
 
 
@@ -130,11 +137,12 @@ def _cmd_run(args) -> int:
     matrix, cfg = parse_problem(args.input, args.format)
     cfg = _merged_config(cfg, args)
     report = run_pipeline(matrix, cfg)
-    paths = emit_tables(report, args.out)
-    final = report.final
-    for j, alt in enumerate(matrix.alternatives):
-        print(f"{alt}: [{final.positions[j]}]")
-    print(f"wrote {len(paths)} files to {Path(args.out)}")
+    out = Path(args.out)
+    positions = "".join(f"{alt}: [{p}]\n"
+                        for alt, p in zip(matrix.alternatives, report.final.positions))
+    _check_printable(positions + str(out))
+    paths = emit_tables(report, out)
+    print(f"{positions}wrote {len(paths)} files to {out}")
     return 0
 
 
@@ -148,6 +156,7 @@ def _cmd_plot(args) -> int:
 
     docs = charts_from_summary(load_summary(args.summary))
     out = _run_dir(args.summary)
+    _check_printable(str(out))
     for name, svg in docs.items():
         with open(out / name, "w", encoding="utf-8", newline="") as f:
             f.write(svg)
@@ -160,6 +169,7 @@ def _cmd_rwm(args) -> int:
     from .io import emit_rwm
 
     out = _run_dir(args.summary)
+    _check_printable(str(out))
     paths = emit_rwm(summary, out)
     print(f"wrote {len(paths)} files to {out}")
     return 0
@@ -180,9 +190,10 @@ def _cmd_topsis(args) -> int:
         raise ProblemFormatError(str(e)) from None
     result = topsis_run(matrix, w.weights)
     order = sorted(range(matrix.m), key=lambda j: result.ranks[j])
-    print(f"{'rank':>4}  {'alternative':<16} closeness")
-    for j in order:
-        print(f"{result.ranks[j]:>4}  {matrix.alternatives[j]:<16} {result.closeness[j]:.6f}")
+    lines = [f"{'rank':>4}  {'alternative':<16} closeness"]
+    lines += [f"{result.ranks[j]:>4}  {matrix.alternatives[j]:<16} {result.closeness[j]:.6f}"
+              for j in order]
+    print("\n".join(lines))  # one write: an unencodable name prints nothing
     return 0
 
 

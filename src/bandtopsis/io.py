@@ -201,14 +201,56 @@ def _write_rows(path: Path, header: list[str], labels, rows: np.ndarray, cell: s
     """Write the header through csv.writer, then one line per row of a
     t x k array: labels[i] (see _csv_label) and the row's values in
     `cell` format ('%r' gives a float's shortest round-trip repr). Rows
-    become Python numbers one block at a time, so memory stays bounded."""
-    line = "%s" + ("," + cell) * rows.shape[1] + "\n"
+    are written one block at a time, so memory stays bounded.
+
+    Unsigned integer rows under a range of labels counting up from 0 or
+    more, as in ranks.csv, never become Python numbers: their lines are built as
+    bytes (see _uint_lines), equal to what the '%d' format gives. Other
+    rows become Python numbers a block at a time."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerow(header)
+        if rows.dtype.kind == "u" and isinstance(labels, range):
+            f.flush()  # the header goes ahead of the bytes
+            for block in _uint_lines(labels, rows):
+                f.buffer.write(block)
+            return
+        line = "%s" + ("," + cell) * rows.shape[1] + "\n"
         for start in range(0, rows.shape[0], _ROW_BLOCK):
             stop = start + _ROW_BLOCK
             block = zip(map(_csv_label, labels[start:stop]), rows[start:stop].tolist())
             f.writelines(line % (label, *row) for label, row in block)
+
+
+def _uint_lines(labels: range, rows: np.ndarray):
+    """The lines "label,v1,...,vk\\n" of a counting range of non-negative
+    labels and the rows of an unsigned integer array, as uint8 arrays of
+    up to _ROW_BLOCK lines each.
+
+    A block is built as a byte grid of one line per row: the label's
+    digits, right-aligned in the width of the last label; per cell a
+    comma and the value's digits, looked up in a table of the digits of
+    0 up to the largest value; and a newline. A place a shorter number
+    leaves empty holds a NUL byte, and the NULs are dropped."""
+    t, k = rows.shape
+    most = int(rows.max(initial=0))
+    cw = len(str(most))
+    digits = np.frombuffer("".join(f"{v:>{cw}}" for v in range(most + 1)).encode(), np.uint8)
+    digits = np.where(digits == ord(" "), 0, digits).reshape(most + 1, cw)
+    lw = len(str(labels[-1])) if t else 1
+    place = 10 ** np.arange(lw - 1, -1, -1)
+    lead = np.where(place == 1, 0, place)  # a digit shows from its place value on; units always
+    grid = np.zeros((min(t, _ROW_BLOCK), lw + k * (cw + 1) + 1), np.uint8)
+    cells = grid[:, lw:-1].reshape(len(grid), k, cw + 1)  # a view: only the last axis splits
+    cells[:, :, 0] = ord(",")
+    grid[:, -1] = ord("\n")
+    for start in range(0, t, _ROW_BLOCK):
+        block = labels[start:start + _ROW_BLOCK]
+        lines = len(block)
+        label = np.arange(block.start, block.stop, block.step)[:, None]
+        grid[:lines, :lw] = np.where(label >= lead, label // place % 10 + ord("0"), 0)
+        cells[:lines, :, 1:] = digits[rows[start:start + lines]]
+        flat = grid[:lines].ravel()
+        yield flat[flat != 0]
 
 
 def _write_pair(out: Path, stem: str, header: list[str], labels, rows) -> dict[str, Path]:

@@ -147,10 +147,29 @@ def _distance_body(V, a_pos, a_neg):
 
 # ------------------------------------------------------------------ ranking
 
+def _rank_type(m: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds the ranks 1..m:
+    uint8 up to m = 255, uint16 up to 65,535. Every rank grid the
+    package builds or keeps has this type."""
+    return np.min_scalar_type(m)
+
+
+def _chunk_scratch(t: int, m: int):
+    """A function that returns the calling thread's own float64 scratch
+    for one chunk of a t x m grid (see _per_thread): at most about
+    512 KiB."""
+    return _per_thread(lambda: np.empty((min(t, _chunk_rows(m)), m)))
+
+
 def rank_rows(xi):
     """1-based rank of every closeness row, descending, ties to the
     lower alternative index: the ranks a stable sort of the negated
     values gives. `xi` must hold no NaN; closeness never does.
+
+    The t x m result has the type _rank_type(m): uint8 for m <= 255,
+    uint16 up to 65,535. Arithmetic on it stays in that type, so widen
+    it first: under NumPy 2's promotion rules (NEP 50) `m + 1 - ranks`
+    raises OverflowError at m = 255, where 256 does not fit uint8.
 
     Rows are ranked a chunk at a time. A chunk in which every row
     strictly descends along the order of the chunk's first row gets
@@ -164,18 +183,21 @@ def rank_rows(xi):
     """
     xi = np.asarray(xi, dtype=np.float64)
     t, m = xi.shape
-    ranks = np.empty((t, m), dtype=np.int64)
-    _for_chunks(t, _chunk_rows(m), lambda lo, hi: _rank_chunk(xi[lo:hi], ranks[lo:hi]))
+    ranks = np.empty((t, m), dtype=_rank_type(m))
+    scratch = _chunk_scratch(t, m)
+    _for_chunks(t, _chunk_rows(m),
+                lambda lo, hi: _rank_chunk(xi[lo:hi], ranks[lo:hi], scratch()))
     return ranks
 
 
-def _rank_chunk(xi, ranks):
+def _rank_chunk(xi, ranks, scratch):
     """The ranking stage as a chunk body: rank closeness rows `xi` into
-    the contiguous rows `ranks`. Returns the one rank row every row got
-    when the chunk keeps one order, else None."""
+    the contiguous rows `ranks`, using the float64 rows `scratch` (at
+    least as many as `xi`, of its width). Returns the one rank row every
+    row got when the chunk keeps one order, else None."""
     one = _one_order(xi)
     if one is None:
-        _rank_fixed_up(xi, ranks)
+        _rank_fixed_up(xi, ranks, scratch)
     else:
         ranks[...] = one
     return one
@@ -199,27 +221,26 @@ def _one_order(xi):
     return ranks
 
 
-def _rank_fixed_up(xi, ranks):
+def _rank_fixed_up(xi, ranks, scratch):
     """Rank closeness rows `xi` into the contiguous rows `ranks` with the
     default argsort, then rank again with the stable sort the rows that
-    hold a tie."""
+    hold a tie. The sorted values are taken into `scratch`."""
     t, m = xi.shape
+    descending = np.arange(m, 0, -1, dtype=ranks.dtype)
     order = np.argsort(xi, axis=1)
     order += np.arange(0, t * m, m, dtype=order.dtype)[:, None]  # flat indices into xi
-    # the sorted values borrow the rank buffer until the ranks overwrite them;
     # the indices are in range, and mode="clip" lets take write into `out` unbuffered
-    s = np.take(xi.ravel(), order, out=ranks.view(np.float64), mode="clip")
+    s = np.take(xi.ravel(), order, out=scratch[:t], mode="clip")
     tie = s[:, 1:] == s[:, :-1]
     tied = np.flatnonzero(tie.any(axis=1)) if tie.any() else ()
-    del s, tie
-    ranks.ravel()[order] = np.arange(m, 0, -1)
+    ranks.ravel()[order] = descending
     if len(tied):
         # the ascending stable order of a reversed row, read backwards, is the
         # descending order with ties to the lower index, so no negated copy is
         # needed: position k of reversed index r gives alternative m - 1 - r rank m - k
         order = np.argsort(xi[tied, ::-1], axis=1, kind="stable")
         np.subtract((tied * m + m - 1)[:, None], order, out=order)  # flat indices into ranks
-        ranks.ravel()[order] = np.arange(m, 0, -1)
+        ranks.ravel()[order] = descending
 
 
 # --------------------------------------------------- counter-based uniforms

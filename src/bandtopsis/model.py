@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError, _most_iterations, _name_fault
+from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError, _config_faults, _name_fault
+from .kernels import _rank_type
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -182,24 +183,33 @@ class TopsisResult:
 class RankMatrix:
     """t x m grid of per-iteration rank permutations.
 
-    Scores are derived, not stored: score = m + 1 - rank, so rank 1 maps
-    to the highest score m.
+    The grid is held as kernels._rank_type(m), the narrowest unsigned
+    type that holds m: one byte per rank up to m = 255, two up to
+    65,535. Arithmetic on it stays in that type, so widen it first:
+    under NumPy 2's promotion rules (NEP 50) `m + 1 - ranks` raises
+    OverflowError at m = 255, where 256 does not fit uint8.
 
-    Caller arrays are checked row by row. Ranks handed over in
-    :class:`_Owned` come from :func:`bandtopsis.kernels.rank_rows`,
-    which builds every row as a permutation, so they are not re-sorted.
+    Scores are derived, not stored: score = m + 1 - rank, so rank 1 maps
+    to the highest score m. :attr:`scores` takes it as (m - rank) + 1,
+    which stays within the rank type.
+
+    Caller arrays are checked row by row and then copied into the rank
+    type. Ranks handed over in :class:`_Owned` come from
+    :func:`bandtopsis.kernels.rank_rows`, which builds every row as a
+    permutation, so they are not re-sorted.
     """
 
     ranks: np.ndarray
 
     def __post_init__(self):
         owned = isinstance(self.ranks, _Owned)
-        r = np.asarray(self.ranks.array if owned else self.ranks, dtype=np.int64)
+        r = np.asarray(self.ranks.array if owned else self.ranks)
         if r.ndim != 2:
             raise ValueError("rank matrix must be two-dimensional (iterations x alternatives)")
         if not owned and not np.all(np.sort(r, axis=1) == np.arange(1, r.shape[1] + 1)):
             raise ValueError("every rank row must be a permutation of 1..m")
-        object.__setattr__(self, "ranks", _readonly(_Owned(r) if owned else r))
+        object.__setattr__(self, "ranks", _readonly(_Owned(r) if owned else r,
+                                                    _rank_type(r.shape[1])))
 
     @property
     def t(self) -> int:
@@ -211,7 +221,7 @@ class RankMatrix:
 
     @property
     def scores(self) -> np.ndarray:
-        return self.m + 1 - self.ranks
+        return self.m - self.ranks + 1
 
 
 @dataclass(frozen=True)
@@ -326,13 +336,8 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
             errors.append(f"{fault} in {kind} {name!r}")
 
     if config is not None:
-        most = _most_iterations(max(m, n))
-        if config.iterations < 1:
-            errors.append(f"iterations must be >= 1, got {config.iterations}")
-        elif config.iterations > most:
-            errors.append(f"iterations must be <= {most} for this problem, got {config.iterations}")
-        if not 0 <= config.seed < 2 ** 64:
-            errors.append(f"seed must be in [0, 2^64), got {config.seed}")
+        faults = _config_faults(config.iterations, config.seed, max(m, n))
+        errors.extend(f"{key} {fault}" for key, fault in faults)
         for k, s in enumerate(config.custom_sets, start=1):
             reason = _weight_fault(np.asarray(s, dtype=float), n)
             if reason:

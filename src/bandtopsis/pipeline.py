@@ -36,7 +36,12 @@ class RunReport:
     row chunks and equal, bit for bit, what sample_weight_matrix,
     batch_topsis and final_ranking give when run one after another. A
     chunk whose rows all keep one order is ranked and counted without a
-    sort; its ranks are the ones the stable sort would give."""
+    sort; its ranks are the ones the stable sort would give.
+
+    `rank_matrix.ranks` has the narrowest unsigned type that holds m:
+    uint8 up to m = 255, so one byte per rank, and uint16 up to 65,535.
+    Widen it before arithmetic: under NumPy 2's promotion rules (NEP 50)
+    `m + 1 - ranks` raises OverflowError at m = 255."""
 
     matrix: DecisionMatrix
     config: RunConfig

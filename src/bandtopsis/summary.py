@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .base import ProblemFormatError, _most_iterations, _name_fault, _read_json, _Shape
+from .base import ProblemFormatError, _config_faults, _name_fault, _read_json, _Shape
 
 _FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
@@ -48,9 +48,9 @@ def _names(values: list[str], where: str) -> None:
 def _check_summary(summary) -> dict:
     """Return a summary document unchanged if it has every key that
     `plot` and `rwm` read, and the whole `final` ranking, with the types,
-    lengths and ranges :func:`build_summary` writes (a seed in
-    [0, 2^64), an iteration count whose t x max(m, n) arrays numpy can
-    shape, m >= 2 distinct alternatives, n >= 1 distinct criteria,
+    lengths and ranges :func:`build_summary` writes (a config that keeps
+    the rules of base._config_faults, as a problem's must,
+    m >= 2 distinct alternatives, n >= 1 distinct criteria,
     names free of control characters and lone surrogates,
     positions a permutation of 1..m, modal scores in 1..m, non-negative
     histogram counts summing to the iteration count, and five-number
@@ -59,10 +59,7 @@ def _check_summary(summary) -> dict:
     _expect(summary, dict, "")
     config = _key(summary, "config", dict)
     iterations = _key(config, "iterations", int, "config")
-    if iterations < 1:
-        raise ProblemFormatError("summary 'config.iterations': must be >= 1")
-    if not 0 <= _key(config, "seed", int, "config") < 2 ** 64:
-        raise ProblemFormatError("summary 'config.seed': must be in [0, 2^64)")
+    seed = _key(config, "seed", int, "config")
     alternatives = _key(summary, "alternatives", list, of=str)
     m = len(alternatives)
     if m < 2:
@@ -74,9 +71,10 @@ def _check_summary(summary) -> dict:
     if not ids:
         raise ProblemFormatError("summary 'criteria': n >= 1 required, got 0")
     _names(ids, "criteria[{}].id")
-    most = _most_iterations(max(m, len(ids)))
-    if iterations > most:
-        raise ProblemFormatError(f"summary 'config.iterations': must be <= {most}")
+    faults = _config_faults(iterations, seed, max(m, len(ids)))
+    if faults:
+        key, fault = faults[0]
+        raise ProblemFormatError(f"summary 'config.{key}': {fault}")
     weights = _key(summary, "weights", list)
     for k, row in enumerate(weights):
         where = f"weights[{k}]"

@@ -92,21 +92,24 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
 def _score_body(matrix: DecisionMatrix, W: np.ndarray):
     """The distance, closeness and ranking stages as one chunk body:
     (closeness, ranks, score), where score(lo, hi) fills rows lo:hi of
-    the t x m grids `closeness` and `ranks` from rows lo:hi of `W`, and
-    returns what kernels._rank_chunk returns.
+    the t x m grids `closeness` (float64) and `ranks` (of type
+    kernels._rank_type(m)) from rows lo:hi of `W`, and returns what
+    kernels._rank_chunk returns.
 
-    d_plus is taken into the closeness rows and d_minus into the chunk's
-    own rank rows, viewed as float64, which the ranks overwrite last; so
-    no t x m distance grid and no scratch is held.
+    d_plus is taken into the closeness rows and d_minus into the calling
+    thread's chunk of float64 scratch, which the ranking then reuses for
+    its sorted values; so no t x m distance grid is held.
     """
     V = np.ascontiguousarray(vector_normalize(matrix))
     ideals = ideal_solutions(V, matrix.is_benefit)
     distances = kernels._distance_body(V, ideals.positive, ideals.negative)
-    xi = np.empty((W.shape[0], matrix.m))
-    ranks = np.empty(xi.shape, dtype=np.int64)
+    m = matrix.m
+    xi = np.empty((W.shape[0], m))
+    ranks = np.empty(xi.shape, dtype=kernels._rank_type(m))
+    scratch = kernels._chunk_scratch(W.shape[0], m)
 
     def score(lo, hi):
-        dp, dm = xi[lo:hi], ranks[lo:hi].view(np.float64)
+        dp, dm = xi[lo:hi], scratch()[:hi - lo]
         distances(W[lo:hi], dp, dm)
         total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
         if np.any(total == 0):
@@ -114,6 +117,6 @@ def _score_body(matrix: DecisionMatrix, W: np.ndarray):
                 "degenerate problem: ideal equals anti-ideal on every weighted criterion"
             )
         np.divide(dm, total, out=total)
-        return kernels._rank_chunk(dp, ranks[lo:hi])
+        return kernels._rank_chunk(dp, ranks[lo:hi], dm)
 
     return xi, ranks, score

@@ -128,18 +128,50 @@ def test_iteration_count_past_the_array_limit_exits_2_before_any_output(
     assert not out.exists()
 
 
-def test_name_the_output_stream_cannot_encode_exits_2(tmp_path):
+def _ascii_cli(tmp_path, *args):
+    """Run the CLI in a child process whose stdout encodes ASCII only, on
+    a problem whose first criterion id and first alternative are not ASCII."""
     p = tmp_path / "accent.csv"
-    p.write_text("c,g1,g2\n,max,min\n\u00e91,1,5\nb,2,7\n", encoding="utf-8")
+    p.write_text("c,\u00e9g1,g2\n,max,min\n\u00e91,1,5\nb,2,7\n", encoding="utf-8")
     package_root = Path(bandtopsis.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONIOENCODING="ascii")
-    out = subprocess.run(
-        [sys.executable, "-m", "bandtopsis.cli", "run", str(p), "--iterations", "20",
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 2, out.stderr
-    assert "'ascii' codec can't encode character" in out.stderr
+    proc = subprocess.run([sys.executable, "-m", "bandtopsis.cli", args[0], str(p), *args[1:]],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "'ascii' codec can't encode character" in proc.stderr
+    return proc
+
+
+def test_name_the_output_stream_cannot_encode_exits_2(tmp_path):
+    # the printed text is encoded before the first file is written
+    out = tmp_path / "out"
+    proc = _ascii_cli(tmp_path, "run", "--iterations", "20", "--out", str(out))
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [("topsis", "--weights", "1,1"), ("weights",)],
+                         ids=["topsis", "weights"])
+def test_a_table_the_stream_cannot_encode_prints_no_line(tmp_path, args):
+    # `weights` prints the criterion ids, `topsis` the alternatives
+    assert _ascii_cli(tmp_path, *args).stdout == ""
+
+
+@pytest.mark.parametrize("command", ["plot", "rwm"])
+def test_a_run_directory_the_stream_cannot_encode_gains_no_file(
+        social_csv, tmp_path, capsys, command):
+    out = tmp_path / "run\u00e9"
+    assert cli_main(["run", str(social_csv), "--iterations", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = sorted(p.name for p in out.iterdir())
+    package_root = Path(bandtopsis.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONIOENCODING="ascii")
+    proc = subprocess.run([sys.executable, "-m", "bandtopsis.cli", command, str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "'ascii' codec can't encode character" in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_duplicate_alternative_labels_exit_2(tmp_path, capsys):
@@ -550,6 +582,27 @@ def test_malformed_summary_exits_2_naming_the_key(
     assert err.startswith("error: summary")
     assert named in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+@pytest.mark.parametrize("key, value, fault", [
+    ("iterations", 0, "must be >= 1, got 0"),
+    ("iterations", 10 ** 30,
+     f"must be <= {sys.maxsize // 8 // 3} for this problem, got {10 ** 30}"),
+    ("seed", 2 ** 64, f"must be in [0, 2^64), got {2 ** 64}"),
+    ("seed", -1, "must be in [0, 2^64), got -1"),
+])
+def test_a_problem_and_its_summary_state_a_config_fault_alike(
+        small_summary, tmp_path, capsys, key, value, fault):
+    # a summary echoes its run's config, so both are held to the same rules
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps({**_SMALL_JSON, "iterations": 20, key: value}))
+    code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (2, f"error: {key} {fault}\n")
+    doc = (_iterations(value) if key == "iterations" else _setting(["config", key], value))(
+        copy.deepcopy(small_summary))
+    (tmp_path / "summary.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(["plot", str(tmp_path)], capsys)
+    assert (code, err) == (2, f"error: summary 'config.{key}': {fault}\n")
 
 
 # JSON that the decoder itself rejects: nesting past its recursion limit, and

@@ -220,6 +220,25 @@ def test_row_labels_match_csv_writer_bytes(tmp_path, label):
     assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
+@pytest.mark.parametrize("m", [2, 9, 10, 99, 100, 255, 256])
+def test_unsigned_rows_are_written_as_the_d_format_writes_them(tmp_path, m):
+    # t = 1030 crosses the label widths 9/10, 99/100 and 999/1000 and the
+    # block edge at 1024; m crosses the cell widths and the uint8/uint16 edge
+    from bandtopsis.io import _ROW_BLOCK
+    from bandtopsis.kernels import _rank_type
+
+    t = 1030
+    assert _ROW_BLOCK < t
+    rng = np.random.default_rng(m)
+    rows = (rng.permuted(np.tile(np.arange(1, m + 1), (t, 1)), axis=1)).astype(_rank_type(m))
+    header = ["iteration"] + [f"a{j}" for j in range(1, m + 1)]
+    _write_rows(tmp_path / "ranks.csv", header, range(1, t + 1), rows, "%d")
+    line = "%d" + ",%d" * m + "\n"
+    expected = ",".join(header) + "\n" + "".join(
+        line % (i, *row) for i, row in enumerate(rows.tolist(), start=1))
+    assert (tmp_path / "ranks.csv").read_bytes() == expected.encode("ascii")
+
+
 def test_summary_config_echo(social_report, tmp_path):
     paths = emit_tables(social_report, tmp_path)
     summary = load_summary(paths["summary"])

@@ -53,6 +53,31 @@ def test_numpy_distances_against_plain_loops():
     assert np.allclose(dm, dm_ref, atol=1e-13)
 
 
+def _two_lane_sums(w, sq):
+    """sum_j w[:, j] * sq[:, j] in the order batch_distances documents:
+    blocks of 8 criteria taking the pairs (6, 7), (4, 5), (2, 3), (0, 1),
+    then the remaining pairs in ascending order, each pair's first
+    criterion into the even lane and its second into the odd lane (an odd
+    last criterion into the even lane), then even lane + odd lane; plain
+    multiplies and adds, no fused multiply-add."""
+    n = w.shape[1]
+    full = n - n % 8
+    order = [b + j for b in range(0, full, 8) for j in (6, 7, 4, 5, 2, 3, 0, 1)]
+    lanes = [np.zeros((w.shape[0], sq.shape[0])) for _ in range(2)]
+    for k, j in enumerate(order + list(range(full, n))):
+        lanes[k % 2] += w[:, j, None] * sq[:, j]
+    return lanes[0] + lanes[1]
+
+
+def test_distances_sum_in_the_documented_two_lane_order():
+    rng = np.random.default_rng(41)
+    for n in range(1, 42):
+        V, a_pos, a_neg, W = _random_case(rng, t=9, m=5, n=n)
+        dp, dm = kernels.batch_distances(V, a_pos, a_neg, W)
+        assert np.array_equal(dp, np.sqrt(_two_lane_sums(W, (V - a_pos) ** 2))), n
+        assert np.array_equal(dm, np.sqrt(_two_lane_sums(W, (V - a_neg) ** 2))), n
+
+
 def test_numpy_ranks_against_plain_loops():
     rng = np.random.default_rng(4)
     xi = rng.uniform(size=(60, 5))
@@ -163,3 +188,31 @@ def test_rows_where_one_alternative_repeats_another_against_plain_loops(m, grid,
         xi[:, copy] = xi[:, source]
         assert np.array_equal(kernels.rank_rows(xi), _rank_rows_loops(xi)), (copy, source)
     assert len(fallbacks) == 3 * 6  # every chunk of each grid
+
+
+@pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_rank_grids_hold_one_type_from_m(m, dtype):
+    # every rank grid, built by the kernel, the pipeline or a caller, takes the
+    # narrowest unsigned type that holds m; its counts equal int64 counts
+    from bandtopsis import RankMatrix, RunConfig, rank_frequency, run_pipeline
+    from bandtopsis.model import CriterionSpec, DecisionMatrix
+
+    rng = np.random.default_rng(m)
+    t = 300
+    ranks = kernels.rank_rows(rng.uniform(size=(t, m)))
+    values = rng.uniform(0.1, 1.0, size=(m, 3))
+    matrix = DecisionMatrix([f"a{i}" for i in range(m)],
+                            [CriterionSpec(f"g{j}") for j in range(3)], values)
+    report = run_pipeline(matrix, RunConfig(iterations=t, include_critic=False))
+    caller = RankMatrix(ranks.astype(np.int64))
+    for grid in (ranks, report.rank_matrix.ranks, caller.ranks):
+        assert grid.dtype == dtype
+        wide = grid.astype(np.int64)
+        assert np.array_equal(np.sort(wide, axis=1),
+                              np.broadcast_to(np.arange(1, m + 1), wide.shape))
+        counts = np.stack([np.bincount(wide[:, j], minlength=m + 1)[1:] for j in range(m)])
+        assert np.array_equal(rank_frequency(RankMatrix(grid)), counts)
+    assert np.array_equal(caller.ranks, ranks)
+    assert np.array_equal(caller.scores, m + 1 - ranks.astype(np.int64))
+    hists = report.final.score_histograms[:, 1:]
+    assert np.array_equal(hists[:, ::-1], rank_frequency(report.rank_matrix))

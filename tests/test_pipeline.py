@@ -156,3 +156,25 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
     assert build_summary(fused) == build_summary(staged)
     if problem == "social-two-orders":
         assert len(np.unique(ranks, axis=0)) == 2
+
+
+def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypatch):
+    # on one CPU the peak is deterministic: the t x n weights and t x m
+    # closeness at 8 bytes a value, the t x m ranks at one byte, and one
+    # thread's chunk scratch (float64 distances and sorted values, the argsort
+    # order, the counting offsets and the uniform stream's blocks), allowed
+    # 3 MiB
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+    cfg = RunConfig(iterations=200_000, custom_sets=((0.05,) * 12,))
+    run_pipeline(social_matrix, RunConfig(iterations=100))  # imports and caches
+    t, m, n = cfg.iterations, social_matrix.m, social_matrix.n
+    tracemalloc.start()
+    try:
+        report = run_pipeline(social_matrix, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rank_matrix.ranks.dtype == np.uint8
+    assert peak <= t * (n + m) * 8 + t * m * 1 + 3 * 2 ** 20

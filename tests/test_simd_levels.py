@@ -1,6 +1,9 @@
-"""The ranks and the quartiles do not depend on the SIMD level numpy
-dispatches to: the kernel and golden tests run again in a child process
-whose numpy has its AVX-512 targets switched off.
+"""The ranks, the distances' summation order, the rank grids' type, the
+byte writer of ranks.csv and the quartiles do not depend on the SIMD
+level numpy dispatches to: the kernel, golden and byte-writer tests run
+again in a child process whose numpy has its AVX-512 targets switched
+off (they lean on argsort, take and einsum, which numpy dispatches by
+CPU feature).
 
 ``NPY_DISABLE_CPU_FEATURES`` is set in the child's environment only; it
 acts on that process's numpy and on nothing else."""
@@ -44,6 +47,7 @@ def test_kernel_and_golden_tests_pass_without_avx512_dispatch():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=features, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, features,
-         str(TESTS / "test_kernels.py"), str(TESTS / "test_golden.py")],
+         str(TESTS / "test_kernels.py"), str(TESTS / "test_golden.py"),
+         f"{TESTS / 'test_io.py'}::test_unsigned_rows_are_written_as_the_d_format_writes_them"],
         capture_output=True, text=True, timeout=600, env=env, cwd=TESTS.parent)
     assert proc.returncode == 0, proc.stdout + proc.stderr
