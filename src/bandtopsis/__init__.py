@@ -21,10 +21,10 @@ _SOURCES = {
     "charts": ("charts_from_summary",),
     "io": ("build_summary", "emit_rwm", "emit_tables", "parse_problem"),
     "model": ("CriterionSpec", "DecisionMatrix", "Direction", "FinalRanking", "NamedWeightSet",
-              "RandomWeightMatrix", "RankMatrix", "RunConfig", "TopsisResult", "WeightBounds",
-              "problem_violations", "validate_problem"),
+              "RankMatrix", "RunConfig", "TopsisResult", "WeightBounds", "problem_violations",
+              "validate_problem"),
     "pipeline": ("RunReport", "collect_weight_sets", "run_pipeline"),
-    "sampling": ("compute_bounds", "sample_weight_matrix"),
+    "sampling": ("RandomWeightMatrix", "compute_bounds", "sample_weight_matrix"),
     "summary": ("load_summary",),
     "topsis": ("IdealPair", "batch_topsis", "ideal_solutions", "topsis_run", "vector_normalize"),
     "weighting": ("CriticReport", "EntropyReport", "critic_weights", "entropy_weights",

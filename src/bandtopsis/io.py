@@ -27,7 +27,7 @@ from .model import (
     WeightBounds,
 )
 from .pipeline import RunReport
-from .sampling import sample_weight_matrix
+from .sampling import _WeightRows, sample_weight_matrix
 from .summary import _FIVE_NUMBERS
 
 
@@ -199,9 +199,10 @@ def _csv_label(label):
 
 def _write_rows(path: Path, header: list[str], labels, rows: np.ndarray, cell: str) -> None:
     """Write the header through csv.writer, then one line per row of a
-    t x k array: labels[i] (see _csv_label) and the row's values in
-    `cell` format ('%r' gives a float's shortest round-trip repr). Rows
-    are written one block at a time, so memory stays bounded.
+    t x k array, or of a RandomWeightMatrix's rows view: labels[i] (see
+    _csv_label) and the row's values in `cell` format ('%r' gives a
+    float's shortest round-trip repr). Rows are read, and so drawn, and
+    written one block at a time, so memory stays bounded.
 
     Unsigned integer rows under a range of labels counting up from 0 or
     more, as in ranks.csv, never become Python numbers: their lines are built as
@@ -281,24 +282,35 @@ def _lerp(a: float, b: float, g: float) -> float:
     return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
-def five_number_columns(table: np.ndarray) -> list[dict[str, float]]:
-    """min / q1 / median / q3 / max of every column of a t x k array.
+def five_number_columns(table) -> list[dict[str, float]]:
+    """min / q1 / median / q3 / max of every column of a t x k array, or
+    of the weight rows of a RandomWeightMatrix.
 
     The columns are summarized in chunks (see kernels._for_chunks), each
-    column copied into its thread's contiguous buffer, and only the order
-    statistics the five values read are put in place: three single-k
-    partitions place the median's, then the lower quartile's below it
-    and the upper quartile's above it, and the minimum and maximum are
-    swapped to the ends. A value one past a placed index is the least
-    value before the next placed one. The five values are then read with
-    the arithmetic of numpy's 'linear' method, so every value equals
+    column put into its thread's contiguous buffer: a table's column is
+    copied, and a weight column is regenerated alone (see
+    sampling._WeightRows.columns), so no t x n weight grid is drawn.
+    Only the order statistics the five values read are put in place:
+    three single-k partitions place the median's, then the lower
+    quartile's below it and the upper quartile's above it, and the
+    minimum and maximum are swapped to the ends. A value one past a
+    placed index is the least value before the next placed one. The
+    five values are then read with the arithmetic of numpy's 'linear'
+    method, so every value equals
     np.percentile(column, [0, 25, 50, 75, 100]) bit for bit, whichever
     select algorithm the CPU runs. The one exception is the sign of a
     zero result in a column that holds both 0.0 and -0.0, which this
     select and numpy's may pick differently; sampled weights and
     closeness values are never -0.0.
     """
-    table = np.asarray(table, dtype=float)
+    if isinstance(table, _WeightRows):
+        fill = table.columns()
+    else:
+        table = np.asarray(table, dtype=float)
+
+        def fill(j: int, buf: np.ndarray) -> None:
+            np.copyto(buf, table[:, j])
+
     t, k = table.shape
     picks = [_linear_pick(t, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
     k1, k2, k3 = (lo for lo, _, _ in picks[1:4])
@@ -317,7 +329,7 @@ def five_number_columns(table: np.ndarray) -> list[dict[str, float]]:
             return float(buf[i:following[i - 1] + 1].min())
 
         for j in range(first, stop):
-            np.copyto(buf, table[:, j])
+            fill(j, buf)
             # one k per call: numpy may run a SIMD select for a single k, which on an
             # AVX-512 CPU took 2 ms per 10^6 values against 15 ms for partition([k, k + 1])
             buf.partition(k2)
@@ -403,7 +415,9 @@ def emit_rwm(summary: dict, out_dir) -> dict[str, Path]:
 
     Row i is a pure function of (bounds, seed, i), and the summary records
     the bounds (its last two weights rows), the seed and t exactly, so the
-    rows equal those the run ranked, bit for bit.
+    rows equal those the run ranked, bit for bit. Each file is drawn and
+    written one block of _ROW_BLOCK rows at a time, so no t x n grid is
+    held.
     """
     lower, upper = (row["values"] for row in summary["weights"][-2:])
     try:

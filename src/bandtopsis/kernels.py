@@ -255,44 +255,46 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 1 << 15
 
 
-def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+def unit_uniforms(seed: int, start: int, count: int, stride: int = 1) -> np.ndarray:
     """Counter-based uniform doubles in [0, 1).
 
-    Value k of the stream is splitmix64 output number (start + k) for the
-    given seed: mix64(seed + (start + k + 1) * 0x9E3779B97F4A7C15), taking
-    the top 53 bits as the mantissa. A value depends only on (seed, index),
-    never on evaluation order, so any slice of the stream can be
+    Value k of the stream is splitmix64 output number start + k * stride
+    for the given seed: mix64(seed + (start + k * stride + 1) *
+    0x9E3779B97F4A7C15), taking the top 53 bits as the mantissa. A value
+    depends only on (seed, counter), never on evaluation order, so any
+    slice of the stream, or every stride-th value of it, can be
     regenerated independently and bit-identically on any platform.
 
-    The stream is computed in blocks of ``_BLOCK`` counters with in-place
+    The stream is computed in blocks of ``_BLOCK`` values with in-place
     uint64 ufuncs (arithmetic mod 2^64), writing each block's doubles
     straight into the result; the block size changes speed, never a value.
     """
     out = np.empty(int(count), dtype=np.float64)
-    _fill_uniforms(seed, start, out, _uniform_scratch(len(out)))
+    _fill_uniforms(seed, start, out, _uniform_scratch(len(out), stride), stride)
     return out
 
 
-def _uniform_scratch(count: int):
-    """The ramp 1 * gamma, 2 * gamma, ... (mod 2^64) and the two uint64
-    work arrays that _fill_uniforms needs for `count` values, one block
-    at a time."""
-    ramp = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64)
-    np.multiply(ramp, _GAMMA, out=ramp)
+def _uniform_scratch(count: int, stride: int = 1):
+    """The ramp 0, stride * gamma, 2 * stride * gamma, ... (mod 2^64) and
+    the two uint64 work arrays that _fill_uniforms needs for `count`
+    values at that stride, one block at a time."""
+    ramp = np.arange(min(count, _BLOCK), dtype=np.uint64)
+    np.multiply(ramp, np.uint64(int(stride) * int(_GAMMA) & _U64), out=ramp)
     return ramp, np.empty_like(ramp), np.empty_like(ramp)
 
 
-def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch) -> None:
-    """Write values start, start + 1, ... of the stream into the 1-D
-    float64 array `out`, working in `scratch` from _uniform_scratch(n)
-    for some n >= len(out)."""
-    count, start = len(out), int(start)
+def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch, stride: int = 1) -> None:
+    """Write values start, start + stride, start + 2 * stride, ... of the
+    stream into the 1-D float64 array `out`, working in `scratch` from
+    _uniform_scratch(n, stride) for some n >= len(out)."""
+    count, start, stride = len(out), int(start), int(stride)
     ramp, z, tmp = scratch
     for lo in range(0, count, _BLOCK):
         k = min(_BLOCK, count - lo)
         zb, tb = z[:k], tmp[:k]
-        # (start + lo + i) * gamma + seed for i = 1..k, in one add mod 2^64
-        np.add(ramp[:k], np.uint64(((start + lo) * int(_GAMMA) + int(seed)) & _U64), out=zb)
+        # (start + (lo + i) * stride + 1) * gamma + seed for i = 0..k-1, in one add mod 2^64
+        offset = (start + lo * stride + 1) * int(_GAMMA) + int(seed)
+        np.add(ramp[:k], np.uint64(offset & _U64), out=zb)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(zb, np.uint64(shift), out=tb)
             np.bitwise_xor(zb, tb, out=zb)

@@ -157,17 +157,6 @@ class WeightBounds:
 
 
 @dataclass(frozen=True)
-class RandomWeightMatrix:
-    """t sampled weight rows, t x n. The run's config and bounds record
-    the t, seed and band that drew them."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _readonly(self.rows, float))
-
-
-@dataclass(frozen=True)
 class TopsisResult:
     """Closeness vector and 1-based rank permutation for one evaluation."""
 

@@ -1,5 +1,5 @@
 """End-to-end orchestration: weights -> bounds -> sampling -> batch
-ranking -> aggregation, with every intermediate retained for reporting."""
+ranking -> aggregation, keeping what the outputs are made from."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ import numpy as np
 
 from .aggregate import _RankCounts, _rank_by_mode
 from .base import ComputationError
-from .kernels import _chunk_rows, _for_chunks
+from .kernels import _chunk_rows, _for_chunks, _per_thread
 from .model import (
     DecisionMatrix,
     FinalRanking,
     NamedWeightSet,
-    RandomWeightMatrix,
     RankMatrix,
     RunConfig,
     WeightBounds,
@@ -22,7 +21,7 @@ from .model import (
     _readonly,
     validate_problem,
 )
-from .sampling import _draw_body, compute_bounds
+from .sampling import RandomWeightMatrix, _draw_body, compute_bounds
 from .topsis import _score_body
 from .weighting import critic_weights, entropy_weights, normalize_custom_set
 
@@ -32,11 +31,13 @@ class RunReport:
     """Everything a run produced, sufficient to re-derive every output
     file. Re-running with the echoed config reproduces it exactly.
 
-    `rwm.rows`, `closeness` and `rank_matrix` are filled by one pass over
-    row chunks and equal, bit for bit, what sample_weight_matrix,
-    batch_topsis and final_ranking give when run one after another. A
-    chunk whose rows all keep one order is ranked and counted without a
-    sort; its ranks are the ones the stable sort would give.
+    `closeness` and `rank_matrix` are filled by one pass over row
+    chunks and equal, bit for bit, what batch_topsis and final_ranking
+    give on the rows of `rwm`. The weight rows themselves are not held:
+    `rwm` describes the draw (bounds, t and seed), and its `rows` view
+    regenerates any row or column bit for bit. A chunk whose rows all
+    keep one order is ranked and counted without a sort; its ranks are
+    the ones the stable sort would give.
 
     `rank_matrix.ranks` has the narrowest unsigned type that holds m:
     uint8 up to m = 255, so one byte per rank, and uint16 up to 65,535.
@@ -85,25 +86,28 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     """Validate the problem and run the full randomized-band ranking.
 
     The t-sized stages run as one pass over row chunks: each chunk's
-    weight rows are drawn, scored, ranked and counted while they are in
-    cache, by the same chunk bodies that sample_weight_matrix,
-    batch_topsis and rank_frequency run alone.
+    weight rows are drawn into the calling thread's chunk scratch, then
+    scored, ranked and counted while they are in cache, by the same
+    chunk bodies that np.asarray(rwm.rows), batch_topsis and
+    rank_frequency run alone. No t x n weight grid is held.
     """
     config = config or RunConfig()
     validate_problem(matrix, config)
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
-    t = config.iterations
-    rows, draw = _draw_body(bounds, t, config.seed)
-    xi, ranks, score = _score_body(matrix, rows)
+    t, step = config.iterations, _chunk_rows(matrix.m)
+    rwm = RandomWeightMatrix(bounds, t, config.seed)
+    draw = _draw_body(rwm, min(t, step))
+    weights = _per_thread(lambda: np.empty((min(t, step), bounds.n)))
+    xi, ranks, score = _score_body(matrix, t)
     counts = _RankCounts(matrix.m)
 
     def chunk(lo, hi):
-        draw(lo, hi)
-        counts.add(ranks[lo:hi], score(lo, hi))
+        w = weights()[:hi - lo]
+        draw(lo, hi, w)
+        counts.add(ranks[lo:hi], score(lo, hi, w))
 
-    _for_chunks(t, _chunk_rows(matrix.m), chunk)
-    rwm = RandomWeightMatrix(_Owned(rows))
+    _for_chunks(t, step, chunk)
     rm = RankMatrix(_Owned(ranks))
     final = _rank_by_mode(counts.grid(), xi)
     return RunReport(matrix, config, tuple(sets), bounds, rwm, _Owned(xi), rm, final)

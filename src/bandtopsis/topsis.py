@@ -84,17 +84,18 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
     W = np.ascontiguousarray(np.asarray(weight_rows, dtype=float))
     if W.ndim != 2:
         raise ValueError("weight_rows must be a 2-D array (iterations x criteria)")
-    xi, ranks, score = _score_body(matrix, W)
-    kernels._for_chunks(W.shape[0], kernels._chunk_rows(matrix.m), score)
+    xi, ranks, score = _score_body(matrix, W.shape[0])
+    kernels._for_chunks(W.shape[0], kernels._chunk_rows(matrix.m),
+                        lambda lo, hi: score(lo, hi, W[lo:hi]))
     return xi, ranks
 
 
-def _score_body(matrix: DecisionMatrix, W: np.ndarray):
+def _score_body(matrix: DecisionMatrix, t: int):
     """The distance, closeness and ranking stages as one chunk body:
-    (closeness, ranks, score), where score(lo, hi) fills rows lo:hi of
-    the t x m grids `closeness` (float64) and `ranks` (of type
-    kernels._rank_type(m)) from rows lo:hi of `W`, and returns what
-    kernels._rank_chunk returns.
+    (closeness, ranks, score), where score(lo, hi, w) fills rows lo:hi
+    of the t x m grids `closeness` (float64) and `ranks` (of type
+    kernels._rank_type(m)) from the chunk's weight rows `w`, and returns
+    what kernels._rank_chunk returns.
 
     d_plus is taken into the closeness rows and d_minus into the calling
     thread's chunk of float64 scratch, which the ranking then reuses for
@@ -104,13 +105,13 @@ def _score_body(matrix: DecisionMatrix, W: np.ndarray):
     ideals = ideal_solutions(V, matrix.is_benefit)
     distances = kernels._distance_body(V, ideals.positive, ideals.negative)
     m = matrix.m
-    xi = np.empty((W.shape[0], m))
+    xi = np.empty((t, m))
     ranks = np.empty(xi.shape, dtype=kernels._rank_type(m))
-    scratch = kernels._chunk_scratch(W.shape[0], m)
+    scratch = kernels._chunk_scratch(t, m)
 
-    def score(lo, hi):
+    def score(lo, hi, w):
         dp, dm = xi[lo:hi], scratch()[:hi - lo]
-        distances(W[lo:hi], dp, dm)
+        distances(w, dp, dm)
         total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
         if np.any(total == 0):
             raise ComputationError(

@@ -200,12 +200,21 @@ def test_acceptance_matches_invariant_evaluation(matrix):
 
 # --------------------------------------------- defensive copies and locking
 
-def test_random_weight_matrix_copies_caller_rows():
-    rows = np.array([[0.2, 0.3], [0.25, 0.35]])
-    rwm = RandomWeightMatrix(rows)
-    rows[0, 0] = 9.0
-    assert rwm.rows[0, 0] == 0.2
-    assert not rwm.rows.flags.writeable
+def test_random_weight_matrix_rows_are_a_read_only_view():
+    # the matrix holds the description of its draw; each read draws a new array
+    lower, upper = np.array([0.2, 0.3]), np.array([0.25, 0.35])
+    rwm = RandomWeightMatrix(WeightBounds(lower, upper), 2, seed=5)
+    first = rwm.rows[0].copy()
+    lower[0] = 0.0  # the bounds copied the caller's vectors
+    drawn = rwm.rows[0]
+    drawn[0] = 9.0  # a drawn row is the caller's own
+    assert np.array_equal(rwm.rows[0], first) and 0.2 <= first[0] <= 0.25
+    with pytest.raises(TypeError):
+        rwm.rows[0, 0] = 9.0
+    with pytest.raises(TypeError):
+        np.add(first, 1.0, out=rwm.rows)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rwm.seed = 6
 
 
 def test_rank_matrix_copies_caller_ranks():

@@ -121,7 +121,7 @@ def test_pipeline_rank_rows_are_permutations(wide):
 
 
 def _report_arrays(report):
-    return [a.tobytes() for a in (
+    return [np.asarray(a).tobytes() for a in (
         report.rwm.rows, report.closeness, report.rank_matrix.ranks, report.final.positions,
         report.final.modal_scores, report.final.score_histograms, report.final.mean_scores,
         report.final.mean_closeness)]
@@ -159,17 +159,17 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
 
 
 def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypatch):
-    # on one CPU the peak is deterministic: the t x n weights and t x m
-    # closeness at 8 bytes a value, the t x m ranks at one byte, and one
-    # thread's chunk scratch (float64 distances and sorted values, the argsort
+    # on one CPU the peak is deterministic: the t x m closeness at 8 bytes a
+    # value, the t x m ranks at one byte, and one thread's chunk scratch (the
+    # chunk's weight rows, float64 distances and sorted values, the argsort
     # order, the counting offsets and the uniform stream's blocks), allowed
-    # 3 MiB
+    # 3 MiB; no t x n weight grid is held
     import tracemalloc
 
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
     cfg = RunConfig(iterations=200_000, custom_sets=((0.05,) * 12,))
     run_pipeline(social_matrix, RunConfig(iterations=100))  # imports and caches
-    t, m, n = cfg.iterations, social_matrix.m, social_matrix.n
+    t, m = cfg.iterations, social_matrix.m
     tracemalloc.start()
     try:
         report = run_pipeline(social_matrix, cfg)
@@ -177,4 +177,26 @@ def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypat
     finally:
         tracemalloc.stop()
     assert report.rank_matrix.ranks.dtype == np.uint8
-    assert peak <= t * (n + m) * 8 + t * m * 1 + 3 * 2 ** 20
+    assert peak <= t * m * 8 + t * m * 1 + 3 * 2 ** 20
+
+
+def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, monkeypatch):
+    # on one CPU: one t-float column buffer, into which each weight column is
+    # regenerated through the uniform stream's three blocks of 2^15 words,
+    # allowed 256 KiB for the rest; no t x n weight grid is drawn
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+    report = run_pipeline(social_matrix, RunConfig(iterations=200_000,
+                                                   custom_sets=((0.05,) * 12,)))
+    build_summary(run_pipeline(social_matrix, RunConfig(iterations=100)))  # imports and caches
+    t = report.config.iterations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = build_summary(report)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(summary["rwm_summary"]) == social_matrix.n
+    assert peak <= t * 8 + 3 * 8 * kernels._BLOCK + 2 ** 18

@@ -79,13 +79,14 @@ def test_rwm_rebuilds_the_rows_the_run_ranked(social_csv, tmp_path, capsys, args
     text = (out / "rwm.csv").read_text(encoding="utf-8")
     parsed = np.array([[float(v) for v in line.split(",")[1:]]
                        for line in text.splitlines()[1:]])
-    assert parsed.shape == report.rwm.rows.shape
-    assert np.array_equal(parsed.view(np.uint64), report.rwm.rows.view(np.uint64))
+    rows = np.asarray(report.rwm.rows)
+    assert parsed.shape == rows.shape
+    assert np.array_equal(parsed.view(np.uint64), rows.view(np.uint64))
 
     ids = matrix.criterion_ids()
-    assert _first_difference(text, _per_cell_csv(ids, report.rwm.rows, repr)) is None
+    assert _first_difference(text, _per_cell_csv(ids, rows, repr)) is None
     display = (out / "rwm_display.csv").read_text(encoding="utf-8")
-    want = _per_cell_csv(ids, report.rwm.rows, lambda v: f"{v:.3f}")
+    want = _per_cell_csv(ids, rows, lambda v: f"{v:.3f}")
     assert _first_difference(display, want) is None
 
 
@@ -95,3 +96,27 @@ def test_rwm_accepts_the_summary_path(social_csv, tmp_path, capsys):
     assert cli_main(["rwm", str(out / "summary.json")]) == 0
     capsys.readouterr()
     assert len((out / "rwm.csv").read_text().splitlines()) == 21
+
+
+def test_rwm_draws_and_writes_one_block_of_rows_at_a_time(tmp_path):
+    # two criteria keep the traced formatting of 2 * 10^5 lines short; their
+    # t x n float64 grid is 3.05 MiB, and one block of 1,024 rows, as
+    # doubles, Python floats and lines, stays within 1 MiB
+    import tracemalloc
+
+    from bandtopsis import build_summary
+    from bandtopsis.io import emit_rwm
+    from conftest import make_matrix
+
+    matrix = make_matrix([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]], ["max", "max"])
+    summary = build_summary(run_pipeline(matrix, RunConfig(iterations=200_000)))
+    emit_rwm(build_summary(run_pipeline(matrix, RunConfig(iterations=10))), tmp_path)
+    tracemalloc.start()
+    try:
+        paths = emit_rwm(summary, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20 < 200_000 * matrix.n * 8
+    with open(paths["rwm"], "rb") as f:
+        assert sum(1 for _ in f) == 200_001

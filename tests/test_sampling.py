@@ -14,6 +14,7 @@ from bandtopsis import (
 )
 from bandtopsis import kernels
 from bandtopsis.kernels import unit_uniforms
+from bandtopsis.io import five_number_columns
 from bandtopsis.sampling import _draw_body
 from conftest import REF_LOWER, REF_UPPER
 
@@ -80,12 +81,12 @@ def test_same_seed_reproduces_bitwise():
 
 
 def _drawn_one_at_a_time(bounds, t, seed, row_indices):
-    """The t x n buffer of the draw body after drawing each of
-    `row_indices`, in that order, as a range of one row."""
-    rows, draw = _draw_body(bounds, t, seed)
-    rows[...] = np.nan
+    """A t x n array of NaN after the draw body has drawn each of
+    `row_indices` into it, in that order, as a range of one row."""
+    draw = _draw_body(sample_weight_matrix(bounds, t, seed), 1)
+    rows = np.full((t, bounds.n), np.nan)
     for i in row_indices:
-        draw(i, i + 1)
+        draw(i, i + 1, rows[i:i + 1])
     return rows
 
 
@@ -161,9 +162,9 @@ _M64 = 2 ** 64 - 1
 _B = kernels._BLOCK
 
 
-def _plain_splitmix64(seed: int, start: int, count: int) -> list[float]:
+def _plain_splitmix64(seed: int, start: int, count: int, stride: int = 1) -> list[float]:
     out = []
-    for k in range(start, start + count):
+    for k in range(start, start + count * stride, stride):
         z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & _M64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
@@ -193,6 +194,58 @@ def test_single_rows_match_matrix_across_a_block_boundary():
     edge = _B // n
     assert edge * n < _B < (edge + 1) * n
     t = 2 * edge + 5
-    full = sample_weight_matrix(b, t, seed=2 ** 64 - 3).rows
+    full = np.asarray(sample_weight_matrix(b, t, seed=2 ** 64 - 3).rows)
     rows = [0, edge - 1, edge, edge + 1, 2 * edge, 2 * edge + 1, 2 * edge + 4]
     assert np.array_equal(_drawn_one_at_a_time(b, t, 2 ** 64 - 3, rows)[rows], full[rows])
+
+
+@pytest.mark.parametrize("stride", [1, 2, 12, 40])
+@pytest.mark.parametrize("count", [_B - 1, _B, _B + 1, 2 * _B + 3])
+def test_strided_uniforms_equal_plain_integer_splitmix64(stride, count):
+    # value k is stream value start + k * stride, on both sides of a block edge
+    seed, start = 2 ** 64 - 7, 2 ** 40 + 3
+    u = unit_uniforms(seed, start, count, stride)
+    assert u.tolist() == _plain_splitmix64(seed, start, count, stride)
+
+
+# -------------------------------------------------- the regenerated rows view
+
+def _view_cases(n):
+    """(rwm, its rows drawn whole): a band of n criteria over t rows that
+    span three chunks of np.asarray and a stream block edge."""
+    lower = np.linspace(0.0, 0.3, n)
+    b = WeightBounds(lower, lower + np.linspace(0.4, 0.0, n))
+    t = 3 * kernels._chunk_rows(n) + 5
+    rwm = sample_weight_matrix(b, t, seed=2 ** 64 - 11)
+    return rwm, np.asarray(rwm.rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 12, 40])
+def test_indexed_rows_equal_slices_of_the_whole_grid(n, cpus, monkeypatch):
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    rwm, full = _view_cases(n)
+    rows = rwm.rows
+    t, edge = full.shape[0], kernels._chunk_rows(n)
+    assert rows.shape == full.shape == (t, n)
+    keys = [0, edge - 1, edge, -1, slice(None), slice(edge - 3, edge + 4),
+            slice(2 * edge - 1, None), slice(None, None, 7), slice(None, None, -3),
+            slice(5, 5), (slice(None), 0), (slice(None), n - 1), (slice(edge - 2, 3 * edge), -1),
+            (edge + 1, slice(None, None, 2)), (slice(1, None, 5), slice(None, None, -1))]
+    keys += [(slice(None), j) for j in range(n)]
+    for key in keys:
+        got = rows[key]
+        assert got.dtype == np.float64 and got.shape == full[key].shape, key
+        assert got.tobytes() == full[key].tobytes(), key
+    with pytest.raises(IndexError):
+        rows[t]
+    with pytest.raises(IndexError):
+        rows[0, n]
+    with pytest.raises(IndexError):
+        rows[0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40])
+def test_regenerated_rwm_summary_equals_the_summary_of_the_whole_grid(n):
+    rwm, full = _view_cases(n)
+    assert five_number_columns(rwm.rows) == five_number_columns(full)

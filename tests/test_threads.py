@@ -68,7 +68,7 @@ def _bounds(n):
 
 def _sampling(t):
     b = _bounds(7)
-    return lambda: sample_weight_matrix(b, t, 2 ** 64 - 5).rows
+    return lambda: np.asarray(sample_weight_matrix(b, t, 2 ** 64 - 5).rows)
 
 
 def _distances(t):
@@ -143,7 +143,8 @@ def test_more_workers_than_cpus_with_frequent_switches_match_inline(monkeypatch)
 
     def stages():
         ranks = kernels.rank_rows(xi)
-        return (sample_weight_matrix(_bounds(7), 3000, 1).rows.tobytes(), ranks.tobytes(),
+        return (np.asarray(sample_weight_matrix(_bounds(7), 3000, 1).rows).tobytes(),
+                ranks.tobytes(),
                 rank_frequency(RankMatrix(ranks)).tobytes(), five_number_columns(table))
 
     inline = _with_cpus(monkeypatch, 1, stages)
@@ -163,7 +164,7 @@ def _report_bytes(report):
               report.final.positions, report.final.modal_scores,
               report.final.score_histograms, report.final.mean_scores,
               report.final.mean_closeness)
-    return [a.tobytes() for a in arrays], json.dumps(build_summary(report))
+    return [np.asarray(a).tobytes() for a in arrays], json.dumps(build_summary(report))
 
 
 def test_pipeline_and_summary_do_not_depend_on_the_cpu_count(social_matrix, monkeypatch, pools):
@@ -171,7 +172,8 @@ def test_pipeline_and_summary_do_not_depend_on_the_cpu_count(social_matrix, monk
     one = _with_cpus(monkeypatch, 1, lambda: _report_bytes(run_pipeline(social_matrix, config)))
     assert not pools
     three = _with_cpus(monkeypatch, 3, lambda: _report_bytes(run_pipeline(social_matrix, config)))
-    assert len(pools) == 3  # the one pass over row chunks, then both summaries
+    # the one pass over row chunks, the weight grid drawn for its bytes, then both summaries
+    assert len(pools) == 4
     assert one == three
 
 
