@@ -199,8 +199,9 @@ def _csv_label(label):
 
 def _write_rows(path: Path, header: list[str], labels, rows: np.ndarray, cell: str) -> None:
     """Write the header through csv.writer, then one line per row of a
-    t x k array, or of a RandomWeightMatrix's rows view: labels[i] (see
-    _csv_label) and the row's values in `cell` format ('%r' gives a
+    t x k array, or of a RandomWeightMatrix's rows view, of which only
+    `shape`, `dtype` and runs of rows `rows[lo:hi]` are read: labels[i]
+    (see _csv_label) and the row's values in `cell` format ('%r' gives a
     float's shortest round-trip repr). Rows are read, and so drawn, and
     written one block at a time, so memory stays bounded.
 
@@ -288,8 +289,8 @@ def five_number_columns(table) -> list[dict[str, float]]:
 
     The columns are summarized in chunks (see kernels._for_chunks), each
     column put into its thread's contiguous buffer: a table's column is
-    copied, and a weight column is regenerated alone (see
-    sampling._WeightRows.columns), so no t x n weight grid is drawn.
+    copied, and a weight column is regenerated alone by the rows view's
+    columns(), so no t x n weight grid is drawn.
     Only the order statistics the five values read are put in place:
     three single-k partitions place the median's, then the lower
     quartile's below it and the upper quartile's above it, and the

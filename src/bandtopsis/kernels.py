@@ -255,22 +255,22 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 1 << 15
 
 
-def unit_uniforms(seed: int, start: int, count: int, stride: int = 1) -> np.ndarray:
+def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Counter-based uniform doubles in [0, 1).
 
-    Value k of the stream is splitmix64 output number start + k * stride
-    for the given seed: mix64(seed + (start + k * stride + 1) *
-    0x9E3779B97F4A7C15), taking the top 53 bits as the mantissa. A value
-    depends only on (seed, counter), never on evaluation order, so any
-    slice of the stream, or every stride-th value of it, can be
-    regenerated independently and bit-identically on any platform.
+    Value k of the stream is splitmix64 output number start + k for the
+    given seed: mix64(seed + (start + k + 1) * 0x9E3779B97F4A7C15),
+    taking the top 53 bits as the mantissa. A value depends only on
+    (seed, counter), never on evaluation order, so any slice of the
+    stream can be regenerated independently and bit-identically on any
+    platform; _fill_uniforms also takes every stride-th value.
 
     The stream is computed in blocks of ``_BLOCK`` values with in-place
     uint64 ufuncs (arithmetic mod 2^64), writing each block's doubles
     straight into the result; the block size changes speed, never a value.
     """
     out = np.empty(int(count), dtype=np.float64)
-    _fill_uniforms(seed, start, out, _uniform_scratch(len(out), stride), stride)
+    _fill_uniforms(seed, start, out, _uniform_scratch(len(out)))
     return out
 
 

@@ -178,10 +178,6 @@ class RankMatrix:
     under NumPy 2's promotion rules (NEP 50) `m + 1 - ranks` raises
     OverflowError at m = 255, where 256 does not fit uint8.
 
-    Scores are derived, not stored: score = m + 1 - rank, so rank 1 maps
-    to the highest score m. :attr:`scores` takes it as (m - rank) + 1,
-    which stays within the rank type.
-
     Caller arrays are checked row by row and then copied into the rank
     type. Ranks handed over in :class:`_Owned` come from
     :func:`bandtopsis.kernels.rank_rows`, which builds every row as a
@@ -207,10 +203,6 @@ class RankMatrix:
     @property
     def m(self) -> int:
         return self.ranks.shape[1]
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.m - self.ranks + 1
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ class RunReport:
     chunks and equal, bit for bit, what batch_topsis and final_ranking
     give on the rows of `rwm`. The weight rows themselves are not held:
     `rwm` describes the draw (bounds, t and seed), and its `rows` view
-    regenerates any row or column bit for bit. A chunk whose rows all
-    keep one order is ranked and counted without a sort; its ranks are
-    the ones the stable sort would give.
+    regenerates a row, a run of rows, a column of every row or the whole
+    grid bit for bit. A chunk whose rows all keep one order is ranked and
+    counted without a sort; its ranks are the ones the stable sort would
+    give.
 
     `rank_matrix.ranks` has the narrowest unsigned type that holds m:
     uint8 up to m = 255, so one byte per rank, and uint16 up to 65,535.

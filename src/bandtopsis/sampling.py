@@ -6,10 +6,10 @@ stream value i * n + j moved into its band, lower_j + u * width_j, so
 every entry is a pure function of (bounds, seed, i, j), whatever the
 fill order or thread schedule. No t x n grid is held: a
 RandomWeightMatrix is the description of a draw, and its `rows` view
-regenerates only what is indexed. One chunk body, _draw_body, draws
-runs of whole rows, for run_pipeline, np.asarray(rows), row slices and
-`bandtopsis rwm` alike; a column, or rows at a step, is drawn alone at
-a counter stride of n (or step * n) by _draw_column.
+draws only what is read. One chunk body, _draw_body, draws runs of
+whole rows, for run_pipeline, np.asarray(rows), a row, a run of rows
+and `bandtopsis rwm` alike; a column of every row, for the rwm_summary
+quartiles, is drawn alone at a counter stride of n by rows.columns().
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import _config_faults
 from .kernels import _chunk_rows, _fill_uniforms, _for_chunks, _per_thread, _uniform_scratch
 from .model import NamedWeightSet, WeightBounds
 
@@ -43,22 +44,27 @@ class RandomWeightMatrix:
     """t weight rows drawn from a band, t x n, held as the description
     of the draw: the bounds, the iteration count t and the seed.
 
-    `rows` is a read-only view of the t x n rows that regenerates only
-    what is indexed: `rows[i]`, `rows[lo:hi]` or `rows[:, j]` (any int
-    or slice in either place) returns a new float64 array, and
+    `rows` is a read-only view of the t x n rows that draws only what is
+    read: `rows[i]` is one row and `rows[lo:hi]` a run of rows, each a
+    new float64 array; `rows.columns()` fills one column of every row;
     np.asarray(rows) fills the whole grid. Every value is the one the
-    run ranked, bit for bit."""
+    run ranked, bit for bit.
+
+    t and the seed keep the rules of a run's config (see
+    base._config_faults): a seed outside [0, 2^64) raises ValueError
+    rather than naming another seed's stream."""
 
     bounds: WeightBounds
     iterations: int
     seed: int
 
     def __post_init__(self):
-        iterations = operator.index(self.iterations)
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        iterations, seed = operator.index(self.iterations), operator.index(self.seed)
+        faults = _config_faults(iterations, seed, self.bounds.n)
+        if faults:
+            raise ValueError("; ".join(f"{key} {fault}" for key, fault in faults))
         object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def rows(self) -> "_WeightRows":
@@ -95,23 +101,10 @@ def _draw_body(rwm: RandomWeightMatrix, most: int):
     return draw
 
 
-def _draw_column(rwm: RandomWeightMatrix, j: int, rows: range, out: np.ndarray, scratch) -> None:
-    """Write entry j of each of the weight rows `rows` (a range of row
-    indices, at any step) into the 1-D float64 array `out`: the stream's
-    values from counter rows.start * n + j at a stride of rows.step * n,
-    moved into band j in place, working in `scratch` from
-    kernels._uniform_scratch(len(rows), rows.step * n)."""
-    n = rwm.bounds.n
-    _fill_uniforms(rwm.seed, rows.start * n + j, out, scratch, rows.step * n)
-    np.multiply(out, rwm.bounds.width[j], out=out)
-    np.add(out, rwm.bounds.lower[j], out=out)
-
-
-class _WeightRows(np.lib.mixins.NDArrayOperatorsMixin):
+class _WeightRows:
     """The t x n rows of a RandomWeightMatrix as a read-only view (see
-    RandomWeightMatrix). It holds no values: indexing and np.asarray
-    draw fresh arrays, which the caller owns, and a ufunc or arithmetic
-    operator takes the whole grid as np.asarray does."""
+    RandomWeightMatrix). It holds no values: a read draws a fresh array,
+    which the caller owns."""
 
     dtype = np.dtype(np.float64)
 
@@ -129,35 +122,33 @@ class _WeightRows(np.lib.mixins.NDArrayOperatorsMixin):
         _for_chunks(t, step, lambda lo, hi: draw(lo, hi, out[lo:hi]))
         return out if dtype is None else out.astype(dtype, copy=False)
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if any(isinstance(o, _WeightRows) for o in kwargs.get("out", ())):
-            return NotImplemented  # read-only
-        inputs = [np.asarray(x) if isinstance(x, _WeightRows) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
     def columns(self):
         """A function fill(j, out) that writes column j of every row into
-        the 1-D float64 array `out` of length t, drawn alone at a counter
-        stride of n, in the calling thread's own stream scratch."""
+        the 1-D float64 array `out` of length t: the stream's values from
+        counter j at a stride of n, moved into band j in place, drawn in
+        the calling thread's own stream scratch."""
         t, n = self.shape
+        seed, lower, width = self._rwm.seed, self._rwm.bounds.lower, self._rwm.bounds.width
         scratch = _per_thread(lambda: _uniform_scratch(t, n))
-        return lambda j, out: _draw_column(self._rwm, j, range(t), out, scratch())
+
+        def fill(j, out):
+            _fill_uniforms(seed, j, out, scratch(), n)
+            np.multiply(out, width[j], out=out)
+            np.add(out, lower[j], out=out)
+
+        return fill
 
     def __getitem__(self, key):
-        key = key if isinstance(key, tuple) else (key,)
-        if len(key) > 2:
-            raise IndexError(f"too many indices: the weight rows are 2-D, got {len(key)}")
-        row_key, col_key = key + (slice(None),) * (2 - len(key))
+        """Row `key` (an int) or the rows `key` (a slice of step 1) as a
+        new array; any other key raises IndexError."""
         t, n = self.shape
-        rows, cols = range(t)[row_key], range(n)[col_key]  # an int, or a range for a slice
-        row_range = rows if isinstance(rows, range) else range(rows, rows + 1)
-        col_range = cols if isinstance(cols, range) else range(cols, cols + 1)
-        out = np.empty((len(row_range), len(col_range)))
-        if row_range.step == 1 and col_range == range(n):
-            _draw_body(self._rwm, len(row_range))(row_range.start, row_range.stop, out)
-        else:
-            scratch = _uniform_scratch(len(row_range), row_range.step * n)
-            for k, j in enumerate(col_range):
-                _draw_column(self._rwm, j, row_range, out[:, k], scratch)
-        return out[0 if isinstance(rows, int) else slice(None),
-                   0 if isinstance(cols, int) else slice(None)]
+        try:
+            rows = range(t)[key]  # an int, or a range for a slice
+        except TypeError:
+            rows = None
+        run = range(rows, rows + 1) if isinstance(rows, int) else rows
+        if run is None or run.step != 1:
+            raise IndexError(f"weight rows take a row or a slice of step 1, got {key!r}")
+        out = np.empty((len(run), n))
+        _draw_body(self._rwm, len(run))(run.start, run.start + len(run), out)
+        return out if run is rows else out[0]

@@ -178,8 +178,8 @@ def test_criterion_09_sampling_contracts():
         a = rng.uniform(0, 0.5, size=n)
         b = rng.uniform(0, 0.5, size=n)
         bounds = WeightBounds(np.minimum(a, b), np.maximum(a, b))
-        rwm = sample_weight_matrix(bounds, 500, int(rng.integers(0, 2 ** 32)))
-        containment_ok &= bool(np.all(rwm.rows >= bounds.lower) and np.all(rwm.rows <= bounds.upper))
+        rows = np.asarray(sample_weight_matrix(bounds, 500, int(rng.integers(0, 2 ** 32))).rows)
+        containment_ok &= bool(np.all(rows >= bounds.lower) and np.all(rows <= bounds.upper))
 
     bounds = WeightBounds([0.1, 0.0, 0.3], [0.2, 1.0, 0.9])
     full = np.asarray(sample_weight_matrix(bounds, 1000, seed=1234).rows)
@@ -191,7 +191,7 @@ def test_criterion_09_sampling_contracts():
     determinism_ok = np.array_equal(full, again) and np.array_equal(full, reversed_fill)
 
     wide = WeightBounds([0.2], [0.8])
-    rows = sample_weight_matrix(wide, 100_000, seed=5).rows[:, 0]
+    rows = np.asarray(sample_weight_matrix(wide, 100_000, seed=5).rows)[:, 0]
     mid = 0.5
     mean_ok = abs(rows.mean() - mid) <= 0.01 * mid
 

@@ -37,23 +37,10 @@ def brute_force_positions(rank_rows, xi_rows):
 
 # ------------------------------------------------------------- rank matrix
 
-def test_scores_mirror_ranks():
-    rm = build_rank_matrix(np.array([[1, 2, 6, 3, 4, 5]]))
-    assert rm.scores[0].tolist() == [6, 5, 1, 4, 3, 2]
-    assert np.all(rm.scores + rm.ranks == rm.m + 1)
-
-
 def test_single_iteration_matrix():
     rm = build_rank_matrix(np.array([[1, 2]]))
     assert rm.t == 1
     assert rm.ranks[0].tolist() == [1, 2]
-
-
-def test_rank_score_round_trip():
-    row = np.array([[1, 2, 6, 3, 4, 5]])
-    rm = build_rank_matrix(row)
-    back = rm.m + 1 - rm.scores
-    assert np.array_equal(back, row)
 
 
 @pytest.mark.parametrize("ranks", [[1, 2, 3], [[1, 2, 2]], [[0, 1, 2]], [[1, 2], [2, 3]]],
@@ -171,13 +158,13 @@ def test_histograms_and_mean_scores_match_per_column_scores():
         m = int(rng.integers(1, 8))
         t = int(rng.integers(1, 40))
         rows = np.array([rng.permutation(m) + 1 for _ in range(t)])
-        rm = build_rank_matrix(rows)
-        fin = final_ranking(rm, rng.uniform(size=(t, m)))
+        fin = final_ranking(build_rank_matrix(rows), rng.uniform(size=(t, m)))
+        scores = m + 1 - rows
         for j in range(m):
-            mode, hist = modal_score(rm.scores[:, j], m)
+            mode, hist = modal_score(scores[:, j], m)
             assert fin.modal_scores[j] == mode
             assert np.array_equal(fin.score_histograms[j], hist)
-        assert fin.mean_scores.tobytes() == rm.scores.mean(axis=0).tobytes()
+        assert fin.mean_scores.tobytes() == scores.mean(axis=0).tobytes()
 
 
 def test_closeness_shape_mismatch_rejected():

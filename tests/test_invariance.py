@@ -13,11 +13,14 @@ D, and a small weight by many of its own ulps. Every weight row (each
 set and the band limits) is held to 4 ulps of 1 over D.
 """
 
+import json
+
 import numpy as np
 
 from bandtopsis import (
     RunConfig,
     batch_topsis,
+    build_summary,
     collect_weight_sets,
     compute_bounds,
     entropy_weights,
@@ -58,6 +61,9 @@ def _assert_weights_close(rows_a, rows_b, tol, columns=slice(None)):
 
 
 def test_scaling_one_column_keeps_the_ranking():
+    # a separate stream for the power-of-two exponents keeps the problems
+    # and scale factors that _problems(1) and rng give
+    exponents = np.random.default_rng(101)
     for k, (rng, values, directions, report) in enumerate(_problems(1)):
         j = rng.integers(values.shape[1])
         scaled = values.copy()
@@ -69,6 +75,19 @@ def test_scaling_one_column_keeps_the_ranking():
         assert np.array_equal(a.modal_scores, b.modal_scores), k
         _assert_weights_close(report.weight_table(), other.weight_table(),
                               _weight_tolerance(values, directions))
+        # a power of two scales every column sum, spread and norm exactly,
+        # so the weights, the closeness and every summarised value keep their bits
+        scaled = values.copy()
+        scaled[:, j] = np.ldexp(scaled[:, j], int(exponents.integers(-150, 151)))
+        exact = run_pipeline(make_matrix(scaled, directions), RunConfig(iterations=T))
+        for (name_a, w_a), (name_b, w_b) in zip(report.weight_table(), exact.weight_table(),
+                                                 strict=True):
+            assert name_a == name_b and w_a.tobytes() == w_b.tobytes(), (k, name_a)
+        assert report.closeness.tobytes() == exact.closeness.tobytes(), k
+        assert report.rank_matrix.ranks.tobytes() == exact.rank_matrix.ranks.tobytes(), k
+        summary_a, summary_b = build_summary(report), build_summary(exact)
+        for key in ("rwm_summary", "closeness_summary", "final"):
+            assert json.dumps(summary_a[key]) == json.dumps(summary_b[key]), (k, key)
 
 
 def test_permuting_alternatives_permutes_the_outputs():
@@ -82,7 +101,7 @@ def test_permuting_alternatives_permutes_the_outputs():
         _assert_weights_close(report.weight_table(), other.weight_table(),
                               _weight_tolerance(values, directions))
         # on the same weight rows, closeness in (0, 1) moves by ulps of 1 at most
-        xi, _ = batch_topsis(make_matrix(values[p], directions), report.rwm.rows)
+        xi, _ = batch_topsis(make_matrix(values[p], directions), np.asarray(report.rwm.rows))
         assert np.max(np.abs(report.closeness[:, p] - xi)) <= 4 * EPS, k
 
 
@@ -122,7 +141,7 @@ def _row_scaling_tolerance(n):
 
 def test_scaling_whole_weight_rows_keeps_closeness_and_ranks():
     for k, (rng, _, _, report) in enumerate(_problems(4)):
-        matrix, rows = report.matrix, report.rwm.rows
+        matrix, rows = report.matrix, np.asarray(report.rwm.rows)
         # a power of 4 scales every product and sum exactly, and each root by 2^j
         j = int(rng.integers(1, 21)) * int(rng.choice([-1, 1]))
         xi, ranks = batch_topsis(matrix, rows * 4.0 ** j)

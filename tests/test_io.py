@@ -325,5 +325,6 @@ def test_summarised_arrays_hold_no_negative_zero():
     report = run_pipeline(m, cfg)
     assert np.all(report.closeness[:, 0] == 0.0)
     assert not np.signbit(report.closeness).any()
-    assert np.any(report.rwm.rows == 0.0)
-    assert not np.signbit(report.rwm.rows).any()
+    rows = np.asarray(report.rwm.rows)
+    assert np.any(rows == 0.0)
+    assert not np.signbit(rows).any()

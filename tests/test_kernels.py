@@ -213,6 +213,5 @@ def test_rank_grids_hold_one_type_from_m(m, dtype):
         counts = np.stack([np.bincount(wide[:, j], minlength=m + 1)[1:] for j in range(m)])
         assert np.array_equal(rank_frequency(RankMatrix(grid)), counts)
     assert np.array_equal(caller.ranks, ranks)
-    assert np.array_equal(caller.scores, m + 1 - ranks.astype(np.int64))
     hists = report.final.score_histograms[:, 1:]
     assert np.array_equal(hists[:, ::-1], rank_frequency(report.rank_matrix))

@@ -148,7 +148,7 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
 
     bounds = compute_bounds(collect_weight_sets(matrix, cfg))
     rwm = sample_weight_matrix(bounds, cfg.iterations, cfg.seed)
-    xi, ranks = batch_topsis(matrix, rwm.rows)
+    xi, ranks = batch_topsis(matrix, np.asarray(rwm.rows))
     rm = RankMatrix(ranks)
     staged = type(fused)(matrix, cfg, fused.weight_sets, bounds, rwm, xi, rm,
                          final_ranking(rm, xi))

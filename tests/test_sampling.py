@@ -68,9 +68,9 @@ def test_zero_width_bounds_reproduce_the_vector():
 def test_containment_on_social_bounds(social_matrix):
     sets = [entropy_weights(social_matrix).weights, critic_weights(social_matrix).weights]
     b = compute_bounds(sets)
-    rwm = sample_weight_matrix(b, 10_000, seed=123)
-    assert np.all(rwm.rows >= b.lower)
-    assert np.all(rwm.rows <= b.upper)
+    rows = np.asarray(sample_weight_matrix(b, 10_000, seed=123).rows)
+    assert np.all(rows >= b.lower)
+    assert np.all(rows <= b.upper)
 
 
 def test_same_seed_reproduces_bitwise():
@@ -106,26 +106,38 @@ def test_single_rows_match_full_matrix():
 
 def test_different_seeds_differ():
     b = WeightBounds([0.0], [1.0])
-    a = sample_weight_matrix(b, 100, seed=1).rows
-    c = sample_weight_matrix(b, 100, seed=2).rows
+    a = np.asarray(sample_weight_matrix(b, 100, seed=1).rows)
+    c = np.asarray(sample_weight_matrix(b, 100, seed=2).rows)
     assert np.any(a != c)
 
 
 def test_column_means_near_interval_midpoints():
     b = WeightBounds([0.2, 0.0, 0.5], [0.8, 0.4, 0.5])
-    rwm = sample_weight_matrix(b, 100_000, seed=2024)
+    rows = np.asarray(sample_weight_matrix(b, 100_000, seed=2024).rows)
     mid = (b.lower + b.upper) / 2
     for j in range(3):
         if b.upper[j] > b.lower[j]:
-            assert abs(rwm.rows[:, j].mean() - mid[j]) <= 0.01 * mid[j]
+            assert abs(rows[:, j].mean() - mid[j]) <= 0.01 * mid[j]
         else:
-            assert np.all(rwm.rows[:, j] == mid[j])
+            assert np.all(rows[:, j] == mid[j])
 
 
 def test_iterations_must_be_positive():
     b = WeightBounds([0.0], [1.0])
     with pytest.raises(ValueError):
         sample_weight_matrix(b, 0, seed=1)
+
+
+@pytest.mark.parametrize("t, seed, fault", [
+    (4, 2 ** 64, r"^seed must be in \[0, 2\^64\), got 18446744073709551616$"),
+    (4, -1, r"^seed must be in \[0, 2\^64\), got -1$"),
+    (0, 1, r"^iterations must be >= 1, got 0$"),
+], ids=["seed-2^64", "seed-minus-1", "no-iterations"])
+def test_a_draw_keeps_the_config_rules_of_a_run(t, seed, fault):
+    # the stream reads the seed mod 2^64, so 2^64 would draw seed 0's rows
+    # and -1 those of seed 2^64 - 1
+    with pytest.raises(ValueError, match=fault):
+        sample_weight_matrix(WeightBounds([0.0, 0.2], [1.0, 0.4]), t, seed)
 
 
 def test_generator_reference_values():
@@ -151,9 +163,9 @@ def test_uniforms_are_half_open_unit():
 def test_containment_property(seed, pairs, t):
     lower = np.array([min(a, b) for a, b in pairs])
     upper = np.array([max(a, b) for a, b in pairs])
-    rwm = sample_weight_matrix(WeightBounds(lower, upper), t, seed)
-    assert np.all(rwm.rows >= lower)
-    assert np.all(rwm.rows <= upper)
+    rows = np.asarray(sample_weight_matrix(WeightBounds(lower, upper), t, seed).rows)
+    assert np.all(rows >= lower)
+    assert np.all(rows <= upper)
 
 
 # ------------------------------------------------- block-wise stream contract
@@ -204,7 +216,8 @@ def test_single_rows_match_matrix_across_a_block_boundary():
 def test_strided_uniforms_equal_plain_integer_splitmix64(stride, count):
     # value k is stream value start + k * stride, on both sides of a block edge
     seed, start = 2 ** 64 - 7, 2 ** 40 + 3
-    u = unit_uniforms(seed, start, count, stride)
+    u = np.empty(count)
+    kernels._fill_uniforms(seed, start, u, kernels._uniform_scratch(count, stride), stride)
     assert u.tolist() == _plain_splitmix64(seed, start, count, stride)
 
 
@@ -229,20 +242,20 @@ def test_indexed_rows_equal_slices_of_the_whole_grid(n, cpus, monkeypatch):
     t, edge = full.shape[0], kernels._chunk_rows(n)
     assert rows.shape == full.shape == (t, n)
     keys = [0, edge - 1, edge, -1, slice(None), slice(edge - 3, edge + 4),
-            slice(2 * edge - 1, None), slice(None, None, 7), slice(None, None, -3),
-            slice(5, 5), (slice(None), 0), (slice(None), n - 1), (slice(edge - 2, 3 * edge), -1),
-            (edge + 1, slice(None, None, 2)), (slice(1, None, 5), slice(None, None, -1))]
-    keys += [(slice(None), j) for j in range(n)]
+            slice(2 * edge - 1, None), slice(5, 5)]
     for key in keys:
         got = rows[key]
         assert got.dtype == np.float64 and got.shape == full[key].shape, key
         assert got.tobytes() == full[key].tobytes(), key
-    with pytest.raises(IndexError):
-        rows[t]
-    with pytest.raises(IndexError):
-        rows[0, n]
-    with pytest.raises(IndexError):
-        rows[0, 0, 0]
+    fill, column = rows.columns(), np.empty(t)
+    for j in range(n):
+        fill(j, column)
+        assert column.tobytes() == full[:, j].tobytes(), j
+    # a row or a run of rows at step 1 is all the view reads
+    for key in (t, slice(None, None, 7), slice(None, None, -3), (slice(None), 0),
+                (edge + 1, slice(None, None, 2)), (0, n), (0, 0, 0)):
+        with pytest.raises(IndexError):
+            rows[key]
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
