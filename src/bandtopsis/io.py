@@ -87,37 +87,19 @@ def _parse_csv(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
             "CSV needs a header row, a direction row and at least one data row"
         )
     header, dir_row = rows[0], rows[1]
-
-    def is_dir(tok: str) -> bool:
-        try:
-            Direction.parse(tok)
-            return True
-        except ValueError:
-            return False
-
-    if all(is_dir(t) for t in dir_row):
-        n = len(dir_row)
-        directions = [Direction.parse(t) for t in dir_row]
-    elif len(dir_row) > 1 and all(is_dir(t) for t in dir_row[1:]):
-        n = len(dir_row) - 1
-        directions = [Direction.parse(t) for t in dir_row[1:]]
-    else:
-        bad = next(
-            (k for k, t in enumerate(dir_row[1:], start=2) if not is_dir(t)),
-            1,
-        )
-        raise ProblemFormatError(
-            f"row 2, column {bad}: unknown direction token {dir_row[bad - 1]!r}"
-        )
-
-    if len(header) == n:
-        ids = header
-    elif len(header) == n + 1:
-        ids = header[1:]
-    else:
+    try:
+        Direction.parse(dir_row[0])
+        corner = 0
+    except ValueError:  # a corner cell, unless it is the only cell
+        corner = int(len(dir_row) > 1)
+    directions = [_parse_direction(t, f"row 2, column {k}")
+                  for k, t in enumerate(dir_row[corner:], start=corner + 1)]
+    n = len(directions)
+    if len(header) not in (n, n + 1):
         raise ProblemFormatError(
             f"row 1: expected {n} criterion ids (plus optional corner cell), got {len(header)} cells"
         )
+    ids = header[-n:]
 
     alternatives: list[str] = []
     values: list[list[float]] = []

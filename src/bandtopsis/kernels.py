@@ -250,8 +250,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# Counters per block: the two uint64 scratch arrays (256 KiB each) stay in
-# cache while the mixing steps run over them in place.
+# Counters per block: the block of the output and the uint64 work array
+# (256 KiB each) stay in cache while the mixing steps run over them in place.
 _BLOCK = 1 << 15
 
 
@@ -266,8 +266,9 @@ def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     platform; _fill_uniforms also takes every stride-th value.
 
     The stream is computed in blocks of ``_BLOCK`` values with in-place
-    uint64 ufuncs (arithmetic mod 2^64), writing each block's doubles
-    straight into the result; the block size changes speed, never a value.
+    uint64 ufuncs (arithmetic mod 2^64), each block mixed in the result's
+    own memory and converted there to doubles; the block size changes
+    speed, never a value.
     """
     out = np.empty(int(count), dtype=np.float64)
     _fill_uniforms(seed, start, out, _uniform_scratch(len(out)))
@@ -276,22 +277,24 @@ def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 def _uniform_scratch(count: int, stride: int = 1):
     """The ramp 0, stride * gamma, 2 * stride * gamma, ... (mod 2^64) and
-    the two uint64 work arrays that _fill_uniforms needs for `count`
-    values at that stride, one block at a time."""
+    the uint64 work array that _fill_uniforms needs for `count` values at
+    that stride, one block at a time."""
     ramp = np.arange(min(count, _BLOCK), dtype=np.uint64)
     np.multiply(ramp, np.uint64(int(stride) * int(_GAMMA) & _U64), out=ramp)
-    return ramp, np.empty_like(ramp), np.empty_like(ramp)
+    return ramp, np.empty_like(ramp)
 
 
 def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch, stride: int = 1) -> None:
     """Write values start, start + stride, start + 2 * stride, ... of the
     stream into the 1-D float64 array `out`, working in `scratch` from
-    _uniform_scratch(n, stride) for some n >= len(out)."""
+    _uniform_scratch(n, stride) for some n >= len(out). Each block is
+    mixed as uint64 words in its own place in `out`."""
     count, start, stride = len(out), int(start), int(stride)
-    ramp, z, tmp = scratch
+    ramp, tmp = scratch
     for lo in range(0, count, _BLOCK):
         k = min(_BLOCK, count - lo)
-        zb, tb = z[:k], tmp[:k]
+        ob = out[lo:lo + k]
+        zb, tb = ob.view(np.uint64), tmp[:k]
         # (start + (lo + i) * stride + 1) * gamma + seed for i = 0..k-1, in one add mod 2^64
         offset = (start + lo * stride + 1) * int(_GAMMA) + int(seed)
         np.add(ramp[:k], np.uint64(offset & _U64), out=zb)
@@ -302,5 +305,8 @@ def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch, stride: int 
         np.right_shift(zb, np.uint64(31), out=tb)
         np.bitwise_xor(zb, tb, out=zb)
         np.right_shift(zb, np.uint64(11), out=zb)
-        # below 2^53 the int64 view holds the same value and converts exactly
-        np.multiply(zb.view(np.int64), 2.0 ** -53, out=out[lo:lo + k])
+        # below 2^53 the int64 view holds the same value and converts exactly;
+        # cast, then scale, in place: one multiply with the cast would copy
+        # the overlapping block first
+        ob[...] = zb.view(np.int64)
+        np.multiply(ob, 2.0 ** -53, out=ob)

@@ -107,6 +107,10 @@ class _WeightRows:
     which the caller owns."""
 
     dtype = np.dtype(np.float64)
+    __array_ufunc__ = None  # numpy operators raise TypeError, not draw the grid
+
+    def __eq__(self, other):
+        raise TypeError("weight rows take no operators; compare np.asarray(rows)")
 
     def __init__(self, rwm: RandomWeightMatrix):
         self._rwm = rwm

@@ -9,7 +9,7 @@ from bandtopsis import (
     emit_tables,
     run_pipeline,
 )
-from bandtopsis.charts import boxplot_svg
+from bandtopsis.charts import HEIGHT, MARGIN_BOTTOM, boxplot_svg, rank_bars_svg
 from bandtopsis.cli import cli_main
 
 LINE_RE = re.compile(
@@ -88,6 +88,15 @@ def test_zero_width_boxes_collapse():
     roles = {m.group(6): m.group(7) for m in LINE_RE.finditer(svg)}
     assert roles["flat"] == "collapsed"
     assert roles["spread"] == "whisker"
+
+
+def test_all_zero_counts_draw_flat_bars_on_a_unit_axis():
+    # an unvalidated summary can hold no counts at all; the axis then spans 1
+    svg = rank_bars_svg("t", ["a", "b"], [[0, 0], [0, 0]])
+    bars = re.findall(r'<rect x="[\d.]+" y="([\d.]+)" width="[\d.]+" height="([\d.]+)"[^/]*'
+                      r'data-alternative', svg)
+    assert bars == [(f"{HEIGHT - MARGIN_BOTTOM:.2f}", "0.00")] * 4
+    assert re.findall(r'font-size="10">([\d.]+)</text>', svg) == ["0.000"] * 5
 
 
 def test_chart_bytes_deterministic(social_report, tmp_path):

@@ -85,10 +85,30 @@ def test_parse_csv_ragged_row():
         parse_problem(_io.StringIO(text), fmt="csv")
 
 
-def test_parse_csv_bad_direction_token():
-    text = "c,g1,g2\n,max,upward\na,1,2\n"
-    with pytest.raises(ProblemFormatError, match="direction"):
+@pytest.mark.parametrize("text, message", [
+    pytest.param("g1,g2\nmax,upward\na,1,2\n",
+                 "row 2, column 2: unknown direction token 'upward'", id="bad-token"),
+    pytest.param("c,g1,g2\n,max,upward\na,1,2\n",
+                 "row 2, column 3: unknown direction token 'upward'", id="corner-bad-token"),
+    pytest.param("c,g1,g2\ndir,upward,max\na,1,2\n",
+                 "row 2, column 2: unknown direction token 'upward'", id="corner-bad-first-token"),
+    pytest.param("g1\nup\na,1\n",
+                 "row 2, column 1: unknown direction token 'up'", id="one-bad-token"),
+    pytest.param("g1,g2\nup,max\na,1,2\n",
+                 "row 3: expected 1 values, got 2", id="bad-first-token-is-a-corner"),
+    pytest.param("c,x,g1,g2\n,max,min\na,1,2\n",
+                 "row 1: expected 2 criterion ids (plus optional corner cell), got 4 cells",
+                 id="header-too-wide"),
+])
+def test_parse_csv_messages_name_the_cell(text, message):
+    with pytest.raises(ProblemFormatError) as err:
         parse_problem(_io.StringIO(text), fmt="csv")
+    assert str(err.value) == message
+
+
+def test_parse_csv_corner_cell_only_in_the_header():
+    matrix, _ = parse_problem(_io.StringIO("c,g1,g2\nmax,min\na,1,2\n"), fmt="csv")
+    assert matrix.criterion_ids() == ["g1", "g2"]
 
 
 def test_parse_csv_non_numeric_cell_coordinates():

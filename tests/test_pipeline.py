@@ -182,7 +182,7 @@ def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypat
 
 def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, monkeypatch):
     # on one CPU: one t-float column buffer, into which each weight column is
-    # regenerated through the uniform stream's three blocks of 2^15 words,
+    # regenerated through the uniform stream's ramp and work block of 2^15 words,
     # allowed 256 KiB for the rest; no t x n weight grid is drawn
     import tracemalloc
 
@@ -199,4 +199,4 @@ def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, 
     finally:
         tracemalloc.stop()
     assert len(summary["rwm_summary"]) == social_matrix.n
-    assert peak <= t * 8 + 3 * 8 * kernels._BLOCK + 2 ** 18
+    assert peak <= t * 8 + 2 * 8 * kernels._BLOCK + 2 ** 18

@@ -258,6 +258,19 @@ def test_indexed_rows_equal_slices_of_the_whole_grid(n, cpus, monkeypatch):
             rows[key]
 
 
+def test_the_view_takes_no_numpy_operators():
+    # an operator would draw the whole t x n grid unseen; np.asarray shows it
+    rwm = sample_weight_matrix(WeightBounds([0.1, 0.2], [0.3, 0.5]), 5, seed=1)
+    rows, lower = rwm.rows, rwm.bounds.lower
+    full = np.asarray(rows)
+    for op in (lambda: lower <= rows, lambda: np.add(rows, 1), lambda: lower == rows,
+               lambda: rows == 0.0, lambda: rows != 0.0, lambda: rows * 2.0):
+        with pytest.raises(TypeError):
+            op()
+    assert full.shape == (5, 2)
+    assert np.asarray(rows).tobytes() == full.tobytes() == rows[0:5].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
 def test_regenerated_rwm_summary_equals_the_summary_of_the_whole_grid(n):
     rwm, full = _view_cases(n)
