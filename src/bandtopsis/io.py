@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from io import StringIO
 from pathlib import Path
 from typing import IO
@@ -18,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from .base import ProblemFormatError, _is_number, _read_json, _read_text, _Shape
-from .kernels import _chunk_rows, _for_chunks, _per_thread
+from .aggregate import five_number_columns
 from .model import (
     CriterionSpec,
     DecisionMatrix,
@@ -27,8 +26,7 @@ from .model import (
     WeightBounds,
 )
 from .pipeline import RunReport
-from .sampling import _WeightRows, sample_weight_matrix
-from .summary import _FIVE_NUMBERS
+from .sampling import sample_weight_matrix
 
 
 # ------------------------------------------------------------------ parsing
@@ -246,99 +244,10 @@ def _write_pair(out: Path, stem: str, header: list[str], labels, rows) -> dict[s
     return paths
 
 
-def _linear_pick(n: int, q: float) -> tuple[int, int, float]:
-    """Order statistics and weight of quantile q among n sorted values,
-    as numpy's default 'linear' method picks them: virtual index
-    (n - 1) * q, its floor and the next index, and the fractional part.
-    At or past the last index numpy moves both picks to index -1 before
-    taking the weight, so the weight is then index + 1."""
-    v = (n - 1) * q
-    if v >= n - 1:
-        return n - 1, n - 1, v + 1
-    lo = math.floor(v)
-    return lo, lo + 1, v - lo
-
-
-def _lerp(a: float, b: float, g: float) -> float:
-    """numpy's quantile interpolation between neighbours a <= b."""
-    diff = b - a
-    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
-
-
-def five_number_columns(table) -> list[dict[str, float]]:
-    """min / q1 / median / q3 / max of every column of a t x k array, or
-    of the weight rows of a RandomWeightMatrix.
-
-    The columns are summarized in chunks (see kernels._for_chunks), each
-    column put into its thread's contiguous buffer: a table's column is
-    copied, and a weight column is regenerated alone by the rows view's
-    columns(), so no t x n weight grid is drawn.
-    Only the order statistics the five values read are put in place:
-    three single-k partitions place the median's, then the lower
-    quartile's below it and the upper quartile's above it, and the
-    minimum and maximum are swapped to the ends. A value one past a
-    placed index is the least value before the next placed one. The
-    five values are then read with the arithmetic of numpy's 'linear'
-    method, so every value equals
-    np.percentile(column, [0, 25, 50, 75, 100]) bit for bit, whichever
-    select algorithm the CPU runs. The one exception is the sign of a
-    zero result in a column that holds both 0.0 and -0.0, which this
-    select and numpy's may pick differently; sampled weights and
-    closeness values are never -0.0.
-    """
-    if isinstance(table, _WeightRows):
-        fill = table.columns()
-    else:
-        table = np.asarray(table, dtype=float)
-
-        def fill(j: int, buf: np.ndarray) -> None:
-            np.copyto(buf, table[:, j])
-
-    t, k = table.shape
-    picks = [_linear_pick(t, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    k1, k2, k3 = (lo for lo, _, _ in picks[1:4])
-    placed = sorted({0, k1, k2, k3, t - 1})
-    following = dict(zip(placed, placed[1:]))
-    out: list = [None] * k
-    buffer = _per_thread(lambda: np.empty(t))
-
-    def columns(first: int, stop: int) -> None:
-        buf = buffer()
-
-        def stat(i: int) -> float:
-            """Order statistic i of the buffer: a placed index, or one past one."""
-            if i in placed:
-                return float(buf[i])
-            return float(buf[i:following[i - 1] + 1].min())
-
-        for j in range(first, stop):
-            fill(j, buf)
-            # one k per call: numpy may run a SIMD select for a single k, which on an
-            # AVX-512 CPU took 2 ms per 10^6 values against 15 ms for partition([k, k + 1])
-            buf.partition(k2)
-            if k1 < k2:
-                buf[:k2].partition(k1)
-            if k3 > k2:
-                buf[k2 + 1:].partition(k3 - k2 - 1)
-            low, high = buf[:k1 + 1], buf[k3:]
-            p = low.argmin()
-            low[[0, p]] = low[[p, 0]]
-            p = high.argmax()
-            high[[-1, p]] = high[[p, -1]]
-            out[j] = {
-                name: _lerp(stat(lo), stat(hi), g)
-                for name, (lo, hi, g) in zip(_FIVE_NUMBERS, picks)
-            }
-
-    _for_chunks(k, _chunk_rows(t), columns)
-    return out
-
-
 def build_summary(report: RunReport) -> dict:
     """Plain-data view of a run, sufficient to reconstruct the final
     ranking exactly and to redraw every chart."""
     matrix, final = report.matrix, report.final
-    m = matrix.m
     return {
         "config": {
             "iterations": report.config.iterations,
@@ -352,20 +261,16 @@ def build_summary(report: RunReport) -> dict:
             {"id": c.id, "label": c.label, "direction": c.direction.value}
             for c in matrix.criteria
         ],
-        "weights": [
-            {"name": name, "values": [float(v) for v in vec]}
-            for name, vec in report.weight_table()
-        ],
+        "weights": [{"name": name, "values": vec.tolist()} for name, vec in report.weight_table()],
         "rwm_summary": dict(zip(matrix.criterion_ids(), five_number_columns(report.rwm.rows))),
-        "closeness_summary": dict(zip(matrix.alternatives, five_number_columns(report.closeness))),
+        "closeness_summary": {name: dict(five) for name, five in
+                              zip(matrix.alternatives, report.closeness_summary)},
         "final": {
-            "positions": [int(p) for p in final.positions],
-            "modal_scores": [int(s) for s in final.modal_scores],
-            "score_histograms": [
-                [int(c) for c in final.score_histograms[j, 1:]] for j in range(m)
-            ],
-            "mean_scores": [float(v) for v in final.mean_scores],
-            "mean_closeness": [float(v) for v in final.mean_closeness],
+            "positions": final.positions.tolist(),
+            "modal_scores": final.modal_scores.tolist(),
+            "score_histograms": final.score_histograms[:, 1:].tolist(),
+            "mean_scores": final.mean_scores.tolist(),
+            "mean_closeness": final.mean_closeness.tolist(),
             "order": [matrix.alternatives[j] for j in final.order],
         },
     }

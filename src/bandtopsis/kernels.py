@@ -25,9 +25,11 @@ CPU affinity allows (``os.sched_getaffinity``, else ``os.cpu_count``);
 smaller calls, and every call on one CPU, run the chunks inline in
 order. A chunk is computed by the same arithmetic whichever thread runs
 it, and no value depends on where a chunk starts, so output bytes do not
-depend on the CPU count. There is no setting: ``taskset -c 0`` pins a
-run to one CPU. ``OMP_NUM_THREADS`` and its kin are not read: they size
-BLAS and OpenMP pools, and this package calls neither.
+depend on the CPU count; what depends on the order of the chunks, as a
+carried sum does, is consumed in row order through ``_InOrder``. There
+is no setting: ``taskset -c 0`` pins a run to one CPU.
+``OMP_NUM_THREADS`` and its kin are not read: they size BLAS and OpenMP
+pools, and this package calls neither.
 """
 
 from __future__ import annotations
@@ -100,6 +102,41 @@ def _for_chunks(total: int, step: int, fn) -> None:
     for future in futures:
         if not future.cancelled():
             future.result()
+
+
+class _InOrder:
+    """Hands the results of row chunks to consume(lo, hi, rows) in row
+    order, whichever threads make them, starting from row 0.
+
+    put(lo, hi, rows) consumes at once if every earlier chunk has been
+    consumed and no thread is consuming; otherwise it parks a copy of
+    `rows` and returns, and the thread that consumes the chunk before it
+    consumes it next. So one thread consumes at a time, no thread waits
+    for another, and the caller may reuse `rows` once put returns. If a
+    chunk never comes, as when it raised, the chunks after it stay
+    parked and nothing waits for them."""
+
+    def __init__(self, consume):
+        self._consume = consume
+        self._lock = threading.Lock()
+        self._parked: dict = {}
+        self._next = 0
+        self._busy = False
+
+    def put(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        with self._lock:
+            if self._busy or lo != self._next:
+                self._parked[lo] = hi, rows.copy()
+                return
+            self._busy = True
+        while True:
+            self._consume(lo, hi, rows)
+            with self._lock:
+                self._next = lo = hi
+                if lo not in self._parked:
+                    self._busy = False
+                    return
+                hi, rows = self._parked.pop(lo)
 
 
 # ---------------------------------------------------------------- distances

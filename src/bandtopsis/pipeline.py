@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _RankCounts, _rank_by_mode
+from .aggregate import _ClosenessPass, _RankCounts, _rank_by_mode, five_number_columns
 from .base import ComputationError
-from .kernels import _chunk_rows, _for_chunks, _per_thread
+from .kernels import _chunk_rows, _for_chunks, _InOrder, _per_thread, _rank_type
 from .model import (
     DecisionMatrix,
     FinalRanking,
@@ -21,7 +21,7 @@ from .model import (
     _readonly,
     validate_problem,
 )
-from .sampling import RandomWeightMatrix, _draw_body, compute_bounds
+from .sampling import RandomWeightMatrix, _draw_body, _Rows, compute_bounds
 from .topsis import _score_body
 from .weighting import critic_weights, entropy_weights, normalize_custom_set
 
@@ -31,15 +31,21 @@ class RunReport:
     """Everything a run produced, sufficient to re-derive every output
     file. Re-running with the echoed config reproduces it exactly.
 
-    `closeness` and `rank_matrix` are filled by one pass over row
-    chunks and equal, bit for bit, what batch_topsis and final_ranking
-    give on the rows of `rwm`. The weight rows themselves are not held:
-    `rwm` describes the draw (bounds, t and seed), and its `rows` view
-    regenerates a row, a run of rows, a column of every row or the whole
-    grid bit for bit. A chunk whose rows all keep one order is ranked and
-    counted without a sort; its ranks are the ones the stable sort would
-    give.
+    `rank_matrix`, `final` and `closeness_summary` are filled by one pass
+    over row chunks and equal, bit for bit, what batch_topsis,
+    final_ranking and five_number_columns give on the rows of `rwm`.
+    Neither the weight rows nor the closeness are held. `rwm` describes
+    the draw (bounds, t and seed), and its `rows` view draws a row, a run
+    of rows, a column of every row or the whole grid bit for bit.
+    `closeness` is a read-only view of the t x m closeness in the same
+    way: `closeness[i]` and `closeness[lo:hi]` draw and score only those
+    rows, and np.asarray(closeness) computes the whole grid, which the
+    caller then holds. A report built from a closeness array holds a
+    write-locked copy of it instead, and takes `closeness_summary` from
+    five_number_columns when none is given.
 
+    A chunk whose rows all keep one order is ranked and counted without a
+    sort; its ranks are the ones the stable sort would give.
     `rank_matrix.ranks` has the narrowest unsigned type that holds m:
     uint8 up to m = 255, so one byte per rank, and uint16 up to 65,535.
     Widen it before arithmetic: under NumPy 2's promotion rules (NEP 50)
@@ -50,12 +56,17 @@ class RunReport:
     weight_sets: tuple[NamedWeightSet, ...]
     bounds: WeightBounds
     rwm: RandomWeightMatrix
-    closeness: np.ndarray      # t x m
+    closeness: np.ndarray | _Rows  # t x m
     rank_matrix: RankMatrix
     final: FinalRanking
+    closeness_summary: list[dict[str, float]] | None = None  # per alternative
 
     def __post_init__(self):
-        object.__setattr__(self, "closeness", _readonly(self.closeness, float))
+        if not isinstance(self.closeness, _Rows):
+            object.__setattr__(self, "closeness", _readonly(self.closeness, float))
+        if self.closeness_summary is None:
+            object.__setattr__(self, "closeness_summary",
+                               five_number_columns(np.asarray(self.closeness)))
 
     def weight_table(self) -> list[tuple[str, np.ndarray]]:
         """Display rows: each contributing set, then the band envelope."""
@@ -90,25 +101,57 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     weight rows are drawn into the calling thread's chunk scratch, then
     scored, ranked and counted while they are in cache, by the same
     chunk bodies that np.asarray(rwm.rows), batch_topsis and
-    rank_frequency run alone. No t x n weight grid is held.
+    rank_frequency run alone. The chunk's closeness, in scratch too, then
+    goes in row order to the mean and the windows of _ClosenessPass. No
+    t x n weight grid and no t x m closeness grid is held; only if an
+    order statistic falls outside its window is the closeness computed
+    again, whole, for five_number_columns.
     """
     config = config or RunConfig()
     validate_problem(matrix, config)
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
-    t, step = config.iterations, _chunk_rows(matrix.m)
-    rwm = RandomWeightMatrix(bounds, t, config.seed)
-    draw = _draw_body(rwm, min(t, step))
-    weights = _per_thread(lambda: np.empty((min(t, step), bounds.n)))
-    xi, ranks, score = _score_body(matrix, t)
-    counts = _RankCounts(matrix.m)
+    rwm = RandomWeightMatrix(bounds, config.iterations, config.seed)
+    ranks, counts, closeness = _one_pass(matrix, rwm)
+    mean, summaries = closeness.result()  # the pass's chunk scratch is gone by now
+    return RunReport(matrix, config, tuple(sets), bounds, rwm, _closeness_rows(matrix, rwm),
+                     RankMatrix(_Owned(ranks)), _rank_by_mode(counts, mean), summaries)
+
+
+def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
+    """The pass of run_pipeline: the t x m ranks, their occupancy counts
+    and the _ClosenessPass that took every chunk's closeness."""
+    t, m, step = rwm.iterations, matrix.m, _chunk_rows(matrix.m)
+    most = min(t, step)
+    draw, score = _draw_body(rwm, most), _score_body(matrix, most)
+    scratch = _per_thread(lambda: np.empty((most, rwm.bounds.n)))
+    ranks = np.empty((t, m), dtype=_rank_type(m))
+    counts, closeness = _RankCounts(m), _ClosenessPass(t, m, step)
+    ordered = _InOrder(closeness.add)
 
     def chunk(lo, hi):
-        w = weights()[:hi - lo]
-        draw(lo, hi, w)
-        counts.add(ranks[lo:hi], score(lo, hi, w))
+        weights, xi = scratch()[:hi - lo], closeness.rows(lo, hi)
+        draw(lo, hi, weights)
+        counts.add(ranks[lo:hi], score(weights, xi, ranks[lo:hi]))
+        ordered.put(lo, hi, xi)
 
     _for_chunks(t, step, chunk)
-    rm = RankMatrix(_Owned(ranks))
-    final = _rank_by_mode(counts.grid(), xi)
-    return RunReport(matrix, config, tuple(sets), bounds, rwm, _Owned(xi), rm, final)
+    return ranks, counts.grid(), closeness
+
+
+def _closeness_rows(matrix: DecisionMatrix, rwm: RandomWeightMatrix) -> _Rows:
+    """The t x m closeness of a run as a read-only view (see _Rows): each
+    chunk of rows is drawn into the calling thread's scratch and scored."""
+
+    def body(most):
+        draw, score = _draw_body(rwm, most), _score_body(matrix, most)
+        scratch = _per_thread(lambda: np.empty((most, rwm.bounds.n)))
+
+        def fill(lo, hi, out):
+            weights = scratch()[:hi - lo]
+            draw(lo, hi, weights)
+            score(weights, out)
+
+        return fill
+
+    return _Rows((rwm.iterations, matrix.m), body)

@@ -10,6 +10,8 @@ draws only what is read. One chunk body, _draw_body, draws runs of
 whole rows, for run_pipeline, np.asarray(rows), a row, a run of rows
 and `bandtopsis rwm` alike; a column of every row, for the rwm_summary
 quartiles, is drawn alone at a counter stride of n by rows.columns().
+The view's base, _Rows, also shows a run's closeness without holding it
+(see pipeline.RunReport).
 """
 
 from __future__ import annotations
@@ -101,30 +103,61 @@ def _draw_body(rwm: RandomWeightMatrix, most: int):
     return draw
 
 
-class _WeightRows:
-    """The t x n rows of a RandomWeightMatrix as a read-only view (see
-    RandomWeightMatrix). It holds no values: a read draws a fresh array,
-    which the caller owns."""
+class _Rows:
+    """A t x k float64 grid as a read-only view whose rows a chunk body
+    computes on demand: body(most) returns fill(lo, hi, out), which
+    writes rows lo:hi, at most `most` of them, into the C-contiguous
+    (hi - lo) x k float64 array `out`. It holds no values: a read
+    computes a fresh array, in row chunks, which the caller owns.
+
+    A row (an int), a run of rows (a slice of step 1) and np.asarray are
+    all it reads; numpy operators and == raise TypeError rather than
+    compute the grid unseen."""
 
     dtype = np.dtype(np.float64)
-    __array_ufunc__ = None  # numpy operators raise TypeError, not draw the grid
+    __array_ufunc__ = None  # numpy operators raise TypeError, not compute the grid
+
+    def __init__(self, shape: tuple[int, int], body):
+        self.shape, self._body = shape, body
 
     def __eq__(self, other):
-        raise TypeError("weight rows take no operators; compare np.asarray(rows)")
-
-    def __init__(self, rwm: RandomWeightMatrix):
-        self._rwm = rwm
-        self.shape = (rwm.iterations, rwm.bounds.n)
+        raise TypeError("rows take no operators; compare np.asarray(rows)")
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
-            raise ValueError("weight rows are drawn on demand; a copy cannot be avoided")
-        t, n = self.shape
-        out = np.empty(self.shape)
-        step = _chunk_rows(n)
-        draw = _draw_body(self._rwm, min(t, step))
-        _for_chunks(t, step, lambda lo, hi: draw(lo, hi, out[lo:hi]))
+            raise ValueError("rows are computed on demand; a copy cannot be avoided")
+        out = self._read(range(self.shape[0]))
         return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        """Row `key` (an int) or the rows `key` (a slice of step 1) as a
+        new array; any other key raises IndexError."""
+        try:
+            rows = range(self.shape[0])[key]  # an int, or a range for a slice
+        except TypeError:
+            rows = None
+        run = range(rows, rows + 1) if isinstance(rows, int) else rows
+        if run is None or run.step != 1:
+            raise IndexError(f"rows take a row or a slice of step 1, got {key!r}")
+        out = self._read(run)
+        return out if run is rows else out[0]
+
+    def _read(self, run: range) -> np.ndarray:
+        out = np.empty((len(run), self.shape[1]))
+        step = _chunk_rows(self.shape[1])
+        fill = self._body(min(len(run), step))
+        _for_chunks(len(run), step,
+                    lambda lo, hi: fill(run.start + lo, run.start + hi, out[lo:hi]))
+        return out
+
+
+class _WeightRows(_Rows):
+    """The t x n rows of a RandomWeightMatrix as a read-only view (see
+    RandomWeightMatrix and _Rows), drawn by _draw_body."""
+
+    def __init__(self, rwm: RandomWeightMatrix):
+        super().__init__((rwm.iterations, rwm.bounds.n), lambda most: _draw_body(rwm, most))
+        self._rwm = rwm
 
     def columns(self):
         """A function fill(j, out) that writes column j of every row into
@@ -141,18 +174,3 @@ class _WeightRows:
             np.add(out, lower[j], out=out)
 
         return fill
-
-    def __getitem__(self, key):
-        """Row `key` (an int) or the rows `key` (a slice of step 1) as a
-        new array; any other key raises IndexError."""
-        t, n = self.shape
-        try:
-            rows = range(t)[key]  # an int, or a range for a slice
-        except TypeError:
-            rows = None
-        run = range(rows, rows + 1) if isinstance(rows, int) else rows
-        if run is None or run.step != 1:
-            raise IndexError(f"weight rows take a row or a slice of step 1, got {key!r}")
-        out = np.empty((len(run), n))
-        _draw_body(self._rwm, len(run))(run.start, run.start + len(run), out)
-        return out if run is rows else out[0]

@@ -84,33 +84,32 @@ def batch_topsis(matrix: DecisionMatrix, weight_rows: np.ndarray) -> tuple[np.nd
     W = np.ascontiguousarray(np.asarray(weight_rows, dtype=float))
     if W.ndim != 2:
         raise ValueError("weight_rows must be a 2-D array (iterations x criteria)")
-    xi, ranks, score = _score_body(matrix, W.shape[0])
-    kernels._for_chunks(W.shape[0], kernels._chunk_rows(matrix.m),
-                        lambda lo, hi: score(lo, hi, W[lo:hi]))
+    t, step = W.shape[0], kernels._chunk_rows(matrix.m)
+    xi = np.empty((t, matrix.m))
+    ranks = np.empty(xi.shape, dtype=kernels._rank_type(matrix.m))
+    score = _score_body(matrix, min(t, step))
+    kernels._for_chunks(t, step, lambda lo, hi: score(W[lo:hi], xi[lo:hi], ranks[lo:hi]))
     return xi, ranks
 
 
-def _score_body(matrix: DecisionMatrix, t: int):
+def _score_body(matrix: DecisionMatrix, most: int):
     """The distance, closeness and ranking stages as one chunk body:
-    (closeness, ranks, score), where score(lo, hi, w) fills rows lo:hi
-    of the t x m grids `closeness` (float64) and `ranks` (of type
-    kernels._rank_type(m)) from the chunk's weight rows `w`, and returns
-    what kernels._rank_chunk returns.
+    score(w, xi, ranks=None) writes the closeness of weight rows `w`, at
+    most `most` of them, into the C-contiguous float64 rows `xi`; given
+    contiguous rows `ranks` (of type kernels._rank_type(m)), it ranks
+    them there and returns what kernels._rank_chunk returns.
 
     d_plus is taken into the closeness rows and d_minus into the calling
     thread's chunk of float64 scratch, which the ranking then reuses for
-    its sorted values; so no t x m distance grid is held.
+    its sorted values; so no distance grid is held.
     """
     V = np.ascontiguousarray(vector_normalize(matrix))
     ideals = ideal_solutions(V, matrix.is_benefit)
     distances = kernels._distance_body(V, ideals.positive, ideals.negative)
-    m = matrix.m
-    xi = np.empty((t, m))
-    ranks = np.empty(xi.shape, dtype=kernels._rank_type(m))
-    scratch = kernels._chunk_scratch(t, m)
+    scratch = kernels._chunk_scratch(most, matrix.m)
 
-    def score(lo, hi, w):
-        dp, dm = xi[lo:hi], scratch()[:hi - lo]
+    def score(w, xi, ranks=None):
+        dp, dm = xi, scratch()[:len(xi)]
         distances(w, dp, dm)
         total = np.add(dp, dm, out=dp)  # closeness then overwrites the sums
         if np.any(total == 0):
@@ -118,6 +117,6 @@ def _score_body(matrix: DecisionMatrix, t: int):
                 "degenerate problem: ideal equals anti-ideal on every weighted criterion"
             )
         np.divide(dm, total, out=total)
-        return kernels._rank_chunk(dp, ranks[lo:hi], dm)
+        return None if ranks is None else kernels._rank_chunk(dp, ranks, dm)
 
-    return xi, ranks, score
+    return score

@@ -83,7 +83,7 @@ def test_scaling_one_column_keeps_the_ranking():
         for (name_a, w_a), (name_b, w_b) in zip(report.weight_table(), exact.weight_table(),
                                                  strict=True):
             assert name_a == name_b and w_a.tobytes() == w_b.tobytes(), (k, name_a)
-        assert report.closeness.tobytes() == exact.closeness.tobytes(), k
+        assert np.asarray(report.closeness).tobytes() == np.asarray(exact.closeness).tobytes(), k
         assert report.rank_matrix.ranks.tobytes() == exact.rank_matrix.ranks.tobytes(), k
         summary_a, summary_b = build_summary(report), build_summary(exact)
         for key in ("rwm_summary", "closeness_summary", "final"):
@@ -102,7 +102,7 @@ def test_permuting_alternatives_permutes_the_outputs():
                               _weight_tolerance(values, directions))
         # on the same weight rows, closeness in (0, 1) moves by ulps of 1 at most
         xi, _ = batch_topsis(make_matrix(values[p], directions), np.asarray(report.rwm.rows))
-        assert np.max(np.abs(report.closeness[:, p] - xi)) <= 4 * EPS, k
+        assert np.max(np.abs(np.asarray(report.closeness)[:, p] - xi)) <= 4 * EPS, k
 
 
 def test_permuting_criteria_permutes_weights_band_and_single_rankings():
@@ -142,14 +142,15 @@ def _row_scaling_tolerance(n):
 def test_scaling_whole_weight_rows_keeps_closeness_and_ranks():
     for k, (rng, _, _, report) in enumerate(_problems(4)):
         matrix, rows = report.matrix, np.asarray(report.rwm.rows)
+        closeness = np.asarray(report.closeness)
         # a power of 4 scales every product and sum exactly, and each root by 2^j
         j = int(rng.integers(1, 21)) * int(rng.choice([-1, 1]))
         xi, ranks = batch_topsis(matrix, rows * 4.0 ** j)
-        assert np.array_equal(xi, report.closeness), k
+        assert np.array_equal(xi, closeness), k
         assert np.array_equal(ranks, report.rank_matrix.ranks), k
         tol = _row_scaling_tolerance(matrix.n)
         xi, ranks = batch_topsis(matrix, rows * 10.0 ** rng.uniform(-3, 3))
-        assert np.max(np.abs(xi - report.closeness)) <= tol, k
+        assert np.max(np.abs(xi - closeness)) <= tol, k
         # a row whose closest pair is more than 2 tol apart cannot change order
-        apart = np.diff(np.sort(report.closeness, axis=1), axis=1).min(axis=1) > 2 * tol
+        apart = np.diff(np.sort(closeness, axis=1), axis=1).min(axis=1) > 2 * tol
         assert np.array_equal(ranks[apart], report.rank_matrix.ranks[apart]), k

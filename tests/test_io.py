@@ -343,8 +343,9 @@ def test_summarised_arrays_hold_no_negative_zero():
     cfg = RunConfig(iterations=500, include_entropy=False, include_critic=False,
                     custom_sets=((0.0, 1.0), (-0.0, 1.0)))
     report = run_pipeline(m, cfg)
-    assert np.all(report.closeness[:, 0] == 0.0)
-    assert not np.signbit(report.closeness).any()
+    closeness = np.asarray(report.closeness)
+    assert np.all(closeness[:, 0] == 0.0)
+    assert not np.signbit(closeness).any()
     rows = np.asarray(report.rwm.rows)
     assert np.any(rows == 0.0)
     assert not np.signbit(rows).any()

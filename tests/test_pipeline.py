@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from bandtopsis import (
     sample_weight_matrix,
     topsis_run,
 )
+from bandtopsis import aggregate, pipeline
+from bandtopsis.io import five_number_columns
 from conftest import REF_POSITIONS, SOCIAL_DIRECTIONS, SOCIAL_VALUES, make_matrix
 
 
@@ -159,11 +163,15 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
 
 
 def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypatch):
-    # on one CPU the peak is deterministic: the t x m closeness at 8 bytes a
-    # value, the t x m ranks at one byte, and one thread's chunk scratch (the
-    # chunk's weight rows, float64 distances and sorted values, the argsort
-    # order, the counting offsets and the uniform stream's blocks), allowed
-    # 3 MiB; no t x n weight grid is held
+    # on one CPU the peak is deterministic: the t x m ranks at one byte a
+    # value; the closeness values the quartile windows keep, about 16% of
+    # them at 8 bytes, held twice while they are gathered at the end, so
+    # about 2.6 bytes a value, allowed 4; and one thread's chunk scratch (the
+    # chunk's weight rows, 1 MiB, its float64 closeness and distances,
+    # 512 KiB each, the uniform stream's blocks, 512 KiB, the sorted chunk
+    # and its keys, 1 MiB, and the argsort order of a chunk not in one order,
+    # 512 KiB), allowed 4 MiB; no t x n weight grid and no t x m closeness
+    # grid is held
     import tracemalloc
 
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
@@ -177,7 +185,7 @@ def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypat
     finally:
         tracemalloc.stop()
     assert report.rank_matrix.ranks.dtype == np.uint8
-    assert peak <= t * m * 8 + t * m * 1 + 3 * 2 ** 20
+    assert peak <= t * m * 1 + t * m * 4 + 4 * 2 ** 20
 
 
 def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, monkeypatch):
@@ -200,3 +208,90 @@ def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, 
         tracemalloc.stop()
     assert len(summary["rwm_summary"]) == social_matrix.n
     assert peak <= t * 8 + 2 * 8 * kernels._BLOCK + 2 ** 18
+
+
+# ------------------------------------------------------------ pass summaries
+
+# 13 alternatives, the last equal to the second: 5,042 rows a chunk, and a
+# prefix of two chunks, 10,084 rows, for the quartile windows
+_WIDE = make_matrix(_PROBLEMS["13-wide"], SOCIAL_DIRECTIONS)
+_STEP = kernels._chunk_rows(_WIDE.m)
+_PREFIX = -(-aggregate._PREFIX_ROWS // _STEP) * _STEP
+_PASS_ITERATIONS = {
+    "1": 1, "2": 2, "below-one-chunk": 100,
+    "chunk-1": _STEP - 1, "chunk": _STEP, "chunk+1": _STEP + 1,
+    "prefix-1": _PREFIX - 1, "prefix": _PREFIX, "prefix+1": _PREFIX + 1,
+    "past-the-prefix": 3 * _PREFIX + 7,
+}
+
+
+def _whole_grid_reads(monkeypatch):
+    """The calls a report makes to five_number_columns because an order
+    statistic fell outside its window, and the closeness grid was drawn."""
+    calls = []
+
+    def counted(table):
+        calls.append(table.shape)
+        return five_number_columns(table)
+
+    monkeypatch.setattr(pipeline, "five_number_columns", counted)
+    return calls
+
+
+def _assert_pass_summaries_exact(report):
+    xi = np.asarray(report.closeness)
+    assert json.dumps(report.closeness_summary) == json.dumps(five_number_columns(xi))
+    assert report.final.mean_closeness.tobytes() == xi.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("t", list(_PASS_ITERATIONS))
+def test_pass_summaries_equal_those_of_the_whole_grid(t, cpus, monkeypatch):
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    whole = _whole_grid_reads(monkeypatch)
+    cfg = RunConfig(iterations=_PASS_ITERATIONS[t], seed=11, custom_sets=((0.05,) * 12,))
+    report = run_pipeline(_WIDE, cfg)
+    assert not whole  # every order statistic was in its window
+    _assert_pass_summaries_exact(report)
+
+
+def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
+    # a zero-width band repeats one row, so each window holds one value t times
+    whole = _whole_grid_reads(monkeypatch)
+    cfg = RunConfig(iterations=kernels._chunk_rows(6) + 3, include_entropy=False,
+                    include_critic=False, custom_sets=((0.05,) * 12,))
+    report = run_pipeline(social_matrix, cfg)
+    assert not whole
+    _assert_pass_summaries_exact(report)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_pass_summaries_fall_back_to_the_whole_grid_on_a_window_miss(cpus, monkeypatch):
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(aggregate, "_WINDOW_SIGMAS", 0.0)  # windows of two or three values
+    whole = _whole_grid_reads(monkeypatch)
+    report = run_pipeline(_WIDE, RunConfig(iterations=3 * _PREFIX + 7, seed=11))
+    assert whole == [(3 * _PREFIX + 7, _WIDE.m)]
+    _assert_pass_summaries_exact(report)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_closeness_view_reads_rows_slices_and_the_whole_grid(cpus, monkeypatch):
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    report = run_pipeline(_WIDE, RunConfig(iterations=2 * _STEP + 5, seed=3))
+    full, _ = batch_topsis(_WIDE, np.asarray(report.rwm.rows))
+    view = report.closeness
+    assert view.shape == full.shape and view.dtype == np.float64
+    assert np.asarray(view).tobytes() == full.tobytes()
+    for key in (0, _STEP - 1, _STEP, -1, slice(None), slice(_STEP - 3, _STEP + 4),
+                slice(2 * _STEP - 1, None), slice(5, 5)):
+        got = view[key]
+        assert got.shape == full[key].shape and got.tobytes() == full[key].tobytes(), key
+    for key in (len(full), slice(None, None, 2), (slice(None), 0), (0, 0)):
+        with pytest.raises(IndexError):
+            view[key]
+    # an operator would compute the whole t x m grid unseen, as on the weight rows
+    for op in (lambda: full <= view, lambda: np.add(view, 1), lambda: full == view,
+               lambda: view == 0.0, lambda: view != 0.0, lambda: view * 2.0):
+        with pytest.raises(TypeError):
+            op()

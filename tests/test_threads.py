@@ -26,7 +26,7 @@ from bandtopsis import (
     run_pipeline,
     sample_weight_matrix,
 )
-from bandtopsis import sampling
+from bandtopsis import aggregate, pipeline, sampling
 from bandtopsis.cli import cli_main
 from bandtopsis.io import five_number_columns
 from test_golden import DATA, GOLDEN_SHA256
@@ -135,17 +135,22 @@ def test_threaded_kernel_equals_inline_and_whole_array(kernel, rows, monkeypatch
     assert threaded.tobytes() == inline.tobytes() == whole.tobytes()
 
 
-def test_more_workers_than_cpus_with_frequent_switches_match_inline(monkeypatch):
-    # rank counting and the summaries fill one shared list from every chunk
+def test_more_workers_than_cpus_with_frequent_switches_match_inline(social_matrix, monkeypatch):
+    # rank counting and the summaries fill one shared list from every chunk, and
+    # the pass hands every chunk's closeness, in row order, to one carried sum
+    # and one set of quartile windows
     monkeypatch.setattr(kernels, "_CHUNK", 1 << 8)
+    monkeypatch.setattr(aggregate, "_PREFIX_ROWS", 1 << 9)
     xi = _tie_heavy(5000, 12)
     table = np.random.default_rng(3).uniform(size=(300, 40))
 
     def stages():
         ranks = kernels.rank_rows(xi)
+        report = run_pipeline(social_matrix, RunConfig(iterations=5000, seed=3))
         return (np.asarray(sample_weight_matrix(_bounds(7), 3000, 1).rows).tobytes(),
                 ranks.tobytes(),
-                rank_frequency(RankMatrix(ranks)).tobytes(), five_number_columns(table))
+                rank_frequency(RankMatrix(ranks)).tobytes(), five_number_columns(table),
+                report.closeness_summary, report.final.mean_closeness.tobytes())
 
     inline = _with_cpus(monkeypatch, 1, stages)
     interval = sys.getswitchinterval()
@@ -172,7 +177,8 @@ def test_pipeline_and_summary_do_not_depend_on_the_cpu_count(social_matrix, monk
     one = _with_cpus(monkeypatch, 1, lambda: _report_bytes(run_pipeline(social_matrix, config)))
     assert not pools
     three = _with_cpus(monkeypatch, 3, lambda: _report_bytes(run_pipeline(social_matrix, config)))
-    # the one pass over row chunks, the weight grid drawn for its bytes, then both summaries
+    # the one pass over row chunks, the weight and closeness grids drawn for their bytes,
+    # then the weight summary; the closeness summary comes from the pass
     assert len(pools) == 4
     assert one == three
 
@@ -232,6 +238,43 @@ def test_first_failed_chunk_cancels_the_rest_and_is_raised(monkeypatch):
     with pytest.raises(ValueError, match="chunk 0"):
         kernels._for_chunks(1000, 1, chunk)
     assert len(started) < 100
+    assert threading.active_count() == threads  # no thread outlives the call
+
+
+def test_a_failed_chunk_raises_while_later_chunks_wait_to_be_carried(social_matrix, monkeypatch):
+    # chunk 0 fails late, so the chunks after it are made first and parked
+    # for the ordered carry, which never reaches them
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 3)
+    real, parked = sampling._fill_uniforms, []
+
+    def failing(seed, start, *args, **kwargs):
+        if start == 0:
+            time.sleep(0.3)
+            raise ValueError("chunk 0")
+        return real(seed, start, *args, **kwargs)
+
+    class Watched(kernels._InOrder):
+        def put(self, lo, hi, rows):
+            super().put(lo, hi, rows)
+            parked.append(len(self._parked))
+
+    monkeypatch.setattr(sampling, "_fill_uniforms", failing)
+    monkeypatch.setattr(pipeline, "_InOrder", Watched)
+    threads = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            run_pipeline(social_matrix, RunConfig(iterations=200_000))
+        except ValueError as e:
+            raised.append(e)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the pass hung on a chunk that never came"
+    assert [str(e) for e in raised] == ["chunk 0"]
+    assert max(parked) >= 1
     assert threading.active_count() == threads  # no thread outlives the call
 
 
