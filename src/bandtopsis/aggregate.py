@@ -10,8 +10,10 @@ by descending modal score. Ties are resolved deterministically:
 
 The five-number summaries of the weights and the closeness are taken
 here too: of a whole column at a time by :func:`five_number_columns`,
-and of the closeness of a run, with its mean, from the row chunks of the
-one pass as they are made, by :class:`_ClosenessPass`.
+and of a run's closeness, with its mean, from the row chunks of the one
+pass as they are made, by :class:`_ClosenessPass`, through the exact
+order-statistic windows of :mod:`bandtopsis.windows`, which also give the
+weights' summary.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .kernels import _chunk_rows, _for_chunks, _per_thread
 from .model import FinalRanking, RankMatrix
-from .sampling import _WeightRows
 from .summary import _FIVE_NUMBERS
 
 
@@ -106,6 +107,8 @@ class _RankCounts:
 # ------------------------------------------------------- five-number summaries
 
 _QUARTILES = (0.25, 0.5, 0.75)
+# The quantiles the five numbers read, from the minimum to the maximum.
+_PICKS = (0.0, *_QUARTILES, 1.0)
 
 
 def _linear_pick(n: int, q: float) -> tuple[int, int, float]:
@@ -128,13 +131,10 @@ def _lerp(a: float, b: float, g: float) -> float:
 
 
 def five_number_columns(table) -> list[dict[str, float]]:
-    """min / q1 / median / q3 / max of every column of a t x k array, or
-    of the weight rows of a RandomWeightMatrix.
+    """min / q1 / median / q3 / max of every column of a t x k array.
 
     The columns are summarized in chunks (see kernels._for_chunks), each
-    column put into its thread's contiguous buffer: a table's column is
-    copied, and a weight column is regenerated alone by the rows view's
-    columns(), so no t x n weight grid is drawn.
+    column copied into its thread's contiguous buffer.
     Only the order statistics the five values read are put in place:
     three single-k partitions place the median's, then the lower
     quartile's below it and the upper quartile's above it, and the
@@ -148,16 +148,9 @@ def five_number_columns(table) -> list[dict[str, float]]:
     select and numpy's may pick differently; sampled weights and
     closeness values are never -0.0.
     """
-    if isinstance(table, _WeightRows):
-        fill = table.columns()
-    else:
-        table = np.asarray(table, dtype=float)
-
-        def fill(j: int, buf: np.ndarray) -> None:
-            np.copyto(buf, table[:, j])
-
+    table = np.asarray(table, dtype=float)
     t, k = table.shape
-    picks = [_linear_pick(t, q) for q in (0.0, *_QUARTILES, 1.0)]
+    picks = [_linear_pick(t, q) for q in _PICKS]
     k1, k2, k3 = (lo for lo, _, _ in picks[1:4])
     placed = sorted({0, k1, k2, k3, t - 1})
     following = dict(zip(placed, placed[1:]))
@@ -174,7 +167,7 @@ def five_number_columns(table) -> list[dict[str, float]]:
             return float(buf[i:following[i - 1] + 1].min())
 
         for j in range(first, stop):
-            fill(j, buf)
+            np.copyto(buf, table[:, j])
             # one k per call: numpy may run a SIMD select for a single k, which on an
             # AVX-512 CPU took 2 ms per 10^6 values against 15 ms for partition([k, k + 1])
             buf.partition(k2)
@@ -196,20 +189,20 @@ def five_number_columns(table) -> list[dict[str, float]]:
     return out
 
 
-# A quartile window spans this many standard deviations of sample rank to
-# each side of the prefix's order statistic: a wider one keeps more values,
-# a narrower one misses more often; a miss costs time, never a value.
-_WINDOW_SIGMAS = 6.0
-# Leading rows the windows are picked from, at least, in whole chunks: one
-# chunk of 200-wide rows is 328 rows, and its windows keep most values.
+def _five_numbers(stats: np.ndarray, t: int) -> list[dict[str, float]]:
+    """The five numbers of each column of t values from its 5 x 2 order
+    statistics in the k x 5 x 2 `stats`: the two that each quantile of
+    _PICKS reads (see _linear_pick), read as five_number_columns reads
+    them."""
+    picks = [_linear_pick(t, q) for q in _PICKS]
+    return [{name: _lerp(x, y, g) for name, (x, y), (_, _, g) in zip(_FIVE_NUMBERS, row, picks)}
+            for row in stats.tolist()]
+
+
+# Leading rows the closeness windows are placed from, at least, in whole
+# chunks: one chunk of 200-wide rows is 328 rows, and its windows keep most
+# values.
 _PREFIX_ROWS = 1 << 13
-
-
-def _window(n: int, q: float) -> tuple[int, int]:
-    """First and last sorted index of quantile q's window among n values."""
-    half = _WINDOW_SIGMAS * math.sqrt(q * (1 - q) * n)
-    at = q * (n - 1)
-    return max(0, math.floor(at - half)), min(n - 1, math.ceil(at + half) + 1)
 
 
 class _ClosenessPass:
@@ -226,26 +219,15 @@ class _ClosenessPass:
     before it added in reduces to the sum of every row to its last, and
     the mean equals xi.mean(axis=0) bit for bit.
 
-    The quartiles are exact order statistics read from windows (Floyd
-    and Rivest, CACM 18(3), 1975). The chunks of a prefix, at least
+    The quartiles come from windows._Windows. The chunks of a prefix, at least
     _PREFIX_ROWS rows, are written into one grid, which is then sorted
     down each alternative's column. If the prefix is the whole run, the
-    five numbers are read from it. Otherwise a window of values is
-    picked around each quartile's order statistics in the prefix,
-    _WINDOW_SIGMAS standard deviations of sample rank to each side, and
-    the prefix is let go. Every chunk, the prefix's too, is then sorted
-    alternative-major: the values below each window are counted and
-    those inside it kept, and the least two values and the largest are
-    kept exactly. result() reads each order statistic among its window's
-    values, or gives None for the summaries if one fell outside its
-    window.
-
-    A sorted chunk is searched once for every alternative's window edges,
-    through the keys value + 3j of alternative j: closeness lies in
-    [0, 1], so alternative j's keys lie in [3j, 3j + 1], in value order.
-    Rounding may tie two keys; a value whose key ties an edge's counts as
-    inside, so every value counted below a window still lies below every
-    value kept in it, and each order statistic is read exactly."""
+    five numbers are read from it. Otherwise the windows are placed in
+    the prefix, as windows._narrowed places them inside a window of [0, 1] that
+    holds every value, and the prefix is counted and let go; every chunk
+    after it is counted as it comes, and the windows narrow as the rows
+    grow. result() gives None for the summaries if an order statistic
+    fell outside its window."""
 
     def __init__(self, t: int, m: int, step: int):
         self.t, self.step = t, min(t, step)
@@ -269,86 +251,33 @@ class _ClosenessPass:
         else:
             self.sum = np.add.reduce(rows, axis=0)
         if self.windows is not None:
-            values = self._values(rows.T)
-            values.sort(axis=1)
-            self._count(values)
+            self.windows.add(rows)
         elif hi == self.prefix_rows:
             self.prefix.sort(axis=0)
             if hi < self.t:
                 self._open_windows()
 
     def _open_windows(self) -> None:
-        """Pick the windows from the sorted prefix, then count the prefix."""
+        """Place the windows in the sorted prefix, then count the prefix."""
+        from .windows import _narrowed, _Windows  # compiled only for runs that need it
+
         prefix, self.prefix = self.prefix, None
         n, m = prefix.shape
-        self.sorted = np.empty((2, m * self.step))  # a sorted chunk and its keys
-        self.offsets = 3.0 * np.arange(m)[:, None]
-        first, last = zip(*(_window(n, q) for q in _QUARTILES))
-        self.windows = prefix[list(first)].T + self.offsets, prefix[list(last)].T + self.offsets
-        self.below = np.zeros((m, len(_QUARTILES)), dtype=np.int64)
-        self.kept = []  # per chunk: the values inside the windows, and how many per window
-        self.least, self.most = np.empty((m, 0)), np.zeros(m)
+        edges = np.empty((len(_PICKS), m, 2))
+        edges[...] = 0.0, 1.0
+        for p, q in enumerate(_PICKS):
+            edges[p, :, 0], edges[p, :, 1] = _narrowed(
+                lambda i: prefix[np.clip(i, 0, n - 1)], n, 0, n, q, edges[p])
+        chunk = np.empty((2, m * self.step))  # a sorted chunk and its keys
+        self.windows = _Windows(edges, lambda: chunk, placed=n)
         for a in range(0, n, self.step):  # sorted already
-            self._count(self._values(prefix[a:a + self.step].T))
-
-    def _values(self, chunk: np.ndarray) -> np.ndarray:
-        """A contiguous copy of an m x r chunk, in scratch."""
-        m, r = chunk.shape
-        values = self.sorted[0, :m * r].reshape(m, r)
-        np.copyto(values, chunk)
-        return values
-
-    def _count(self, values: np.ndarray) -> None:
-        """Count and keep the values of a sorted m x r chunk, in scratch,
-        against the windows."""
-        m, r = values.shape
-        keys = np.add(values, self.offsets, out=self.sorted[1, :m * r].reshape(m, r)).ravel()
-        start = np.searchsorted(keys, self.windows[0])
-        stop = np.searchsorted(keys, self.windows[1], side="right")
-        self.below += start - np.arange(0, m * r, r)[:, None]
-        counts = (stop - start).ravel()
-        ends = np.cumsum(counts)
-        inside = np.arange(ends[-1]) + np.repeat(start.ravel() - ends + counts, counts)
-        self.kept.append((values.ravel()[inside], counts))
-        self.least = np.sort(np.hstack([self.least, values[:, :2]]), axis=1)[:, :2]
-        np.maximum(self.most, values[:, -1], out=self.most)
+            self.windows.add(prefix[a:a + self.step], presorted=True)
 
     def result(self) -> tuple[np.ndarray, list[dict[str, float]] | None]:
-        picks = [_linear_pick(self.t, q) for q in (0.0, *_QUARTILES, 1.0)]
-        self.scratch = self.sorted = None
+        self.scratch = None
         if self.windows is None:  # the prefix is the whole closeness, sorted
-            stats = self.prefix[[k for pick in picks for k in pick[:2]]].T
+            picks = [_linear_pick(self.t, q)[:2] for q in _PICKS]
+            stats = self.prefix[np.ravel(picks)].T.reshape(-1, len(_PICKS), 2)
         else:
-            stats = self._read_windows(picks)
-        mean = self.sum / self.t
-        if stats is None:
-            return mean, None
-        return mean, [{name: _lerp(x, y, g)
-                       for name, (x, y), (_, _, g) in zip(_FIVE_NUMBERS, row, picks)}
-                      for row in stats.reshape(len(stats), -1, 2).tolist()]
-
-    def _read_windows(self, picks) -> np.ndarray | None:
-        """The order statistics each pick reads, m x 10: each quartile's
-        from its window, the extremes from those kept; None if one fell
-        outside its window."""
-        m = len(self.below)
-        counts = np.array([c for _, c in self.kept])
-        size = counts.sum(axis=0)
-        # rank of each quartile's two order statistics among its window's values
-        rank = np.array([p[:2] for p in picks[1:4]]) - self.below[:, :, None]
-        if not ((rank >= 0) & (rank < size.reshape(m, -1, 1))).all():
-            return None
-        # every chunk's values of one window, window after window
-        start = np.cumsum(size) - size
-        values = np.empty(size.sum())
-        for (kept, c), at in zip(self.kept, start + np.cumsum(counts, axis=0) - counts):
-            ends = np.cumsum(c)
-            values[np.arange(len(kept)) + np.repeat(at - ends + c, c)] = kept
-        self.kept = None
-        stats = []
-        for a, n, (i, k) in zip(start, size, rank.reshape(-1, 2).tolist()):
-            window = values[a:a + n]
-            window.partition(i)
-            stats.append((window[i], window[i] if k == i else window[k:].min()))
-        most = self.most[:, None]
-        return np.hstack([self.least, np.reshape(stats, (m, -1)), most, most])
+            stats = self.windows.stats(self.t)
+        return self.sum / self.t, None if stats is None else _five_numbers(stats, self.t)

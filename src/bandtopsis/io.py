@@ -17,7 +17,6 @@ from typing import IO
 import numpy as np
 
 from .base import ProblemFormatError, _is_number, _read_json, _read_text, _Shape
-from .aggregate import five_number_columns
 from .model import (
     CriterionSpec,
     DecisionMatrix,
@@ -262,7 +261,8 @@ def build_summary(report: RunReport) -> dict:
             for c in matrix.criteria
         ],
         "weights": [{"name": name, "values": vec.tolist()} for name, vec in report.weight_table()],
-        "rwm_summary": dict(zip(matrix.criterion_ids(), five_number_columns(report.rwm.rows))),
+        "rwm_summary": {name: dict(five) for name, five in
+                        zip(matrix.criterion_ids(), report.rwm_summary)},
         "closeness_summary": {name: dict(five) for name, five in
                               zip(matrix.alternatives, report.closeness_summary)},
         "final": {

@@ -300,7 +300,7 @@ def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     taking the top 53 bits as the mantissa. A value depends only on
     (seed, counter), never on evaluation order, so any slice of the
     stream can be regenerated independently and bit-identically on any
-    platform; _fill_uniforms also takes every stride-th value.
+    platform.
 
     The stream is computed in blocks of ``_BLOCK`` values with in-place
     uint64 ufuncs (arithmetic mod 2^64), each block mixed in the result's
@@ -312,28 +312,28 @@ def unit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _uniform_scratch(count: int, stride: int = 1):
-    """The ramp 0, stride * gamma, 2 * stride * gamma, ... (mod 2^64) and
-    the uint64 work array that _fill_uniforms needs for `count` values at
-    that stride, one block at a time."""
+def _uniform_scratch(count: int):
+    """The ramp 0, gamma, 2 * gamma, ... (mod 2^64) and the uint64 work
+    array that _fill_uniforms needs for `count` values, one block at a
+    time."""
     ramp = np.arange(min(count, _BLOCK), dtype=np.uint64)
-    np.multiply(ramp, np.uint64(int(stride) * int(_GAMMA) & _U64), out=ramp)
+    np.multiply(ramp, _GAMMA, out=ramp)
     return ramp, np.empty_like(ramp)
 
 
-def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch, stride: int = 1) -> None:
-    """Write values start, start + stride, start + 2 * stride, ... of the
-    stream into the 1-D float64 array `out`, working in `scratch` from
-    _uniform_scratch(n, stride) for some n >= len(out). Each block is
-    mixed as uint64 words in its own place in `out`."""
-    count, start, stride = len(out), int(start), int(stride)
+def _fill_uniforms(seed: int, start: int, out: np.ndarray, scratch) -> None:
+    """Write values start, start + 1, ... of the stream into the 1-D
+    float64 array `out`, working in `scratch` from _uniform_scratch(n)
+    for some n >= len(out). Each block is mixed as uint64 words in its
+    own place in `out`."""
+    count, start = len(out), int(start)
     ramp, tmp = scratch
     for lo in range(0, count, _BLOCK):
         k = min(_BLOCK, count - lo)
         ob = out[lo:lo + k]
         zb, tb = ob.view(np.uint64), tmp[:k]
-        # (start + (lo + i) * stride + 1) * gamma + seed for i = 0..k-1, in one add mod 2^64
-        offset = (start + lo * stride + 1) * int(_GAMMA) + int(seed)
+        # (start + lo + i + 1) * gamma + seed for i = 0..k-1, in one add mod 2^64
+        offset = (start + lo + 1) * int(_GAMMA) + int(seed)
         np.add(ramp[:k], np.uint64(offset & _U64), out=zb)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(zb, np.uint64(shift), out=tb)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _ClosenessPass, _RankCounts, _rank_by_mode, five_number_columns
+from .aggregate import _ClosenessPass, _rank_by_mode, _RankCounts, five_number_columns
 from .base import ComputationError
 from .kernels import _chunk_rows, _for_chunks, _InOrder, _per_thread, _rank_type
 from .model import (
@@ -31,18 +31,21 @@ class RunReport:
     """Everything a run produced, sufficient to re-derive every output
     file. Re-running with the echoed config reproduces it exactly.
 
-    `rank_matrix`, `final` and `closeness_summary` are filled by one pass
-    over row chunks and equal, bit for bit, what batch_topsis,
-    final_ranking and five_number_columns give on the rows of `rwm`.
-    Neither the weight rows nor the closeness are held. `rwm` describes
-    the draw (bounds, t and seed), and its `rows` view draws a row, a run
-    of rows, a column of every row or the whole grid bit for bit.
-    `closeness` is a read-only view of the t x m closeness in the same
-    way: `closeness[i]` and `closeness[lo:hi]` draw and score only those
-    rows, and np.asarray(closeness) computes the whole grid, which the
-    caller then holds. A report built from a closeness array holds a
-    write-locked copy of it instead, and takes `closeness_summary` from
-    five_number_columns when none is given.
+    `rank_matrix`, `final`, `closeness_summary` and `rwm_summary` are
+    filled by one pass over row chunks and equal, bit for bit, what
+    batch_topsis, final_ranking and five_number_columns give on the rows
+    of `rwm`. Neither the weight rows nor the closeness are held. `rwm`
+    describes the draw (bounds, t and seed), and its `rows` view draws a
+    row, a run of rows or the whole grid bit for bit. `closeness` is a
+    read-only view of the t x m closeness in the same way:
+    `closeness[i]` and `closeness[lo:hi]` draw and score only those rows,
+    through bodies the view makes at its first read and keeps, and
+    np.asarray(closeness) computes the whole grid, which the caller then
+    holds. A report built from a closeness array holds a write-locked
+    copy of it instead, and takes `closeness_summary` from
+    five_number_columns when none is given. A report given no
+    `rwm_summary` takes it from windows.weight_summary's stream-only
+    pass, which holds no weight grid.
 
     A chunk whose rows all keep one order is ranked and counted without a
     sort; its ranks are the ones the stable sort would give.
@@ -60,6 +63,7 @@ class RunReport:
     rank_matrix: RankMatrix
     final: FinalRanking
     closeness_summary: list[dict[str, float]] | None = None  # per alternative
+    rwm_summary: list[dict[str, float]] | None = None  # per criterion
 
     def __post_init__(self):
         if not isinstance(self.closeness, _Rows):
@@ -67,10 +71,19 @@ class RunReport:
         if self.closeness_summary is None:
             object.__setattr__(self, "closeness_summary",
                                five_number_columns(np.asarray(self.closeness)))
+        if self.rwm_summary is None:
+            object.__setattr__(self, "rwm_summary", _weight_summary(self.rwm))
 
     def weight_table(self) -> list[tuple[str, np.ndarray]]:
         """Display rows: each contributing set, then the band envelope."""
         return _weight_rows(self.weight_sets, self.bounds)
+
+
+def _weight_summary(rwm: RandomWeightMatrix, windows=None) -> list[dict[str, float]]:
+    """windows.weight_summary, imported only by a run that needs it."""
+    from .windows import weight_summary
+
+    return weight_summary(rwm, windows)
 
 
 def _weight_rows(sets, bounds: WeightBounds) -> list[tuple[str, np.ndarray]]:
@@ -101,29 +114,42 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     weight rows are drawn into the calling thread's chunk scratch, then
     scored, ranked and counted while they are in cache, by the same
     chunk bodies that np.asarray(rwm.rows), batch_topsis and
-    rank_frequency run alone. The chunk's closeness, in scratch too, then
-    goes in row order to the mean and the windows of _ClosenessPass. No
-    t x n weight grid and no t x m closeness grid is held; only if an
-    order statistic falls outside its window is the closeness computed
-    again, whole, for five_number_columns.
+    rank_frequency run alone. The draw hands the chunk's unit uniforms
+    to the rwm_summary windows (see windows.weight_summary) on the way;
+    a pass of one chunk summarizes its weight rows whole instead.
+    The chunk's closeness, in scratch too, then goes in row order to the
+    mean and the windows of _ClosenessPass. No t x n weight grid and no
+    t x m closeness grid is held; only if an order statistic falls
+    outside its window is that grid computed, whole, for
+    five_number_columns.
     """
     config = config or RunConfig()
     validate_problem(matrix, config)
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
     rwm = RandomWeightMatrix(bounds, config.iterations, config.seed)
-    ranks, counts, closeness = _one_pass(matrix, rwm)
+    ranks, counts, closeness, windows, whole = _one_pass(matrix, rwm)
     mean, summaries = closeness.result()  # the pass's chunk scratch is gone by now
     return RunReport(matrix, config, tuple(sets), bounds, rwm, _closeness_rows(matrix, rwm),
-                     RankMatrix(_Owned(ranks)), _rank_by_mode(counts, mean), summaries)
+                     RankMatrix(_Owned(ranks)), _rank_by_mode(counts, mean), summaries,
+                     whole or _weight_summary(rwm, windows))
 
 
 def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
-    """The pass of run_pipeline: the t x m ranks, their occupancy counts
-    and the _ClosenessPass that took every chunk's closeness."""
+    """The pass of run_pipeline: the t x m ranks, their occupancy counts,
+    the _ClosenessPass that took every chunk's closeness, and the weight
+    windows that took every chunk's uniforms; or, for a pass of one
+    chunk, no windows but the weights' five numbers, taken from that
+    chunk's rows whole, as the closeness' are from a prefix that is the
+    whole run."""
     t, m, step = rwm.iterations, matrix.m, _chunk_rows(matrix.m)
     most = min(t, step)
-    draw, score = _draw_body(rwm, most), _score_body(matrix, most)
+    windows, whole = None, []
+    if t > step:  # one chunk holds every weight row at once; windows would only add memory
+        from .windows import _law_windows
+
+        windows = _law_windows(rwm, most)
+    draw, score = _draw_body(rwm, most, windows), _score_body(matrix, most)
     scratch = _per_thread(lambda: np.empty((most, rwm.bounds.n)))
     ranks = np.empty((t, m), dtype=_rank_type(m))
     counts, closeness = _RankCounts(m), _ClosenessPass(t, m, step)
@@ -132,18 +158,23 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
     def chunk(lo, hi):
         weights, xi = scratch()[:hi - lo], closeness.rows(lo, hi)
         draw(lo, hi, weights)
+        if windows is None:
+            whole[:] = five_number_columns(weights)
         counts.add(ranks[lo:hi], score(weights, xi, ranks[lo:hi]))
         ordered.put(lo, hi, xi)
 
     _for_chunks(t, step, chunk)
-    return ranks, counts.grid(), closeness
+    return ranks, counts.grid(), closeness, windows, whole
 
 
 def _closeness_rows(matrix: DecisionMatrix, rwm: RandomWeightMatrix) -> _Rows:
     """The t x m closeness of a run as a read-only view (see _Rows): each
-    chunk of rows is drawn into the calling thread's scratch and scored."""
+    chunk of rows is drawn into the calling thread's scratch and scored,
+    by draw and score bodies made once, at the view's first read."""
+    t, m = rwm.iterations, matrix.m
 
-    def body(most):
+    def body():
+        most = min(t, _chunk_rows(m))
         draw, score = _draw_body(rwm, most), _score_body(matrix, most)
         scratch = _per_thread(lambda: np.empty((most, rwm.bounds.n)))
 
@@ -154,4 +185,4 @@ def _closeness_rows(matrix: DecisionMatrix, rwm: RandomWeightMatrix) -> _Rows:
 
         return fill
 
-    return _Rows((rwm.iterations, matrix.m), body)
+    return _Rows((t, m), body)

@@ -8,10 +8,11 @@ fill order or thread schedule. No t x n grid is held: a
 RandomWeightMatrix is the description of a draw, and its `rows` view
 draws only what is read. One chunk body, _draw_body, draws runs of
 whole rows, for run_pipeline, np.asarray(rows), a row, a run of rows
-and `bandtopsis rwm` alike; a column of every row, for the rwm_summary
-quartiles, is drawn alone at a counter stride of n by rows.columns().
-The view's base, _Rows, also shows a run's closeness without holding it
-(see pipeline.RunReport).
+and `bandtopsis rwm` alike; in a run_pipeline pass of more than one
+chunk it also hands each chunk's unit uniforms to the rwm_summary
+windows before moving them into the band (see windows.weight_summary).
+The view, _Rows, also shows a run's closeness without holding it (see
+pipeline.RunReport).
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ class RandomWeightMatrix:
 
     `rows` is a read-only view of the t x n rows that draws only what is
     read: `rows[i]` is one row and `rows[lo:hi]` a run of rows, each a
-    new float64 array; `rows.columns()` fills one column of every row;
-    np.asarray(rows) fills the whole grid. Every value is the one the
-    run ranked, bit for bit.
+    new float64 array; np.asarray(rows) fills the whole grid. Every
+    value is the one the run ranked, bit for bit.
 
     t and the seed keep the rules of a run's config (see
     base._config_faults): a seed outside [0, 2^64) raises ValueError
@@ -69,8 +69,9 @@ class RandomWeightMatrix:
         object.__setattr__(self, "seed", seed)
 
     @property
-    def rows(self) -> "_WeightRows":
-        return _WeightRows(self)
+    def rows(self) -> "_Rows":
+        t, n = self.iterations, self.bounds.n
+        return _Rows((t, n), lambda: _draw_body(self, min(t, _chunk_rows(n))))
 
 
 def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> RandomWeightMatrix:
@@ -85,18 +86,22 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
     return RandomWeightMatrix(bounds, iterations, seed)
 
 
-def _draw_body(rwm: RandomWeightMatrix, most: int):
+def _draw_body(rwm: RandomWeightMatrix, most: int, windows=None):
     """The sampling stage as a chunk body: draw(lo, hi, out) writes
     weight rows lo:hi, at most `most` of them, into the C-contiguous
     (hi - lo) x n float64 array `out`: the stream's values from counter
     lo * n on, each moved into its band as lower + u * width, in place.
-    Rows may be drawn in any order, one range at a time, on any thread;
-    each thread works in its own stream scratch."""
+    Given `windows` (a windows._Windows of n columns), the rows' unit
+    uniforms u are added to them first. Rows may be drawn in any order,
+    one range at a time, on any thread; each thread works in its own
+    stream scratch."""
     n, lower, width = rwm.bounds.n, rwm.bounds.lower, rwm.bounds.width
     scratch = _per_thread(lambda: _uniform_scratch(most * n))
 
     def draw(lo, hi, out):
         _fill_uniforms(rwm.seed, lo * n, out.reshape(-1), scratch())
+        if windows is not None:
+            windows.add(out)
         np.multiply(out, width, out=out)
         np.add(out, lower, out=out)
 
@@ -105,10 +110,12 @@ def _draw_body(rwm: RandomWeightMatrix, most: int):
 
 class _Rows:
     """A t x k float64 grid as a read-only view whose rows a chunk body
-    computes on demand: body(most) returns fill(lo, hi, out), which
-    writes rows lo:hi, at most `most` of them, into the C-contiguous
-    (hi - lo) x k float64 array `out`. It holds no values: a read
-    computes a fresh array, in row chunks, which the caller owns.
+    computes on demand: make() returns fill(lo, hi, out), which writes
+    rows lo:hi, at most one chunk of them (kernels._chunk_rows(k)), into
+    the C-contiguous (hi - lo) x k float64 array `out`. The body is made
+    at the first read and kept for the next, with the scratch it has
+    made. The view holds no values: a read computes a fresh array, in
+    row chunks, which the caller owns.
 
     A row (an int), a run of rows (a slice of step 1) and np.asarray are
     all it reads; numpy operators and == raise TypeError rather than
@@ -117,8 +124,8 @@ class _Rows:
     dtype = np.dtype(np.float64)
     __array_ufunc__ = None  # numpy operators raise TypeError, not compute the grid
 
-    def __init__(self, shape: tuple[int, int], body):
-        self.shape, self._body = shape, body
+    def __init__(self, shape: tuple[int, int], make):
+        self.shape, self._make, self._fill = shape, make, None
 
     def __eq__(self, other):
         raise TypeError("rows take no operators; compare np.asarray(rows)")
@@ -144,33 +151,9 @@ class _Rows:
 
     def _read(self, run: range) -> np.ndarray:
         out = np.empty((len(run), self.shape[1]))
-        step = _chunk_rows(self.shape[1])
-        fill = self._body(min(len(run), step))
-        _for_chunks(len(run), step,
+        if self._fill is None:
+            self._fill = self._make()
+        fill = self._fill
+        _for_chunks(len(run), _chunk_rows(self.shape[1]),
                     lambda lo, hi: fill(run.start + lo, run.start + hi, out[lo:hi]))
         return out
-
-
-class _WeightRows(_Rows):
-    """The t x n rows of a RandomWeightMatrix as a read-only view (see
-    RandomWeightMatrix and _Rows), drawn by _draw_body."""
-
-    def __init__(self, rwm: RandomWeightMatrix):
-        super().__init__((rwm.iterations, rwm.bounds.n), lambda most: _draw_body(rwm, most))
-        self._rwm = rwm
-
-    def columns(self):
-        """A function fill(j, out) that writes column j of every row into
-        the 1-D float64 array `out` of length t: the stream's values from
-        counter j at a stride of n, moved into band j in place, drawn in
-        the calling thread's own stream scratch."""
-        t, n = self.shape
-        seed, lower, width = self._rwm.seed, self._rwm.bounds.lower, self._rwm.bounds.width
-        scratch = _per_thread(lambda: _uniform_scratch(t, n))
-
-        def fill(j, out):
-            _fill_uniforms(seed, j, out, scratch(), n)
-            np.multiply(out, width[j], out=out)
-            np.add(out, lower[j], out=out)
-
-        return fill

@@ -1,0 +1,296 @@
+"""Exact order statistics from row chunks that are counted and let go:
+the windows of Floyd and Rivest (CACM 18(3), 1975) that give a run's
+five-number summaries without holding its t x n weights or its t x m
+closeness.
+
+:class:`_Windows` is the one window routine. :func:`weight_summary`
+places windows for the weights' uniforms by their law, and
+aggregate._ClosenessPass places windows for the closeness in a prefix of
+its rows. A run whose pass is one chunk, as a plain `run` of
+`data/social.csv` is, needs none of this module, which is then never
+imported.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+
+import numpy as np
+
+from .aggregate import _PICKS, _five_numbers, _linear_pick, five_number_columns
+from .kernels import _chunk_rows, _for_chunks, _per_thread
+from .sampling import _draw_body
+
+
+# A quartile window spans this many standard deviations of sample rank to
+# each side of its quantile: a wider one keeps more values, a narrower one
+# misses more often; a miss costs time, never a value.
+_WINDOW_SIGMAS = 6.0
+# Windows placed from a prefix are placed again, inside their own values,
+# each time the rows counted reach this many times the rows they were last
+# placed from.
+_REPICK = 4
+# Values of a weight chunk sorted at a time by each thread for its windows:
+# half a chunk sorts as fast per value as a whole one, in half the scratch.
+_SORTED = 1 << 15
+# Uniform values an extreme's window holds on average: fewer than the two
+# the minimum's picks read fall in it with probability 41 e^-40, about 2e-16.
+_EXTREME_VALUES = 40
+
+
+def _window(n: int, q: float) -> tuple[int, int]:
+    """First and last sorted index of quantile q's window among n values."""
+    half = _WINDOW_SIGMAS * math.sqrt(q * (1 - q) * n)
+    at = q * (n - 1)
+    return max(0, math.floor(at - half)), min(n - 1, math.ceil(at + half) + 1)
+
+
+def _law_window(t: int, q: float) -> tuple[float, float]:
+    """The window of quantile q among t independent uniform values on
+    [0, 1), from their law alone: _WINDOW_SIGMAS standard deviations of
+    the sample quantile, and 2/t for the picks' offset, to each side of
+    a quartile; _EXTREME_VALUES/t in from the end for the minimum and
+    the maximum; clipped to [0, 1], so that no window reaches into the
+    next column's keys."""
+    if q in (0.0, 1.0):
+        half = _EXTREME_VALUES / t
+    else:
+        half = _WINDOW_SIGMAS * math.sqrt(q * (1 - q) / t) + 2 / t
+    return max(0.0, q - half), min(1.0, q + half)
+
+
+def _ordered(values: np.ndarray, runs: tuple[np.ndarray, np.ndarray]):
+    """A window's sorted values with its (values, counts) runs merged in,
+    in value order, and a function at(i) that gives its order statistic
+    i (clipped into the window), with their total count."""
+    v = np.concatenate([values, runs[0]])
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    cum = np.cumsum(np.concatenate([np.ones(len(values), np.int64), runs[1]])[order])
+    total = int(cum[-1])
+    return v, cum, total, lambda i: v[np.searchsorted(cum, np.clip(i, 0, total - 1), side="right")]
+
+
+def _narrowed(at, total, below, rows: int, q: float, edges: np.ndarray):
+    """The edges of quantile q's windows, narrowed inside their values:
+    at(i) gives their order statistics i (clipped into the window), of
+    `total` values above `below` counted below them, with `rows` values
+    counted in all; `edges` holds their lo and hi on its last axis. Each
+    edge moves to the order statistic at its end of _window(rows, q) if
+    that lies inside the window, and stays otherwise. Every argument but
+    `rows` and `q` may be an array over columns."""
+    first, last = _window(rows, q)
+    a, b = first - below, last - below
+    lo = np.where((0 < a) & (a < total), at(a), edges[..., 0])
+    hi = np.where((0 <= b) & (b < total - 1), at(b), edges[..., 1])
+    return lo, hi
+
+
+class _Windows:
+    """Exact order statistics of the five numbers of k columns of values
+    in [0, 1], from row chunks that are counted and let go (Floyd and
+    Rivest, CACM 18(3), 1975). Each column has a window [lo, hi] in
+    [0, 1] for each quantile of _PICKS, held pick-major: add() counts
+    each chunk's values below every window and keeps those inside it,
+    and stats() reads every order statistic the five numbers need among
+    its window's values, or gives None if one fell outside its window; a
+    miss costs the caller a whole-grid summary, never a value.
+
+    The caller places the windows: from the values' law
+    (see _law_window), or from a sorted prefix of the rows. Given
+    `placed`, the rows they were placed from, each window is placed
+    again inside its own values (see _narrowed) whenever the rows
+    counted reach _REPICK times the rows at the last placing, so the
+    values kept grow as the square root of the rows, not as the rows.
+    Adds may come from any thread unless the windows are placed again,
+    which needs the adds one at a time.
+
+    A chunk is sorted column-major, in the caller's `scratch()` of two
+    float64 arrays of at least k values, a piece of as many rows as they
+    hold at a time, and searched once for every window's edges
+    through the keys value + 3j of column j: column j's keys lie in
+    [3j, 3j + 1], in value order. Rounding may tie two keys; a value
+    whose key ties an edge's counts as inside, so every value counted
+    below a window lies below every value kept in it. A window whose
+    values in one chunk are all one value keeps that value once, with
+    its count: a column of one value, as a zero-width band gives the
+    closeness, keeps a few numbers a chunk, not its rows. The values
+    kept are read one pick at a time, as a k x S grid of each column's
+    window values, sorted along its rows; only the few windows that
+    hold such runs are read one at a time."""
+
+    def __init__(self, edges: np.ndarray, scratch, placed: int | None = None):
+        self.edges = np.array(edges, dtype=float)  # 5 x k x 2
+        self.offsets = 3.0 * np.arange(self.edges.shape[1])
+        self.keys = self.edges + self.offsets[:, None]
+        self.below = np.zeros(self.edges.shape[:2], dtype=np.int64)
+        self.blocks = []  # per add: the values kept, window after window, their counts and runs
+        self.rows, self.placed = 0, placed
+        self.scratch, self.lock = scratch, threading.Lock()
+
+    def add(self, chunk: np.ndarray, presorted: bool = False) -> None:
+        """Count the rows of `chunk`, k wide, in the fewest pieces of
+        equal rows that the scratch holds; `presorted` if each of its
+        columns is in order already."""
+        r, room = len(chunk), len(self.scratch()[0]) // chunk.shape[1]
+        step = -(-r // -(-r // room))
+        for a in range(0, r, step):
+            self._add(chunk[a:a + step], presorted)
+
+    def _add(self, chunk: np.ndarray, presorted: bool) -> None:
+        r, k = chunk.shape
+        values, keys = (a[:k * r].reshape(k, r) for a in self.scratch())
+        np.copyto(values, chunk.T)
+        if not presorted:
+            values.sort(axis=1)
+        flat = values.ravel()
+        keys = np.add(values, self.offsets[:, None], out=keys).ravel()
+        start = np.searchsorted(keys, self.keys[..., 0])
+        below = start - np.arange(0, k * r, r)
+        start = start.ravel()
+        counts = np.searchsorted(keys, self.keys[..., 1].ravel(), side="right") - start
+        one = np.flatnonzero(counts > 1)
+        one = one[flat[start[one]] == flat[start[one] + counts[one] - 1]]
+        runs = (one, flat[start[one]], counts[one]) if len(one) else None
+        counts[one] = 0
+        ends = np.cumsum(counts)
+        kept = flat[np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)]
+        with self.lock:
+            self.below += below
+            self.blocks.append((kept, counts, runs))
+            self.rows += r
+            if self.placed and self.rows >= _REPICK * self.placed:
+                self._place_again()
+
+    def _gather(self):
+        """The values kept, let go from their blocks: one k x S grid per
+        pick, row j the values of column j's window, sorted, then the pad
+        2.0, which lies above every value; the 5 x k count of values in
+        each; and the runs, {flat window index: (values, counts)}."""
+        blocks, self.blocks = self.blocks, []
+        picks, k = self.below.shape
+        counts = np.array([c for _, c, _ in blocks])
+        size = counts.sum(axis=0)
+        widths = np.maximum(size.reshape(picks, k).max(axis=1), 1)
+        base = np.cumsum(k * widths) - k * widths
+        grid = np.full(k * widths.sum(), 2.0)
+        first = (base[:, None] + np.arange(k) * widths[:, None]).ravel()
+        for b, at in enumerate(first + np.cumsum(counts, axis=0) - counts):
+            kept, c, runs = blocks[b]
+            blocks[b] = runs
+            ends = np.cumsum(c)
+            grid[np.arange(len(kept)) + np.repeat(at - ends + c, c)] = kept
+        grids = [grid[a:a + k * w].reshape(k, w) for a, w in zip(base, widths)]
+        for g in grids:
+            g.sort(axis=1)
+        runs = {}
+        for w, v, c in (x for r in blocks if r is not None for x in zip(*r)):
+            runs.setdefault(int(w), []).append((v, c))
+        runs = {w: tuple(np.array(x) for x in zip(*r)) for w, r in runs.items()}
+        return grids, size.reshape(picks, k), runs
+
+    def _place_again(self) -> None:
+        """Narrow every window inside its values around its quantile of
+        the rows counted, count its values below the new window and keep
+        only those inside it."""
+        grids, size, runs = self._gather()
+        k = len(self.offsets)
+        plain = size.copy()
+        plain.ravel()[list(runs)] = 0  # windows with runs are narrowed one at a time below
+        counts, kept = np.zeros_like(size), []
+        for p, (grid, n) in enumerate(zip(grids, plain)):
+            columns, last = np.arange(k), grid.shape[1] - 1
+            self._narrow(p, columns, lambda i: grid[columns, np.clip(i, 0, last)], n)
+            keys = grid + self.offsets[:, None]
+            inside = (keys >= self.keys[p, :, :1]) & (keys <= self.keys[p, :, 1:])
+            inside[n == 0] = False
+            self.below[p] += (keys < self.keys[p, :, :1]).sum(axis=1) * (n > 0)
+            kept.append(grid[inside])
+            counts[p] = inside.sum(axis=1)
+        self.blocks = [(np.concatenate(kept), counts.ravel(), None)]
+        for w, run in runs.items():
+            p, j = divmod(w, k)
+            v, cum, total, at = _ordered(grids[p][j, :size[p, j]], run)
+            self._narrow(p, j, at, total)
+            keys = v + self.offsets[j]
+            a = np.searchsorted(keys, self.keys[p, j, 0])
+            b = np.searchsorted(keys, self.keys[p, j, 1], side="right")
+            self.below[p, j] += cum[a - 1] if a else 0
+            once = np.diff(cum, prepend=0)[a:b]
+            v, single = v[a:b], once == 1
+            value, where = np.unique(v[~single], return_inverse=True)
+            total = np.zeros(len(value), dtype=np.int64)
+            np.add.at(total, where, once[~single])
+            counts = np.zeros(size.size, dtype=np.int64)
+            counts[w] = single.sum()
+            self.blocks.append((v[single], counts,
+                                (np.full(len(value), w), value, total) if len(value) else None))
+        self.placed = self.rows
+
+    def _narrow(self, p: int, j, at, total) -> None:
+        """Move the edges of pick p's windows of columns j by _narrowed."""
+        self.edges[p, j, 0], self.edges[p, j, 1] = _narrowed(
+            at, total, self.below[p, j], self.rows, _PICKS[p], self.edges[p, j])
+        self.keys[p] = self.edges[p] + self.offsets[:, None]
+
+    def stats(self, t: int) -> np.ndarray | None:
+        """The k x 5 x 2 order statistics the five numbers of t values
+        read, or None if one fell outside its window. The windows are
+        read once: their values and sort scratch are let go."""
+        rank = np.array([_linear_pick(t, q)[:2] for q in _PICKS])[:, None] - self.below[..., None]
+        self.scratch = None
+        grids, size, runs = self._gather()
+        total = size.copy()
+        for w, (_, c) in runs.items():
+            total.flat[w] += c.sum()
+        if (rank[..., 0] < 0).any() or (rank[..., 1] >= total).any():
+            return None
+        stats = np.stack([np.take_along_axis(g, np.minimum(r, g.shape[1] - 1), axis=1)
+                          for g, r in zip(grids, rank)])
+        for w, run in runs.items():
+            p, j = divmod(w, len(self.offsets))
+            stats[p, j] = _ordered(grids[p][j, :size[p, j]], run)[3](rank[p, j])
+        return stats.transpose(1, 0, 2)
+
+
+def _law_windows(rwm, most: int) -> _Windows:
+    """Windows for the unit uniforms of every weight column of `rwm`,
+    placed by their law (see _law_window), alike for every column, for
+    chunks of at most `most` rows added from any thread, each thread
+    sorting pieces of up to _SORTED values in its own scratch."""
+    t, n = rwm.iterations, rwm.bounds.n
+    size = max(n, min(n * most, _SORTED))
+    edges = np.array([_law_window(t, q) for q in _PICKS])[:, None]
+    return _Windows(np.broadcast_to(edges, (len(_PICKS), n, 2)),
+                    _per_thread(lambda: np.empty((2, size))))
+
+
+def weight_summary(rwm, windows: _Windows | None = None) -> list[dict[str, float]]:
+    """min / q1 / median / q3 / max of every weight column of `rwm`, equal
+    bit for bit to five_number_columns(np.asarray(rwm.rows)), without
+    the t x n grid.
+
+    The order statistics are taken in u-space: a weight is
+    lower + u * width for its unit uniform u, a map that never decreases
+    with u, so order statistic i of a weight column is that map applied
+    to order statistic i of its uniforms, bit for bit. `windows` are
+    _law_windows that every row's uniforms were added to, as
+    run_pipeline's pass adds them; without them, a stream-only pass
+    draws the rows' uniforms chunk by chunk and adds them. If an order
+    statistic fell outside its window, the rows are drawn whole and
+    summarized by five_number_columns."""
+    t, n = rwm.iterations, rwm.bounds.n
+    if windows is None:
+        step = _chunk_rows(n)
+        most = min(t, step)
+        windows = _law_windows(rwm, most)
+        draw = _draw_body(rwm, most, windows)
+        scratch = _per_thread(lambda: np.empty((most, n)))
+        _for_chunks(t, step, lambda lo, hi: draw(lo, hi, scratch()[:hi - lo]))
+    stats = windows.stats(t)
+    if stats is None:
+        return five_number_columns(np.asarray(rwm.rows))
+    np.multiply(stats, rwm.bounds.width[:, None, None], out=stats)
+    np.add(stats, rwm.bounds.lower[:, None, None], out=stats)
+    return _five_numbers(stats, t)

@@ -23,7 +23,8 @@ from bandtopsis import (
     parse_problem,
     run_pipeline,
 )
-from bandtopsis.io import _write_rows, five_number_columns
+from bandtopsis.aggregate import five_number_columns
+from bandtopsis.io import _write_rows
 from conftest import REF_LOWER, REF_POSITIONS, REF_UPPER, SOCIAL_DIRECTIONS, SOCIAL_VALUES
 
 DATA = Path(__file__).resolve().parent.parent / "data"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bandtopsis import (
     RankMatrix,
     RunConfig,
+    RunReport,
     ValidationError,
     batch_topsis,
     build_summary,
@@ -19,8 +20,8 @@ from bandtopsis import (
     sample_weight_matrix,
     topsis_run,
 )
-from bandtopsis import aggregate, pipeline
-from bandtopsis.io import five_number_columns
+from bandtopsis import aggregate, sampling, topsis, windows
+from bandtopsis.aggregate import five_number_columns
 from conftest import REF_POSITIONS, SOCIAL_DIRECTIONS, SOCIAL_VALUES, make_matrix
 
 
@@ -164,14 +165,14 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
 
 def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypatch):
     # on one CPU the peak is deterministic: the t x m ranks at one byte a
-    # value; the closeness values the quartile windows keep, about 16% of
-    # them at 8 bytes, held twice while they are gathered at the end, so
-    # about 2.6 bytes a value, allowed 4; and one thread's chunk scratch (the
-    # chunk's weight rows, 1 MiB, its float64 closeness and distances,
-    # 512 KiB each, the uniform stream's blocks, 512 KiB, the sorted chunk
-    # and its keys, 1 MiB, and the argsort order of a chunk not in one order,
-    # 512 KiB), allowed 4 MiB; no t x n weight grid and no t x m closeness
-    # grid is held
+    # value; one thread's chunk scratch (the chunk's weight rows, 1 MiB, its
+    # float64 closeness, distances and prefix, 512 KiB each, the uniform
+    # stream's blocks, 512 KiB, the sorted chunks and their keys for the
+    # weight and the closeness windows, 1 MiB each, and the argsort order of
+    # a chunk not in one order, 512 KiB); and the values the windows keep,
+    # which grow as the square root of t: allowed 8 MiB in all. No t x n
+    # weight grid, no t x m closeness grid and no t-sized share of either is
+    # held
     import tracemalloc
 
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
@@ -185,20 +186,38 @@ def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypat
     finally:
         tracemalloc.stop()
     assert report.rank_matrix.ranks.dtype == np.uint8
-    assert peak <= t * m * 1 + t * m * 4 + 4 * 2 ** 20
+    assert peak <= t * m * 1 + 8 * 2 ** 20
 
 
-def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, monkeypatch):
-    # on one CPU: one t-float column buffer, into which each weight column is
-    # regenerated through the uniform stream's ramp and work block of 2^15 words,
-    # allowed 256 KiB for the rest; no t x n weight grid is drawn
+def test_pass_summaries_hold_memory_that_barely_grows_with_t(social_matrix, monkeypatch):
+    # on one CPU: the peak of run_pipeline and build_summary less the t x m
+    # rank bytes; the windows keep values that grow as the square root of t,
+    # so ten times the rows add under 4 MiB
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+    build_summary(run_pipeline(social_matrix, RunConfig(iterations=100)))  # imports and caches
+    peaks = []
+    for t in (200_000, 2_000_000):
+        cfg = RunConfig(iterations=t, custom_sets=((0.05,) * 12,))
+        tracemalloc.start()
+        try:
+            build_summary(run_pipeline(social_matrix, cfg))
+            peaks.append(tracemalloc.get_traced_memory()[1] - t * social_matrix.m)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 2 ** 20
+
+
+def test_pass_summaries_leave_build_summary_little_to_allocate(social_matrix, monkeypatch):
+    # on one CPU: a pass-built report carries both five-number summaries, so
+    # build_summary draws nothing and holds no t-sized buffer; allowed 256 KiB
     import tracemalloc
 
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
     report = run_pipeline(social_matrix, RunConfig(iterations=200_000,
                                                    custom_sets=((0.05,) * 12,)))
     build_summary(run_pipeline(social_matrix, RunConfig(iterations=100)))  # imports and caches
-    t = report.config.iterations
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -207,60 +226,109 @@ def test_a_summary_takes_one_column_buffer_and_the_stream_blocks(social_matrix, 
     finally:
         tracemalloc.stop()
     assert len(summary["rwm_summary"]) == social_matrix.n
-    assert peak <= t * 8 + 2 * 8 * kernels._BLOCK + 2 ** 18
+    assert peak <= 2 ** 18
 
 
 # ------------------------------------------------------------ pass summaries
 
 # 13 alternatives, the last equal to the second: 5,042 rows a chunk, and a
-# prefix of two chunks, 10,084 rows, for the quartile windows
+# prefix of two chunks, 10,084 rows, for the closeness windows, which are
+# placed again at 4 and 16 times the prefix
 _WIDE = make_matrix(_PROBLEMS["13-wide"], SOCIAL_DIRECTIONS)
 _STEP = kernels._chunk_rows(_WIDE.m)
 _PREFIX = -(-aggregate._PREFIX_ROWS // _STEP) * _STEP
 _PASS_ITERATIONS = {
-    "1": 1, "2": 2, "below-one-chunk": 100,
+    "1": 1, "2": 2, "3": 3, "7": 7, "below-one-chunk": 100,
     "chunk-1": _STEP - 1, "chunk": _STEP, "chunk+1": _STEP + 1,
     "prefix-1": _PREFIX - 1, "prefix": _PREFIX, "prefix+1": _PREFIX + 1,
     "past-the-prefix": 3 * _PREFIX + 7,
+    "past-two-re-picks": windows._REPICK ** 2 * _PREFIX + 7,
 }
+# 10 alternatives of 40 criteria from the counter stream, every other one a cost
+_FORTY = make_matrix(1.01 - kernels.unit_uniforms(7, 0, 400).reshape(10, 40), ["max", "min"] * 20)
 
 
 def _whole_grid_reads(monkeypatch):
-    """The calls a report makes to five_number_columns because an order
-    statistic fell outside its window, and the closeness grid was drawn."""
-    calls = []
+    """The shapes of the whole weight or closeness grids drawn from now
+    on, as a report draws them only when an order statistic fell outside
+    its window."""
+    calls, real = [], sampling._Rows.__array__
 
-    def counted(table):
-        calls.append(table.shape)
-        return five_number_columns(table)
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "five_number_columns", counted)
+    monkeypatch.setattr(sampling._Rows, "__array__", counted)
     return calls
+
+
+def _placings(monkeypatch):
+    """The rows counted each time a set of windows was placed again."""
+    rows, real = [], windows._Windows._place_again
+
+    def counted(self):
+        rows.append(self.rows)
+        real(self)
+
+    monkeypatch.setattr(windows._Windows, "_place_again", counted)
+    return rows
 
 
 def _assert_pass_summaries_exact(report):
     xi = np.asarray(report.closeness)
     assert json.dumps(report.closeness_summary) == json.dumps(five_number_columns(xi))
     assert report.final.mean_closeness.tobytes() == xi.mean(axis=0).tobytes()
+    weights = np.asarray(report.rwm.rows)
+    assert json.dumps(report.rwm_summary) == json.dumps(five_number_columns(weights))
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("t", list(_PASS_ITERATIONS))
 def test_pass_summaries_equal_those_of_the_whole_grid(t, cpus, monkeypatch):
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    whole = _whole_grid_reads(monkeypatch)
+    whole, placings = _whole_grid_reads(monkeypatch), _placings(monkeypatch)
     cfg = RunConfig(iterations=_PASS_ITERATIONS[t], seed=11, custom_sets=((0.05,) * 12,))
     report = run_pipeline(_WIDE, cfg)
     assert not whole  # every order statistic was in its window
+    if t == "past-two-re-picks":
+        assert placings == [4 * _PREFIX, 16 * _PREFIX]
     _assert_pass_summaries_exact(report)
 
 
 def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
-    # a zero-width band repeats one row, so each window holds one value t times
-    whole = _whole_grid_reads(monkeypatch)
-    cfg = RunConfig(iterations=kernels._chunk_rows(6) + 3, include_entropy=False,
+    # a zero-width band repeats one row, so each closeness window holds one
+    # value t times, kept as that value and its count, past two placings
+    whole, placings = _whole_grid_reads(monkeypatch), _placings(monkeypatch)
+    cfg = RunConfig(iterations=17 * kernels._chunk_rows(6) + 3, include_entropy=False,
                     include_critic=False, custom_sets=((0.05,) * 12,))
     report = run_pipeline(social_matrix, cfg)
+    assert not whole and len(placings) == 2
+    _assert_pass_summaries_exact(report)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("t", [1, 5, 3 * kernels._chunk_rows(6) + 5])
+def test_pass_summaries_of_a_zero_width_column(t, cpus, social_matrix, monkeypatch):
+    # two sets that agree on the first criterion give it a zero-width band:
+    # its uniforms still spread over [0, 1), and its weights are one value
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    whole = _whole_grid_reads(monkeypatch)
+    sets = ((1.0,) * 12, (1.0, 2.0, 0.5, 0.5) + (1.0,) * 8)
+    cfg = RunConfig(iterations=t, seed=5, include_entropy=False, include_critic=False,
+                    custom_sets=sets)
+    report = run_pipeline(social_matrix, cfg)
+    assert report.bounds.width[0] == 0 and report.bounds.width[1] > 0
+    assert not whole
+    _assert_pass_summaries_exact(report)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("t", [7, 3 * kernels._chunk_rows(10) + 5])
+def test_pass_summaries_of_forty_criteria(t, cpus, monkeypatch):
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    whole = _whole_grid_reads(monkeypatch)
+    report = run_pipeline(_FORTY, RunConfig(iterations=t, seed=2024))
+    assert report.rwm.rows.shape == (t, 40)
     assert not whole
     _assert_pass_summaries_exact(report)
 
@@ -268,11 +336,37 @@ def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_pass_summaries_fall_back_to_the_whole_grid_on_a_window_miss(cpus, monkeypatch):
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(aggregate, "_WINDOW_SIGMAS", 0.0)  # windows of two or three values
+    monkeypatch.setattr(windows, "_WINDOW_SIGMAS", 0.0)  # quartile windows of a few values
     whole = _whole_grid_reads(monkeypatch)
-    report = run_pipeline(_WIDE, RunConfig(iterations=3 * _PREFIX + 7, seed=11))
-    assert whole == [(3 * _PREFIX + 7, _WIDE.m)]
+    t = 3 * _PREFIX + 7
+    report = run_pipeline(_WIDE, RunConfig(iterations=t, seed=11))
+    assert whole == [(t, _WIDE.n), (t, _WIDE.m)]  # the weights', then the closeness'
     _assert_pass_summaries_exact(report)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_pass_summaries_of_a_positional_report(cpus, monkeypatch):
+    # a report built from its parts, as perfbench's replay builds it, takes its
+    # weight summary from a stream-only pass through the same windows, no grid
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    cfg = RunConfig(iterations=3 * _PREFIX + 7, seed=11, custom_sets=((0.05,) * 12,))
+    fused = run_pipeline(_WIDE, cfg)
+    xi, ranks = batch_topsis(_WIDE, np.asarray(fused.rwm.rows))
+    rm = RankMatrix(ranks)
+    whole = _whole_grid_reads(monkeypatch)
+    staged = RunReport(_WIDE, cfg, fused.weight_sets, fused.bounds, fused.rwm, xi, rm,
+                       final_ranking(rm, xi))
+    assert not whole
+    assert json.dumps(build_summary(staged)) == json.dumps(build_summary(fused))
+
+
+def test_the_closeness_view_makes_its_bodies_once(social_matrix, monkeypatch):
+    report = run_pipeline(social_matrix, RunConfig(iterations=50_000, seed=3))
+    calls, real = [], topsis.vector_normalize
+    monkeypatch.setattr(topsis, "vector_normalize", lambda matrix: calls.append(1) or real(matrix))
+    rows = [report.closeness[i] for i in range(0, 32 * 1500, 1500)]
+    assert len(rows) == 32 and len(calls) == 1
+    assert rows[5].tobytes() == np.asarray(report.closeness)[7500].tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

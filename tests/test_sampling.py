@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,8 @@ from bandtopsis import (
 )
 from bandtopsis import kernels
 from bandtopsis.kernels import unit_uniforms
-from bandtopsis.io import five_number_columns
+from bandtopsis.aggregate import five_number_columns
+from bandtopsis.windows import weight_summary
 from bandtopsis.sampling import _draw_body
 from conftest import REF_LOWER, REF_UPPER
 
@@ -214,11 +217,13 @@ def test_single_rows_match_matrix_across_a_block_boundary():
 @pytest.mark.parametrize("stride", [1, 2, 12, 40])
 @pytest.mark.parametrize("count", [_B - 1, _B, _B + 1, 2 * _B + 3])
 def test_strided_uniforms_equal_plain_integer_splitmix64(stride, count):
-    # value k is stream value start + k * stride, on both sides of a block edge
+    # rows of `stride` values drawn in one fill, as a chunk of weight rows is: column j
+    # is stream values start + j + k * stride, the uniforms the rwm_summary windows take
+    # for weight column j, on both sides of a block edge
     seed, start = 2 ** 64 - 7, 2 ** 40 + 3
-    u = np.empty(count)
-    kernels._fill_uniforms(seed, start, u, kernels._uniform_scratch(count, stride), stride)
-    assert u.tolist() == _plain_splitmix64(seed, start, count, stride)
+    u = np.empty((count, stride))
+    kernels._fill_uniforms(seed, start, u.reshape(-1), kernels._uniform_scratch(u.size))
+    assert u[:, -1].tolist() == _plain_splitmix64(seed, start + stride - 1, count, stride)
 
 
 # -------------------------------------------------- the regenerated rows view
@@ -247,10 +252,6 @@ def test_indexed_rows_equal_slices_of_the_whole_grid(n, cpus, monkeypatch):
         got = rows[key]
         assert got.dtype == np.float64 and got.shape == full[key].shape, key
         assert got.tobytes() == full[key].tobytes(), key
-    fill, column = rows.columns(), np.empty(t)
-    for j in range(n):
-        fill(j, column)
-        assert column.tobytes() == full[:, j].tobytes(), j
     # a row or a run of rows at step 1 is all the view reads
     for key in (t, slice(None, None, 7), slice(None, None, -3), (slice(None), 0),
                 (edge + 1, slice(None, None, 2)), (0, n), (0, 0, 0)):
@@ -273,5 +274,6 @@ def test_the_view_takes_no_numpy_operators():
 
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
 def test_regenerated_rwm_summary_equals_the_summary_of_the_whole_grid(n):
+    # the stream-only pass through the uniforms' windows, no weight grid
     rwm, full = _view_cases(n)
-    assert five_number_columns(rwm.rows) == five_number_columns(full)
+    assert json.dumps(weight_summary(rwm)) == json.dumps(five_number_columns(full))

@@ -28,7 +28,7 @@ from bandtopsis import (
 )
 from bandtopsis import aggregate, pipeline, sampling
 from bandtopsis.cli import cli_main
-from bandtopsis.io import five_number_columns
+from bandtopsis.aggregate import five_number_columns
 from test_golden import DATA, GOLDEN_SHA256
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -136,9 +136,10 @@ def test_threaded_kernel_equals_inline_and_whole_array(kernel, rows, monkeypatch
 
 
 def test_more_workers_than_cpus_with_frequent_switches_match_inline(social_matrix, monkeypatch):
-    # rank counting and the summaries fill one shared list from every chunk, and
-    # the pass hands every chunk's closeness, in row order, to one carried sum
-    # and one set of quartile windows
+    # rank counting and the summaries fill one shared list from every chunk, the
+    # pass hands every chunk's closeness, in row order, to one carried sum and
+    # one set of windows, and every chunk's uniforms, from any thread, to the
+    # weights' windows
     monkeypatch.setattr(kernels, "_CHUNK", 1 << 8)
     monkeypatch.setattr(aggregate, "_PREFIX_ROWS", 1 << 9)
     xi = _tie_heavy(5000, 12)
@@ -150,7 +151,8 @@ def test_more_workers_than_cpus_with_frequent_switches_match_inline(social_matri
         return (np.asarray(sample_weight_matrix(_bounds(7), 3000, 1).rows).tobytes(),
                 ranks.tobytes(),
                 rank_frequency(RankMatrix(ranks)).tobytes(), five_number_columns(table),
-                report.closeness_summary, report.final.mean_closeness.tobytes())
+                report.closeness_summary, report.rwm_summary,
+                report.final.mean_closeness.tobytes())
 
     inline = _with_cpus(monkeypatch, 1, stages)
     interval = sys.getswitchinterval()
@@ -177,9 +179,9 @@ def test_pipeline_and_summary_do_not_depend_on_the_cpu_count(social_matrix, monk
     one = _with_cpus(monkeypatch, 1, lambda: _report_bytes(run_pipeline(social_matrix, config)))
     assert not pools
     three = _with_cpus(monkeypatch, 3, lambda: _report_bytes(run_pipeline(social_matrix, config)))
-    # the one pass over row chunks, the weight and closeness grids drawn for their bytes,
-    # then the weight summary; the closeness summary comes from the pass
-    assert len(pools) == 4
+    # the one pass over row chunks, then the weight and closeness grids drawn for their
+    # bytes; both summaries come from the pass
+    assert len(pools) == 3
     assert one == three
 
 
