@@ -176,23 +176,25 @@ def _csv_label(label):
     return buf.getvalue()[:-2]  # drop the empty field's "," and the "\n"
 
 
-def _write_rows(path: Path, header: list[str], labels, rows: np.ndarray, cell: str) -> None:
+def _write_rows(path: Path, header: list[str], labels, rows, cell: str,
+                most: int | None = None) -> None:
     """Write the header through csv.writer, then one line per row of a
-    t x k array, or of a RandomWeightMatrix's rows view, of which only
-    `shape`, `dtype` and runs of rows `rows[lo:hi]` are read: labels[i]
-    (see _csv_label) and the row's values in `cell` format ('%r' gives a
+    t x k array or a _Rows view (a run's weight rows or ranks), of which
+    only `shape` and runs of rows `rows[lo:hi]` are read: labels[i] (see
+    _csv_label) and the row's values in `cell` format ('%r' gives a
     float's shortest round-trip repr). Rows are read, and so drawn, and
     written one block at a time, so memory stays bounded.
 
-    Unsigned integer rows under a range of labels counting up from 0 or
-    more, as in ranks.csv, never become Python numbers: their lines are built as
-    bytes (see _uint_lines), equal to what the '%d' format gives. Other
-    rows become Python numbers a block at a time."""
+    Given `most`, the rows hold unsigned integers no larger than `most`
+    under a range of labels counting up from 0 or more, as ranks.csv's
+    do: their lines are built as bytes (see _uint_lines), equal to what
+    the '%d' format gives, and never become Python numbers. Other rows
+    become Python numbers a block at a time."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerow(header)
-        if rows.dtype.kind == "u" and isinstance(labels, range):
+        if most is not None:
             f.flush()  # the header goes ahead of the bytes
-            for block in _uint_lines(labels, rows):
+            for block in _uint_lines(labels, rows, most):
                 f.buffer.write(block)
             return
         line = "%s" + ("," + cell) * rows.shape[1] + "\n"
@@ -202,10 +204,11 @@ def _write_rows(path: Path, header: list[str], labels, rows: np.ndarray, cell: s
             f.writelines(line % (label, *row) for label, row in block)
 
 
-def _uint_lines(labels: range, rows: np.ndarray):
+def _uint_lines(labels: range, rows, most: int):
     """The lines "label,v1,...,vk\\n" of a counting range of non-negative
-    labels and the rows of an unsigned integer array, as uint8 arrays of
-    up to _ROW_BLOCK lines each.
+    labels and the rows of unsigned integers up to `most` (an array or a
+    _Rows view, read a run of rows at a time), as uint8 arrays of up to
+    _ROW_BLOCK lines each.
 
     A block is built as a byte grid of one line per row: the label's
     digits, right-aligned in the width of the last label; per cell a
@@ -213,7 +216,6 @@ def _uint_lines(labels: range, rows: np.ndarray):
     0 up to the largest value; and a newline. A place a shorter number
     leaves empty holds a NUL byte, and the NULs are dropped."""
     t, k = rows.shape
-    most = int(rows.max(initial=0))
     cw = len(str(most))
     digits = np.frombuffer("".join(f"{v:>{cw}}" for v in range(most + 1)).encode(), np.uint8)
     digits = np.where(digits == ord(" "), 0, digits).reshape(most + 1, cw)
@@ -287,8 +289,9 @@ def emit_tables(report: RunReport, out_dir) -> dict[str, Path]:
     names, vectors = zip(*report.weight_table())
     paths = _write_pair(out, "weights", ["set"] + matrix.criterion_ids(), names, np.array(vectors))
     paths["ranks"] = p = out / "ranks.csv"
-    _write_rows(p, ["iteration"] + list(matrix.alternatives), range(1, report.rank_matrix.t + 1),
-                report.rank_matrix.ranks, "%d")
+    rm = report.rank_matrix  # each row a permutation of 1..m
+    _write_rows(p, ["iteration"] + list(matrix.alternatives), range(1, rm.t + 1), rm.ranks, "%d",
+                most=rm.m)
     paths["summary"] = p = out / "summary.json"
     with open(p, "w", encoding="utf-8", newline="") as f:
         json.dump(build_summary(report), f, indent=2)

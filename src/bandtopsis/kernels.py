@@ -111,32 +111,48 @@ class _InOrder:
     put(lo, hi, rows) consumes at once if every earlier chunk has been
     consumed and no thread is consuming; otherwise it parks a copy of
     `rows` and returns, and the thread that consumes the chunk before it
-    consumes it next. So one thread consumes at a time, no thread waits
-    for another, and the caller may reuse `rows` once put returns. If a
-    chunk never comes, as when it raised, the chunks after it stay
-    parked and nothing waits for them."""
+    consumes it next. So one thread consumes at a time, and the caller
+    may reuse `rows` once put returns.
+
+    At most as many copies are parked as the process has CPUs: a chunk
+    that would park one more waits until the consumer moves on. The
+    chunk due next never waits, and when the chunks are taken from one
+    queue in row order some thread holds it, so every wait ends. A chunk
+    that fails must call abandon(): the chunk due next may be the one
+    that never comes, so every put waiting or yet to come returns
+    without parking."""
 
     def __init__(self, consume):
-        self._consume = consume
-        self._lock = threading.Lock()
+        self._consume, self._most = consume, _cpu_count()
+        self._moved = threading.Condition()
         self._parked: dict = {}
         self._next = 0
-        self._busy = False
+        self._busy = self._abandoned = False
 
     def put(self, lo: int, hi: int, rows: np.ndarray) -> None:
-        with self._lock:
+        with self._moved:
+            while lo != self._next and len(self._parked) >= self._most and not self._abandoned:
+                self._moved.wait()
+            if self._abandoned:
+                return
             if self._busy or lo != self._next:
                 self._parked[lo] = hi, rows.copy()
                 return
             self._busy = True
         while True:
             self._consume(lo, hi, rows)
-            with self._lock:
+            with self._moved:
                 self._next = lo = hi
+                self._moved.notify_all()
                 if lo not in self._parked:
                     self._busy = False
                     return
                 hi, rows = self._parked.pop(lo)
+
+    def abandon(self) -> None:
+        with self._moved:
+            self._abandoned = True
+            self._moved.notify_all()
 
 
 # ---------------------------------------------------------------- distances

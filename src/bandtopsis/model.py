@@ -1,10 +1,9 @@
 """Domain types shared by every stage of the ranking pipeline.
 
 All containers are immutable after construction: ndarray fields are
-write-locked, so instances can be shared across threads. Arrays a caller
-passes in are copied first; an array the package has just allocated for
-the instance is handed over wrapped in :class:`_Owned` and locked in place,
-so t-sized results are never held twice.
+write-locked copies, so instances can be shared across threads. The one
+field that is not an array is a run's rank grid, which its pass hands to
+:class:`RankMatrix` as a read-only view wrapped in :class:`_Owned`.
 """
 
 from __future__ import annotations
@@ -35,29 +34,20 @@ class Direction(enum.Enum):
 
 
 class _Owned:
-    """An array the package allocated itself and hands to a constructor
-    for good: no other reference writes to it afterwards, so it is locked
-    in place instead of copied."""
+    """Rank rows the package built itself, every row a permutation, and
+    hands to RankMatrix for good: a read-only view (see
+    pipeline._chunk_ranks), kept as it is, not checked or copied."""
 
     __slots__ = ("array",)
 
-    def __init__(self, array: np.ndarray):
+    def __init__(self, array):
         self.array = array
 
 
 def _readonly(a, dtype=None) -> np.ndarray:
-    """Write-locked array with the values of `a`: a private copy of
-    caller data, or the array itself (and any array it views) when it
-    comes wrapped in :class:`_Owned`."""
-    if not isinstance(a, _Owned):
-        a = np.array(a, dtype=dtype)
-        a.setflags(write=False)
-        return a
-    a = np.asarray(a.array, dtype=dtype)
-    base = a
-    while isinstance(base, np.ndarray):
-        base.setflags(write=False)
-        base = base.base
+    """A write-locked copy of `a`."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
     return a
 
 
@@ -179,22 +169,26 @@ class RankMatrix:
     OverflowError at m = 255, where 256 does not fit uint8.
 
     Caller arrays are checked row by row and then copied into the rank
-    type. Ranks handed over in :class:`_Owned` come from
-    :func:`bandtopsis.kernels.rank_rows`, which builds every row as a
-    permutation, so they are not re-sorted.
+    type. A run's ranks come from its pass wrapped in :class:`_Owned`:
+    `ranks` is then a read-only view over the rank rows the pass kept
+    per chunk, one row for a chunk in one order (see
+    pipeline._chunk_ranks). It reads a row, a run of rows (a slice of
+    step 1) and np.asarray, each a new array of the rank type, and takes
+    no operators.
     """
 
-    ranks: np.ndarray
+    ranks: np.ndarray  # or, from a run's pass, a sampling._Rows view
 
     def __post_init__(self):
-        owned = isinstance(self.ranks, _Owned)
-        r = np.asarray(self.ranks.array if owned else self.ranks)
+        if isinstance(self.ranks, _Owned):
+            object.__setattr__(self, "ranks", self.ranks.array)
+            return
+        r = np.asarray(self.ranks)
         if r.ndim != 2:
             raise ValueError("rank matrix must be two-dimensional (iterations x alternatives)")
-        if not owned and not np.all(np.sort(r, axis=1) == np.arange(1, r.shape[1] + 1)):
+        if not np.all(np.sort(r, axis=1) == np.arange(1, r.shape[1] + 1)):
             raise ValueError("every rank row must be a permutation of 1..m")
-        object.__setattr__(self, "ranks", _readonly(_Owned(r) if owned else r,
-                                                    _rank_type(r.shape[1])))
+        object.__setattr__(self, "ranks", _readonly(r, _rank_type(r.shape[1])))
 
     @property
     def t(self) -> int:

@@ -49,10 +49,15 @@ class RunReport:
 
     A chunk whose rows all keep one order is ranked and counted without a
     sort; its ranks are the ones the stable sort would give.
-    `rank_matrix.ranks` has the narrowest unsigned type that holds m:
-    uint8 up to m = 255, so one byte per rank, and uint16 up to 65,535.
-    Widen it before arithmetic: under NumPy 2's promotion rules (NEP 50)
-    `m + 1 - ranks` raises OverflowError at m = 255."""
+    `rank_matrix.ranks` is a read-only view too, but of ranks the pass
+    kept: one rank row for each chunk in one order, which is almost every
+    chunk when the band is narrow, and a copy of the chunk's rank rows
+    for any other chunk. It reads a row, a run of rows and np.asarray,
+    each a new array, as closeness does. The ranks have the narrowest
+    unsigned type that holds m: uint8 up to m = 255, so one byte per
+    rank, and uint16 up to 65,535. Widen them before arithmetic: under
+    NumPy 2's promotion rules (NEP 50) `m + 1 - ranks` raises
+    OverflowError at m = 255."""
 
     matrix: DecisionMatrix
     config: RunConfig
@@ -118,8 +123,10 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     to the rwm_summary windows (see windows.weight_summary) on the way;
     a pass of one chunk summarizes its weight rows whole instead.
     The chunk's closeness, in scratch too, then goes in row order to the
-    mean and the windows of _ClosenessPass. No t x n weight grid and no
-    t x m closeness grid is held; only if an order statistic falls
+    mean and the windows of _ClosenessPass, and its ranks, ranked in
+    scratch, are kept as one row if the chunk keeps one order and as a
+    copy otherwise. No t x n weight grid, no t x m closeness grid and
+    no t x m rank grid is held; only if an order statistic falls
     outside its window is that grid computed, whole, for
     five_number_columns.
     """
@@ -136,13 +143,16 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
 
 
 def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
-    """The pass of run_pipeline: the t x m ranks, their occupancy counts,
-    the _ClosenessPass that took every chunk's closeness, and the weight
+    """The pass of run_pipeline: the t x m ranks as a view over the rank
+    rows each chunk kept (see _chunk_ranks), their occupancy counts, the
+    _ClosenessPass that took every chunk's closeness, and the weight
     windows that took every chunk's uniforms; or, for a pass of one
     chunk, no windows but the weights' five numbers, taken from that
     chunk's rows whole, as the closeness' are from a prefix that is the
     whole run."""
     t, m, step = rwm.iterations, matrix.m, _chunk_rows(matrix.m)
+    # first, so that a t too large for memory fails before the pass starts
+    table, kept = np.empty((-(-t // step), m), dtype=_rank_type(m)), {}
     most = min(t, step)
     windows, whole = None, []
     if t > step:  # one chunk holds every weight row at once; windows would only add memory
@@ -150,21 +160,47 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
 
         windows = _law_windows(rwm, most)
     draw, score = _draw_body(rwm, most, windows), _score_body(matrix, most)
-    scratch = _per_thread(lambda: np.empty((most, rwm.bounds.n)))
-    ranks = np.empty((t, m), dtype=_rank_type(m))
+    scratch = _per_thread(lambda: (np.empty((most, rwm.bounds.n)),
+                                   np.empty((most, m), table.dtype)))
     counts, closeness = _RankCounts(m), _ClosenessPass(t, m, step)
     ordered = _InOrder(closeness.add)
 
     def chunk(lo, hi):
-        weights, xi = scratch()[:hi - lo], closeness.rows(lo, hi)
-        draw(lo, hi, weights)
-        if windows is None:
-            whole[:] = five_number_columns(weights)
-        counts.add(ranks[lo:hi], score(weights, xi, ranks[lo:hi]))
-        ordered.put(lo, hi, xi)
+        try:
+            weights, ranks = (a[:hi - lo] for a in scratch())
+            xi = closeness.rows(lo, hi)
+            draw(lo, hi, weights)
+            if windows is None:
+                whole[:] = five_number_columns(weights)
+            one = score(weights, xi, ranks)
+            counts.add(ranks, one)
+            if one is None:
+                kept[lo // step] = ranks.copy()
+            else:
+                table[lo // step] = one
+            ordered.put(lo, hi, xi)
+        except BaseException:
+            ordered.abandon()
+            raise
 
     _for_chunks(t, step, chunk)
-    return ranks, counts.grid(), closeness, windows, whole
+    return _chunk_ranks(t, step, table, kept), counts.grid(), closeness, windows, whole
+
+
+def _chunk_ranks(t: int, step: int, table: np.ndarray, kept: dict) -> _Rows:
+    """The t x m ranks of a pass in chunks of `step` rows as a read-only
+    view (see _Rows): chunk c's rows are kept[c], or, for a chunk that
+    keeps one order, as almost every chunk does when the band is
+    narrow, row c of `table` repeated. A read copies, one run at a time
+    on the calling thread."""
+
+    def fill(lo, hi, out):
+        for c in range(lo // step, (hi - 1) // step + 1):
+            a, b = max(lo, c * step), min(hi, c * step + step)
+            rows = kept.get(c)
+            out[a - lo:b - lo] = table[c] if rows is None else rows[a - c * step:b - c * step]
+
+    return _Rows((t, table.shape[1]), lambda: fill, table.dtype, t)
 
 
 def _closeness_rows(matrix: DecisionMatrix, rwm: RandomWeightMatrix) -> _Rows:

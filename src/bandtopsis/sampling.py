@@ -11,7 +11,8 @@ whole rows, for run_pipeline, np.asarray(rows), a row, a run of rows
 and `bandtopsis rwm` alike; in a run_pipeline pass of more than one
 chunk it also hands each chunk's unit uniforms to the rwm_summary
 windows before moving them into the band (see windows.weight_summary).
-The view, _Rows, also shows a run's closeness without holding it (see
+The view, _Rows, also shows a run's closeness without holding it, and
+its ranks from the rank rows its pass kept per chunk (see
 pipeline.RunReport).
 """
 
@@ -109,23 +110,23 @@ def _draw_body(rwm: RandomWeightMatrix, most: int, windows=None):
 
 
 class _Rows:
-    """A t x k float64 grid as a read-only view whose rows a chunk body
-    computes on demand: make() returns fill(lo, hi, out), which writes
-    rows lo:hi, at most one chunk of them (kernels._chunk_rows(k)), into
-    the C-contiguous (hi - lo) x k float64 array `out`. The body is made
-    at the first read and kept for the next, with the scratch it has
-    made. The view holds no values: a read computes a fresh array, in
-    row chunks, which the caller owns.
+    """A t x k grid as a read-only view whose rows a chunk body computes
+    on demand: make() returns fill(lo, hi, out), which writes rows lo:hi,
+    at most `step` of them (one chunk, kernels._chunk_rows(k), unless
+    given), into the C-contiguous (hi - lo) x k array `out` of type
+    `dtype`. The body is made at the first read and kept for the next,
+    with the scratch it has made. A read makes a fresh array, in runs of
+    `step` rows, which the caller owns.
 
     A row (an int), a run of rows (a slice of step 1) and np.asarray are
     all it reads; numpy operators and == raise TypeError rather than
     compute the grid unseen."""
 
-    dtype = np.dtype(np.float64)
     __array_ufunc__ = None  # numpy operators raise TypeError, not compute the grid
 
-    def __init__(self, shape: tuple[int, int], make):
-        self.shape, self._make, self._fill = shape, make, None
+    def __init__(self, shape: tuple[int, int], make, dtype=np.float64, step: int | None = None):
+        self.shape, self.dtype, self._make, self._fill = shape, np.dtype(dtype), make, None
+        self._step = step or _chunk_rows(shape[1])
 
     def __eq__(self, other):
         raise TypeError("rows take no operators; compare np.asarray(rows)")
@@ -150,10 +151,10 @@ class _Rows:
         return out if run is rows else out[0]
 
     def _read(self, run: range) -> np.ndarray:
-        out = np.empty((len(run), self.shape[1]))
+        out = np.empty((len(run), self.shape[1]), self.dtype)
         if self._fill is None:
             self._fill = self._make()
         fill = self._fill
-        _for_chunks(len(run), _chunk_rows(self.shape[1]),
+        _for_chunks(len(run), self._step,
                     lambda lo, hi: fill(run.start + lo, run.start + hi, out[lo:hi]))
         return out

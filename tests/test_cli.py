@@ -115,7 +115,10 @@ _MOST_ITERATIONS = sys.maxsize // 8 // 12  # social.csv's rows are 12 wide
                  id="2^62"),
     pytest.param(10 ** 30, 2, f"iterations must be <= {_MOST_ITERATIONS} for this problem",
                  id="10^30"),
-    # numpy can shape this t x 12 array, but no address space holds its 2^63 bytes
+    # the run allocates its table of one rank row per chunk before the pass:
+    # ceil(t / 10,923) x 6 bytes, 48 TiB at this t, which numpy fails to
+    # allocate at once under Linux's default heuristic overcommit
+    # (vm.overcommit_memory = 0)
     pytest.param(_MOST_ITERATIONS, 1, "out of memory", id="at-the-limit"),
 ])
 def test_iteration_count_past_the_array_limit_exits_2_before_any_output(

@@ -1,6 +1,7 @@
 """Pinned output bytes of `bandtopsis run data/social.csv --seed 42` plus
-`bandtopsis plot` and `bandtopsis rwm`, and the stdout of a single-shot
-`bandtopsis topsis data/social.csv`.
+`bandtopsis plot` and `bandtopsis rwm`, the ranks.csv of a run of several
+row chunks, and the stdout of a single-shot `bandtopsis topsis
+data/social.csv`.
 
 The hashes were taken on x86-64 Linux with numpy 2.4. Any change to
 sampling, distances, ranking, aggregation, summaries, table formatting or
@@ -37,6 +38,22 @@ def test_run_and_plot_output_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == GOLDEN_SHA256
+
+
+# t = 50,000 rows of 6 alternatives make 5 chunks of 10,923 rows: the first
+# holds rows in more than one order, so the run keeps its rank rows, and each
+# of the other four keeps one order, so the run keeps one rank row for it
+SEVERAL_CHUNKS_RANKS_SHA256 = "002a931d2ab9b11f78581d55c7281d87aa0fbdade2d1bc600c4d1c8fb3f3390c"
+
+
+def test_ranks_of_several_chunks_are_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    custom = ",".join(["0.05"] * 12)
+    assert cli_main(["run", str(DATA), "--custom", custom, "--iterations", "50000",
+                     "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / "ranks.csv").read_bytes()).hexdigest() == \
+        SEVERAL_CHUNKS_RANKS_SHA256
 
 
 TOPSIS_IDOCRIW_STDOUT = """\

@@ -253,7 +253,7 @@ def test_unsigned_rows_are_written_as_the_d_format_writes_them(tmp_path, m):
     rng = np.random.default_rng(m)
     rows = (rng.permuted(np.tile(np.arange(1, m + 1), (t, 1)), axis=1)).astype(_rank_type(m))
     header = ["iteration"] + [f"a{j}" for j in range(1, m + 1)]
-    _write_rows(tmp_path / "ranks.csv", header, range(1, t + 1), rows, "%d")
+    _write_rows(tmp_path / "ranks.csv", header, range(1, t + 1), rows, "%d", most=m)
     line = "%d" + ",%d" * m + "\n"
     expected = ",".join(header) + "\n" + "".join(
         line % (i, *row) for i, row in enumerate(rows.tolist(), start=1))

@@ -205,7 +205,7 @@ def test_rank_grids_hold_one_type_from_m(m, dtype):
                             [CriterionSpec(f"g{j}") for j in range(3)], values)
     report = run_pipeline(matrix, RunConfig(iterations=t, include_critic=False))
     caller = RankMatrix(ranks.astype(np.int64))
-    for grid in (ranks, report.rank_matrix.ranks, caller.ranks):
+    for grid in (ranks, np.asarray(report.rank_matrix.ranks), caller.ranks):
         assert grid.dtype == dtype
         wide = grid.astype(np.int64)
         assert np.array_equal(np.sort(wide, axis=1),

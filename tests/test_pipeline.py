@@ -118,7 +118,7 @@ def test_pipeline_rank_rows_are_permutations(wide):
     if wide:
         values = np.vstack([SOCIAL_VALUES, SOCIAL_VALUES * 0.9, SOCIAL_VALUES[1]])
     cfg = RunConfig(iterations=3000, seed=7, custom_sets=((0.05,) * 12,))
-    ranks = run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), cfg).rank_matrix.ranks
+    ranks = np.asarray(run_pipeline(make_matrix(values, SOCIAL_DIRECTIONS), cfg).rank_matrix.ranks)
     m = values.shape[0]
     assert np.array_equal(np.sort(ranks, axis=1), np.broadcast_to(np.arange(1, m + 1), ranks.shape))
     if wide:  # equal closeness: the lower index ranks first
@@ -163,22 +163,22 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
         assert len(np.unique(ranks, axis=0)) == 2
 
 
-def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypatch):
-    # on one CPU the peak is deterministic: the t x m ranks at one byte a
-    # value; one thread's chunk scratch (the chunk's weight rows, 1 MiB, its
-    # float64 closeness, distances and prefix, 512 KiB each, the uniform
-    # stream's blocks, 512 KiB, the sorted chunks and their keys for the
-    # weight and the closeness windows, 1 MiB each, and the argsort order of
-    # a chunk not in one order, 512 KiB); and the values the windows keep,
-    # which grow as the square root of t: allowed 8 MiB in all. No t x n
-    # weight grid, no t x m closeness grid and no t-sized share of either is
-    # held
+def test_a_run_on_a_narrow_band_holds_no_t_sized_array(social_matrix, monkeypatch):
+    # on one CPU the peak is deterministic: one thread's chunk scratch (the
+    # chunk's weight rows, 1 MiB, its float64 closeness, distances and
+    # prefix, 512 KiB each, its ranks, 64 KiB, the uniform stream's blocks,
+    # 512 KiB, the sorted chunks and their keys for the weight and the
+    # closeness windows, 1 MiB each, and the argsort order of a chunk not in
+    # one order, 512 KiB); the ranks the pass keeps, one row for each chunk
+    # in one order and 64 KiB for each other chunk; and the values the
+    # windows keep, which grow as the square root of t: allowed 8 MiB in
+    # all. No t x n weight grid, no t x m closeness grid, no t x m rank grid
+    # and no t-sized share of any of them is held
     import tracemalloc
 
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
     cfg = RunConfig(iterations=200_000, custom_sets=((0.05,) * 12,))
     run_pipeline(social_matrix, RunConfig(iterations=100))  # imports and caches
-    t, m = cfg.iterations, social_matrix.m
     tracemalloc.start()
     try:
         report = run_pipeline(social_matrix, cfg)
@@ -186,13 +186,14 @@ def test_a_run_holds_its_t_sized_arrays_and_little_more(social_matrix, monkeypat
     finally:
         tracemalloc.stop()
     assert report.rank_matrix.ranks.dtype == np.uint8
-    assert peak <= t * m * 1 + 8 * 2 ** 20
+    assert peak <= 8 * 2 ** 20
 
 
 def test_pass_summaries_hold_memory_that_barely_grows_with_t(social_matrix, monkeypatch):
-    # on one CPU: the peak of run_pipeline and build_summary less the t x m
-    # rank bytes; the windows keep values that grow as the square root of t,
-    # so ten times the rows add under 4 MiB
+    # on one CPU: the peak of run_pipeline and build_summary; the windows
+    # keep values that grow as the square root of t, and the pass keeps the
+    # rank rows of the few chunks not in one order, so ten times the rows
+    # add under 4 MiB
     import tracemalloc
 
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
@@ -203,7 +204,7 @@ def test_pass_summaries_hold_memory_that_barely_grows_with_t(social_matrix, monk
         tracemalloc.start()
         try:
             build_summary(run_pipeline(social_matrix, cfg))
-            peaks.append(tracemalloc.get_traced_memory()[1] - t * social_matrix.m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 4 * 2 ** 20
@@ -387,5 +388,33 @@ def test_the_closeness_view_reads_rows_slices_and_the_whole_grid(cpus, monkeypat
     # an operator would compute the whole t x m grid unseen, as on the weight rows
     for op in (lambda: full <= view, lambda: np.add(view, 1), lambda: full == view,
                lambda: view == 0.0, lambda: view != 0.0, lambda: view * 2.0):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_rank_view_reads_rows_slices_and_the_whole_grid(cpus, monkeypatch):
+    # small chunks: all but one keep one order, so the view repeats one rank
+    # row for each of them, and the one other chunk keeps its rank rows
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 9)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    matrix = make_matrix(_PROBLEMS["social-two-orders"], SOCIAL_DIRECTIONS)
+    report = run_pipeline(matrix, RunConfig(iterations=20_000, seed=1,
+                                            custom_sets=((0.05,) * 12,)))
+    full = kernels.rank_rows(np.asarray(report.closeness))
+    view, step = report.rank_matrix.ranks, kernels._chunk_rows(matrix.m)
+    assert view.shape == full.shape and view.dtype == np.uint8
+    assert np.asarray(view).dtype == np.uint8 and np.asarray(view).tobytes() == full.tobytes()
+    odd = np.flatnonzero((full != full[0]).any(axis=1))
+    assert len(odd) == 1  # the row in a second order
+    edge = odd[0] // step * step
+    for key in (0, step - 1, step, odd[0], -1, slice(step - 3, step + 4),
+                slice(edge - 2, edge + step + 2), slice(5, 3 * step + 2), slice(None),
+                slice(5, 5)):
+        got = view[key]
+        assert got.dtype == np.uint8 and got.tobytes() == full[key].tobytes(), key
+    # widen before arithmetic: an operator would compute the whole grid unseen
+    for op in (lambda: view + 1, lambda: matrix.m + 1 - view, lambda: np.add(view, 1),
+               lambda: view == 1, lambda: full <= view):
         with pytest.raises(TypeError):
             op()

@@ -280,6 +280,42 @@ def test_a_failed_chunk_raises_while_later_chunks_wait_to_be_carried(social_matr
     assert threading.active_count() == threads  # no thread outlives the call
 
 
+def test_chunks_parked_for_the_ordered_carry_stay_within_the_cpu_count(
+        social_matrix, monkeypatch):
+    # a slowed consumer on more threads than the machine may have cores:
+    # the other threads finish their chunks first and must wait rather than
+    # park more copies than there are CPUs
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 9)
+    config = RunConfig(iterations=20_000, seed=1, custom_sets=((0.05,) * 12,))
+    inline = _with_cpus(monkeypatch, 1, lambda: _report_bytes(run_pipeline(social_matrix, config)))
+    parked, threaded = [], []
+
+    class Tally(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            parked.append(len(self))
+
+    class Slowed(kernels._InOrder):
+        def __init__(self, consume):
+            super().__init__(lambda *args: time.sleep(0.001) or consume(*args))
+            self._parked = Tally()
+
+    monkeypatch.setattr(pipeline, "_InOrder", Slowed)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        caller = threading.Thread(daemon=True, target=lambda: threaded.append(
+            _report_bytes(run_pipeline(social_matrix, config))))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive(), "a chunk waited for room that never came"
+    assert threaded == [inline]
+    assert 0 < max(parked) <= 3
+
+
 # --------------------------------------------------------------------- fork
 
 FORK_SCRIPT = textwrap.dedent("""
