@@ -9,11 +9,12 @@ by descending modal score. Ties are resolved deterministically:
   mean closeness over the iterations, then the lower alternative index.
 
 The five-number summaries of the weights and the closeness are taken
-here too: of a whole column at a time by :func:`five_number_columns`,
-and of a run's closeness, with its mean, from the row chunks of the one
-pass as they are made, by :class:`_ClosenessPass`, through the exact
-order-statistic windows of :mod:`bandtopsis.windows`, which also give the
-weights' summary.
+here too, all read by :func:`_five_numbers` from order statistics: of a
+whole column at a time by :func:`five_number_columns`, which sorts it,
+and of a run's closeness, with its mean, from the one pass's row chunks
+by :class:`_ClosenessPass`, from a sorted prefix that is the whole run
+or through the exact windows of :mod:`bandtopsis.windows`, which also
+give the weights' summary.
 """
 
 from __future__ import annotations
@@ -134,66 +135,42 @@ def five_number_columns(table) -> list[dict[str, float]]:
     """min / q1 / median / q3 / max of every column of a t x k array.
 
     The columns are summarized in chunks (see kernels._for_chunks), each
-    column copied into its thread's contiguous buffer.
-    Only the order statistics the five values read are put in place:
-    three single-k partitions place the median's, then the lower
-    quartile's below it and the upper quartile's above it, and the
-    minimum and maximum are swapped to the ends. A value one past a
-    placed index is the least value before the next placed one. The
-    five values are then read with the arithmetic of numpy's 'linear'
-    method, so every value equals
-    np.percentile(column, [0, 25, 50, 75, 100]) bit for bit, whichever
-    select algorithm the CPU runs. The one exception is the sign of a
-    zero result in a column that holds both 0.0 and -0.0, which this
-    select and numpy's may pick differently; sampled weights and
-    closeness values are never -0.0.
+    column copied into its thread's contiguous buffer, sorted there and
+    read by _sorted_stats and _five_numbers, with the arithmetic of
+    numpy's 'linear' method, so every value equals
+    np.percentile(column, [0, 25, 50, 75, 100]) bit for bit. The one
+    exception is the sign of a zero result in a column that holds both
+    0.0 and -0.0, which a sort and numpy's select may place differently;
+    sampled weights and closeness values are never -0.0.
     """
     table = np.asarray(table, dtype=float)
     t, k = table.shape
-    picks = [_linear_pick(t, q) for q in _PICKS]
-    k1, k2, k3 = (lo for lo, _, _ in picks[1:4])
-    placed = sorted({0, k1, k2, k3, t - 1})
-    following = dict(zip(placed, placed[1:]))
     out: list = [None] * k
     buffer = _per_thread(lambda: np.empty(t))
 
     def columns(first: int, stop: int) -> None:
         buf = buffer()
-
-        def stat(i: int) -> float:
-            """Order statistic i of the buffer: a placed index, or one past one."""
-            if i in placed:
-                return float(buf[i])
-            return float(buf[i:following[i - 1] + 1].min())
-
         for j in range(first, stop):
             np.copyto(buf, table[:, j])
-            # one k per call: numpy may run a SIMD select for a single k, which on an
-            # AVX-512 CPU took 2 ms per 10^6 values against 15 ms for partition([k, k + 1])
-            buf.partition(k2)
-            if k1 < k2:
-                buf[:k2].partition(k1)
-            if k3 > k2:
-                buf[k2 + 1:].partition(k3 - k2 - 1)
-            low, high = buf[:k1 + 1], buf[k3:]
-            p = low.argmin()
-            low[[0, p]] = low[[p, 0]]
-            p = high.argmax()
-            high[[-1, p]] = high[[p, -1]]
-            out[j] = {
-                name: _lerp(stat(lo), stat(hi), g)
-                for name, (lo, hi, g) in zip(_FIVE_NUMBERS, picks)
-            }
+            buf.sort()
+            out[j] = _five_numbers(_sorted_stats(buf[:, None]), t)[0]
 
     _for_chunks(k, _chunk_rows(t), columns)
     return out
 
 
+def _sorted_stats(grid: np.ndarray) -> np.ndarray:
+    """The k x 5 x 2 order statistics that the five numbers of each
+    column of the t x k `grid`, sorted down its columns, read."""
+    picks = [_linear_pick(len(grid), q)[:2] for q in _PICKS]
+    return grid[np.ravel(picks)].T.reshape(-1, len(_PICKS), 2)
+
+
 def _five_numbers(stats: np.ndarray, t: int) -> list[dict[str, float]]:
     """The five numbers of each column of t values from its 5 x 2 order
     statistics in the k x 5 x 2 `stats`: the two that each quantile of
-    _PICKS reads (see _linear_pick), read as five_number_columns reads
-    them."""
+    _PICKS reads (see _linear_pick), interpolated as numpy's 'linear'
+    method does."""
     picks = [_linear_pick(t, q) for q in _PICKS]
     return [{name: _lerp(x, y, g) for name, (x, y), (_, _, g) in zip(_FIVE_NUMBERS, row, picks)}
             for row in stats.tolist()]
@@ -275,9 +252,6 @@ class _ClosenessPass:
 
     def result(self) -> tuple[np.ndarray, list[dict[str, float]] | None]:
         self.scratch = None
-        if self.windows is None:  # the prefix is the whole closeness, sorted
-            picks = [_linear_pick(self.t, q)[:2] for q in _PICKS]
-            stats = self.prefix[np.ravel(picks)].T.reshape(-1, len(_PICKS), 2)
-        else:
-            stats = self.windows.stats(self.t)
+        # with no windows placed, the prefix is the whole closeness, sorted
+        stats = _sorted_stats(self.prefix) if self.windows is None else self.windows.stats(self.t)
         return self.sum / self.t, None if stats is None else _five_numbers(stats, self.t)

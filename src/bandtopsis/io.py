@@ -1,9 +1,9 @@
 """Problem ingestion (CSV/JSON) and machine-readable result emission.
 
-Every malformed input is reported with row/column (or JSON field)
-coordinates. Emitted files are byte-deterministic for a fixed report:
-floats are written with shortest round-trip repr, display variants with 3
-decimals, and all newlines are '\\n'.
+Every malformed input is reported by CSV row (the line it starts on)
+and column, or by JSON field. Emitted files are byte-deterministic for
+a fixed report: floats are written with shortest round-trip repr,
+display variants with 3 decimals, and all newlines are '\\n'.
 """
 
 from __future__ import annotations
@@ -77,8 +77,13 @@ def _parse_direction(token, where: str) -> Direction:
 
 
 def _parse_csv(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
-    rows = [[c.strip() for c in row] for row in csv.reader(f)]
-    rows = [r for r in rows if any(c != "" for c in r)]
+    """The problem in CSV `f`; blank records are skipped, rows named by the line they start on."""
+    reader, lines, rows, start = csv.reader(f), [], [], 1
+    for row in reader:
+        if any(c.strip() for c in row):
+            lines.append(start)
+            rows.append([c.strip() for c in row])
+        start = reader.line_num + 1
     if len(rows) < 3:
         raise ProblemFormatError(
             "CSV needs a header row, a direction row and at least one data row"
@@ -89,18 +94,17 @@ def _parse_csv(f: IO[str]) -> tuple[DecisionMatrix, RunConfig]:
         corner = 0
     except ValueError:  # a corner cell, unless it is the only cell
         corner = int(len(dir_row) > 1)
-    directions = [_parse_direction(t, f"row 2, column {k}")
+    directions = [_parse_direction(t, f"row {lines[1]}, column {k}")
                   for k, t in enumerate(dir_row[corner:], start=corner + 1)]
     n = len(directions)
     if len(header) not in (n, n + 1):
-        raise ProblemFormatError(
-            f"row 1: expected {n} criterion ids (plus optional corner cell), got {len(header)} cells"
-        )
+        raise ProblemFormatError(f"row {lines[0]}: expected {n} criterion ids "
+                                 f"(plus optional corner cell), got {len(header)} cells")
     ids = header[-n:]
 
     alternatives: list[str] = []
     values: list[list[float]] = []
-    for r, row in enumerate(rows[2:], start=3):
+    for r, row in zip(lines[2:], rows[2:]):
         if len(row) != n + 1:
             raise ProblemFormatError(f"row {r}: expected {n} values, got {len(row) - 1}")
         alternatives.append(row[0])

@@ -277,13 +277,12 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
             f"values shape {v.shape} does not match {m} alternatives x {n} criteria"
         )
     else:
+        # named by alternative and criterion, which hold in every file format
         bad = np.argwhere(~np.isfinite(v))
-        for i, j in bad:
-            errors.append(f"non-finite value at row {i + 1}, column {j + 1}")
-        if bad.size == 0:
-            neg = np.argwhere(v < 0)
-            for i, j in neg:
-                errors.append(f"negative value at row {i + 1}, column {j + 1}")
+        kind, cells = ("non-finite", bad) if bad.size else ("negative", np.argwhere(v < 0))
+        for i, j in cells:
+            errors.append(f"{kind} value of alternative {matrix.alternatives[i]!r}"
+                          f" on criterion {matrix.criteria[j].id!r}")
 
     seen_alternatives: set[str] = set()
     for a in matrix.alternatives:

@@ -42,10 +42,11 @@ class RunReport:
     through bodies the view makes at its first read and keeps, and
     np.asarray(closeness) computes the whole grid, which the caller then
     holds. A report built from a closeness array holds a write-locked
-    copy of it instead, and takes `closeness_summary` from
-    five_number_columns when none is given. A report given no
-    `rwm_summary` takes it from windows.weight_summary's stream-only
-    pass, which holds no weight grid.
+    copy of it instead. A report given no `closeness_summary` or no
+    `rwm_summary`, as one built from its parts or one whose pass had an
+    order statistic fall outside its window, computes that grid whole
+    and takes the summary from five_number_columns: this is the one
+    place a missing summary is made.
 
     A chunk whose rows all keep one order is ranked and counted without a
     sort; its ranks are the ones the stable sort would give.
@@ -73,22 +74,15 @@ class RunReport:
     def __post_init__(self):
         if not isinstance(self.closeness, _Rows):
             object.__setattr__(self, "closeness", _readonly(self.closeness, float))
+        if self.rwm_summary is None:
+            object.__setattr__(self, "rwm_summary", five_number_columns(np.asarray(self.rwm.rows)))
         if self.closeness_summary is None:
             object.__setattr__(self, "closeness_summary",
                                five_number_columns(np.asarray(self.closeness)))
-        if self.rwm_summary is None:
-            object.__setattr__(self, "rwm_summary", _weight_summary(self.rwm))
 
     def weight_table(self) -> list[tuple[str, np.ndarray]]:
         """Display rows: each contributing set, then the band envelope."""
         return _weight_rows(self.weight_sets, self.bounds)
-
-
-def _weight_summary(rwm: RandomWeightMatrix, windows=None) -> list[dict[str, float]]:
-    """windows.weight_summary, imported only by a run that needs it."""
-    from .windows import weight_summary
-
-    return weight_summary(rwm, windows)
 
 
 def _weight_rows(sets, bounds: WeightBounds) -> list[tuple[str, np.ndarray]]:
@@ -127,19 +121,21 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     scratch, are kept as one row if the chunk keeps one order and as a
     copy otherwise. No t x n weight grid, no t x m closeness grid and
     no t x m rank grid is held; only if an order statistic falls
-    outside its window is that grid computed, whole, for
-    five_number_columns.
+    outside its window is that grid computed, whole, by RunReport.
     """
     config = config or RunConfig()
     validate_problem(matrix, config)
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
     rwm = RandomWeightMatrix(bounds, config.iterations, config.seed)
-    ranks, counts, closeness, windows, whole = _one_pass(matrix, rwm)
+    ranks, counts, closeness, windows, weights = _one_pass(matrix, rwm)
     mean, summaries = closeness.result()  # the pass's chunk scratch is gone by now
+    if windows is not None:
+        from .windows import weight_summary
+
+        weights = weight_summary(rwm, windows)
     return RunReport(matrix, config, tuple(sets), bounds, rwm, _closeness_rows(matrix, rwm),
-                     RankMatrix(_Owned(ranks)), _rank_by_mode(counts, mean), summaries,
-                     whole or _weight_summary(rwm, windows))
+                     RankMatrix(_Owned(ranks)), _rank_by_mode(counts, mean), summaries, weights)
 
 
 def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):

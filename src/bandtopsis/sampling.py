@@ -9,8 +9,9 @@ RandomWeightMatrix is the description of a draw, and its `rows` view
 draws only what is read. One chunk body, _draw_body, draws runs of
 whole rows, for run_pipeline, np.asarray(rows), a row, a run of rows
 and `bandtopsis rwm` alike; in a run_pipeline pass of more than one
-chunk it also hands each chunk's unit uniforms to the rwm_summary
-windows before moving them into the band (see windows.weight_summary).
+chunk, the only pass that fills the rwm_summary windows, it also hands
+each chunk's unit uniforms to them before moving them into the band
+(see windows.weight_summary).
 The view, _Rows, also shows a run's closeness without holding it, and
 its ranks from the rank rows its pass kept per chunk (see
 pipeline.RunReport).

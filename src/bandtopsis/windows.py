@@ -3,12 +3,13 @@ the windows of Floyd and Rivest (CACM 18(3), 1975) that give a run's
 five-number summaries without holding its t x n weights or its t x m
 closeness.
 
-:class:`_Windows` is the one window routine. :func:`weight_summary`
-places windows for the weights' uniforms by their law, and
-aggregate._ClosenessPass places windows for the closeness in a prefix of
-its rows. A run whose pass is one chunk, as a plain `run` of
-`data/social.csv` is, needs none of this module, which is then never
-imported.
+:class:`_Windows` is the one window routine. :func:`_law_windows`
+places windows for the weights' uniforms by their law, which only
+run_pipeline's pass fills, and aggregate._ClosenessPass places windows
+for the closeness in a prefix of its rows; on a miss pipeline.RunReport
+summarizes the whole grid. A run whose pass is one chunk, as a plain
+`run` of `data/social.csv` is, needs none of this module, which is then
+never imported.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import threading
 
 import numpy as np
 
-from .aggregate import _PICKS, _five_numbers, _linear_pick, five_number_columns
-from .kernels import _chunk_rows, _for_chunks, _per_thread
-from .sampling import _draw_body
+from .aggregate import _PICKS, _five_numbers, _linear_pick
+from .kernels import _per_thread
 
 
 # A quartile window spans this many standard deviations of sample rank to
@@ -266,31 +266,21 @@ def _law_windows(rwm, most: int) -> _Windows:
                     _per_thread(lambda: np.empty((2, size))))
 
 
-def weight_summary(rwm, windows: _Windows | None = None) -> list[dict[str, float]]:
+def weight_summary(rwm, windows: _Windows) -> list[dict[str, float]] | None:
     """min / q1 / median / q3 / max of every weight column of `rwm`, equal
     bit for bit to five_number_columns(np.asarray(rwm.rows)), without
-    the t x n grid.
+    the t x n grid, from the _law_windows that every row's uniforms were
+    added to, as run_pipeline's pass adds them; None if an order
+    statistic fell outside its window.
 
     The order statistics are taken in u-space: a weight is
     lower + u * width for its unit uniform u, a map that never decreases
     with u, so order statistic i of a weight column is that map applied
-    to order statistic i of its uniforms, bit for bit. `windows` are
-    _law_windows that every row's uniforms were added to, as
-    run_pipeline's pass adds them; without them, a stream-only pass
-    draws the rows' uniforms chunk by chunk and adds them. If an order
-    statistic fell outside its window, the rows are drawn whole and
-    summarized by five_number_columns."""
-    t, n = rwm.iterations, rwm.bounds.n
-    if windows is None:
-        step = _chunk_rows(n)
-        most = min(t, step)
-        windows = _law_windows(rwm, most)
-        draw = _draw_body(rwm, most, windows)
-        scratch = _per_thread(lambda: np.empty((most, n)))
-        _for_chunks(t, step, lambda lo, hi: draw(lo, hi, scratch()[:hi - lo]))
+    to order statistic i of its uniforms, bit for bit."""
+    t = rwm.iterations
     stats = windows.stats(t)
     if stats is None:
-        return five_number_columns(np.asarray(rwm.rows))
+        return None
     np.multiply(stats, rwm.bounds.width[:, None, None], out=stats)
     np.add(stats, rwm.bounds.lower[:, None, None], out=stats)
     return _five_numbers(stats, t)

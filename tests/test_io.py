@@ -118,6 +118,21 @@ def test_parse_csv_non_numeric_cell_coordinates():
         parse_problem(_io.StringIO(text), fmt="csv")
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("c,g1,g2\n\n,max,min\na,1,2\n\nb,x,3\n",
+                 "row 6, column 2: cannot parse 'x' as a number", id="blank-lines"),
+    pytest.param('c,g1,g2\n,max,min\n"a\nb",1,2\nc,y,3\n',
+                 "row 5, column 2: cannot parse 'y' as a number", id="quoted-line-break"),
+    pytest.param("\nc,g1,g2\n\n,max,up\na,1,2\n",
+                 "row 4, column 3: unknown direction token 'up'", id="leading-blank-line"),
+])
+def test_parse_csv_rows_are_the_lines_they_start_on(text, message):
+    # a skipped blank line or a cell spanning two lines moves the rows after it
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(_io.StringIO(text), fmt="csv")
+    assert str(err.value) == message
+
+
 def test_parse_json_round_trip(tmp_path):
     doc = {
         "criteria": [
@@ -335,7 +350,8 @@ def test_five_numbers_leave_the_table_unsorted():
 
 def test_summarised_arrays_hold_no_negative_zero():
     # five_number_columns may differ from np.percentile only in the sign of
-    # a zero drawn from a column holding both 0.0 and -0.0
+    # a zero drawn from a column holding both 0.0 and -0.0: equal values,
+    # which its sort and numpy's select may order differently
     m = DecisionMatrix(
         ("worst", "mid", "best"),
         (CriterionSpec("g1"), CriterionSpec("g2")),

@@ -50,7 +50,7 @@ def test_single_alternative_rejected():
 def test_nan_cell_named_by_coordinates():
     matrix = make_matrix([[1.0, 2.0], [3.0, float("nan")]], ["max", "min"])
     errors = problem_violations(matrix)
-    assert errors == ["non-finite value at row 2, column 2"]
+    assert errors == ["non-finite value of alternative 'a2' on criterion 'g2'"]
 
 
 def test_all_violations_reported_not_just_first():
@@ -111,7 +111,7 @@ def test_printable_names_accepted():
 
 def test_negative_values_rejected():
     matrix = make_matrix([[1.0, -2.0], [3.0, 4.0]], ["max", "max"])
-    assert problem_violations(matrix) == ["negative value at row 1, column 2"]
+    assert problem_violations(matrix) == ["negative value of alternative 'a1' on criterion 'g2'"]
 
 
 def test_config_custom_set_checks():

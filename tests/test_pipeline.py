@@ -308,6 +308,30 @@ def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
+def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
+    # an alternative that is the ideal on every criterion has closeness 1.0 on
+    # every row, kept as that value and its count, while the other columns
+    # vary and keep plain windows; one chunk of 7-wide rows covers the
+    # prefix, so the windows are placed in it and again at 4 and 16 chunks
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    benefit = np.array(SOCIAL_DIRECTIONS) == "max"
+    ideal = np.where(benefit, SOCIAL_VALUES.max(axis=0), SOCIAL_VALUES.min(axis=0))
+    matrix = make_matrix(np.vstack([SOCIAL_VALUES, ideal]), SOCIAL_DIRECTIONS)
+    step = kernels._chunk_rows(matrix.m)
+    assert step >= aggregate._PREFIX_ROWS
+    whole, placings = _whole_grid_reads(monkeypatch), _placings(monkeypatch)
+    runs, real = [], windows._ordered
+    monkeypatch.setattr(windows, "_ordered", lambda *a: runs.append(1) or real(*a))
+    cfg = RunConfig(iterations=windows._REPICK ** 2 * step + 7, seed=3,
+                    custom_sets=((0.05,) * 12,))
+    report = run_pipeline(matrix, cfg)
+    assert not whole and placings == [4 * step, 16 * step] and runs
+    _assert_pass_summaries_exact(report)
+    assert set(report.closeness_summary[-1].values()) == {1.0}
+    assert all(s["min"] < s["max"] for s in report.closeness_summary[:-1])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("t", [1, 5, 3 * kernels._chunk_rows(6) + 5])
 def test_pass_summaries_of_a_zero_width_column(t, cpus, social_matrix, monkeypatch):
     # two sets that agree on the first criterion give it a zero-width band:
@@ -347,8 +371,8 @@ def test_pass_summaries_fall_back_to_the_whole_grid_on_a_window_miss(cpus, monke
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_pass_summaries_of_a_positional_report(cpus, monkeypatch):
-    # a report built from its parts, as perfbench's replay builds it, takes its
-    # weight summary from a stream-only pass through the same windows, no grid
+    # a report built from its parts, as perfbench's replay builds it, draws its
+    # weight grid once, whole, for its weight summary
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     cfg = RunConfig(iterations=3 * _PREFIX + 7, seed=11, custom_sets=((0.05,) * 12,))
     fused = run_pipeline(_WIDE, cfg)
@@ -357,7 +381,7 @@ def test_pass_summaries_of_a_positional_report(cpus, monkeypatch):
     whole = _whole_grid_reads(monkeypatch)
     staged = RunReport(_WIDE, cfg, fused.weight_sets, fused.bounds, fused.rwm, xi, rm,
                        final_ranking(rm, xi))
-    assert not whole
+    assert whole == [(cfg.iterations, _WIDE.n)]
     assert json.dumps(build_summary(staged)) == json.dumps(build_summary(fused))
 
 

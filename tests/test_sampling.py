@@ -17,7 +17,7 @@ from bandtopsis import (
 from bandtopsis import kernels
 from bandtopsis.kernels import unit_uniforms
 from bandtopsis.aggregate import five_number_columns
-from bandtopsis.windows import weight_summary
+from bandtopsis.windows import _law_windows, weight_summary
 from bandtopsis.sampling import _draw_body
 from conftest import REF_LOWER, REF_UPPER
 
@@ -274,6 +274,13 @@ def test_the_view_takes_no_numpy_operators():
 
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
 def test_regenerated_rwm_summary_equals_the_summary_of_the_whole_grid(n):
-    # the stream-only pass through the uniforms' windows, no weight grid
+    # the draw body hands each chunk's uniforms to the windows, as
+    # run_pipeline's pass does, and the rows are let go; no weight grid
     rwm, full = _view_cases(n)
-    assert json.dumps(weight_summary(rwm)) == json.dumps(five_number_columns(full))
+    t, step = full.shape[0], kernels._chunk_rows(n)
+    windows = _law_windows(rwm, step)
+    draw = _draw_body(rwm, step, windows)
+    for lo in range(0, t, step):
+        hi = min(t, lo + step)
+        draw(lo, hi, np.empty((hi - lo, n)))
+    assert json.dumps(weight_summary(rwm, windows)) == json.dumps(five_number_columns(full))
