@@ -19,6 +19,11 @@ from typing import Sequence
 
 DEFAULT_ITERATIONS = 10_000
 DEFAULT_SEED = 42
+# The most iterations a run takes. A run's time and its ranks.csv grow
+# with t: on a 2-CPU x86-64 VM the pass ranks 2.4-3.4 million rows of
+# data/social.csv a second, so 10^9 rows take 5-7 minutes and write a
+# ranks.csv of about 20 GB.
+_MAX_ITERATIONS = 10 ** 9
 
 # C0 controls and DEL: a CSV writer may leave "\r" unquoted, a line break or
 # tab in a name splits a table row or a printed line, and XML forbids most of
@@ -48,19 +53,16 @@ class ComputationError(ValueError):
     (constant column, zero column sum, degenerate ideal, ...)."""
 
 
-def _config_faults(iterations: int, seed: int, width: int) -> list[tuple[str, str]]:
+def _config_faults(iterations: int, seed: int) -> list[tuple[str, str]]:
     """The rules a run's config keeps, in a problem and in the summary
     that echoes it: (key, fault) for each of `iterations` and `seed` that
-    breaks one. t must be at least 1 and small enough for numpy to shape
-    a t x width array of 8-byte values, as every t-sized array of a run
-    or `rwm` is, where width is the larger of m and n; the seed must be
-    in [0, 2^64)."""
+    breaks one. t must be in [1, _MAX_ITERATIONS] and the seed in
+    [0, 2^64)."""
     faults = []
-    most = sys.maxsize // 8 // max(width, 1)
     if iterations < 1:
         faults.append(("iterations", f"must be >= 1, got {iterations}"))
-    elif iterations > most:
-        faults.append(("iterations", f"must be <= {most} for this problem, got {iterations}"))
+    elif iterations > _MAX_ITERATIONS:
+        faults.append(("iterations", f"must be <= {_MAX_ITERATIONS}, got {iterations}"))
     if not 0 <= seed < 2 ** 64:
         faults.append(("seed", f"must be in [0, 2^64), got {seed}"))
     return faults

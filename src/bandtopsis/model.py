@@ -310,7 +310,7 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
             errors.append(f"{fault} in {kind} {name!r}")
 
     if config is not None:
-        faults = _config_faults(config.iterations, config.seed, max(m, n))
+        faults = _config_faults(config.iterations, config.seed)
         errors.extend(f"{key} {fault}" for key, fault in faults)
         for k, s in enumerate(config.custom_sets, start=1):
             reason = _weight_fault(np.asarray(s, dtype=float), n)

@@ -64,7 +64,7 @@ class RandomWeightMatrix:
 
     def __post_init__(self):
         iterations, seed = operator.index(self.iterations), operator.index(self.seed)
-        faults = _config_faults(iterations, seed, self.bounds.n)
+        faults = _config_faults(iterations, seed)
         if faults:
             raise ValueError("; ".join(f"{key} {fault}" for key, fault in faults))
         object.__setattr__(self, "iterations", iterations)

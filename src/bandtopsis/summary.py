@@ -71,7 +71,7 @@ def _check_summary(summary) -> dict:
     if not ids:
         raise ProblemFormatError("summary 'criteria': n >= 1 required, got 0")
     _names(ids, "criteria[{}].id")
-    faults = _config_faults(iterations, seed, max(m, len(ids)))
+    faults = _config_faults(iterations, seed)
     if faults:
         key, fault = faults[0]
         raise ProblemFormatError(f"summary 'config.{key}': {fault}")

@@ -3,6 +3,11 @@ the windows of Floyd and Rivest (CACM 18(3), 1975) that give a run's
 five-number summaries without holding its t x n weights or its t x m
 closeness.
 
+Each window keeps the values that fall in it, and at most one run, a
+value and its count, which takes the pieces whose values in the window
+are all that one value: so a column of one value, as a zero-width band
+gives the closeness, keeps two numbers a window, not its rows.
+
 :class:`_Windows` is the one window routine. :func:`_law_windows`
 places windows for the weights' uniforms by their law, which only
 run_pipeline's pass fills, and aggregate._ClosenessPass places windows
@@ -60,18 +65,6 @@ def _law_window(t: int, q: float) -> tuple[float, float]:
     return max(0.0, q - half), min(1.0, q + half)
 
 
-def _ordered(values: np.ndarray, runs: tuple[np.ndarray, np.ndarray]):
-    """A window's sorted values with its (values, counts) runs merged in,
-    in value order, and a function at(i) that gives its order statistic
-    i (clipped into the window), with their total count."""
-    v = np.concatenate([values, runs[0]])
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    cum = np.cumsum(np.concatenate([np.ones(len(values), np.int64), runs[1]])[order])
-    total = int(cum[-1])
-    return v, cum, total, lambda i: v[np.searchsorted(cum, np.clip(i, 0, total - 1), side="right")]
-
-
 def _narrowed(at, total, below, rows: int, q: float, edges: np.ndarray):
     """The edges of quantile q's windows, narrowed inside their values:
     at(i) gives their order statistics i (clipped into the window), of
@@ -112,20 +105,23 @@ class _Windows:
     through the keys value + 3j of column j: column j's keys lie in
     [3j, 3j + 1], in value order. Rounding may tie two keys; a value
     whose key ties an edge's counts as inside, so every value counted
-    below a window lies below every value kept in it. A window whose
-    values in one chunk are all one value keeps that value once, with
-    its count: a column of one value, as a zero-width band gives the
-    closeness, keeps a few numbers a chunk, not its rows. The values
-    kept are read one pick at a time, as a k x S grid of each column's
-    window values, sorted along its rows; only the few windows that
-    hold such runs are read one at a time."""
+    below a window lies below every value kept in it. Each window holds
+    at most one run, a value and its count: a piece whose values in the
+    window are all one value adds its count to the run if the run is
+    empty or holds that value, and keeps its values otherwise. So a
+    column of one value, as a zero-width band gives the closeness, keeps
+    two numbers a window, not its rows. The values kept are read one
+    pick at a time, as a k x S grid of each column's window values,
+    sorted along its rows, with each window's run read in at its place
+    (see _reader)."""
 
     def __init__(self, edges: np.ndarray, scratch, placed: int | None = None):
         self.edges = np.array(edges, dtype=float)  # 5 x k x 2
         self.offsets = 3.0 * np.arange(self.edges.shape[1])
         self.keys = self.edges + self.offsets[:, None]
         self.below = np.zeros(self.edges.shape[:2], dtype=np.int64)
-        self.blocks = []  # per add: the values kept, window after window, their counts and runs
+        self.value, self.count = np.zeros(self.below.shape), np.zeros_like(self.below)  # the runs
+        self.blocks = []  # per add: the values kept, window after window, and their counts
         self.rows, self.placed = 0, placed
         self.scratch, self.lock = scratch, threading.Lock()
 
@@ -152,13 +148,18 @@ class _Windows:
         counts = np.searchsorted(keys, self.keys[..., 1].ravel(), side="right") - start
         one = np.flatnonzero(counts > 1)
         one = one[flat[start[one]] == flat[start[one] + counts[one] - 1]]
-        runs = (one, flat[start[one]], counts[one]) if len(one) else None
-        counts[one] = 0
+        if len(one):
+            value, count = self.value.ravel(), self.count.ravel()
+            with self.lock:  # a run that is empty or holds the piece's one value takes it
+                one = one[(count[one] == 0) | (value[one] == flat[start[one]])]
+                value[one] = flat[start[one]]
+                count[one] += counts[one]
+            counts[one] = 0
         ends = np.cumsum(counts)
         kept = flat[np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)]
         with self.lock:
             self.below += below
-            self.blocks.append((kept, counts, runs))
+            self.blocks.append((kept, counts))
             self.rows += r
             if self.placed and self.rows >= _REPICK * self.placed:
                 self._place_again()
@@ -166,73 +167,61 @@ class _Windows:
     def _gather(self):
         """The values kept, let go from their blocks: one k x S grid per
         pick, row j the values of column j's window, sorted, then the pad
-        2.0, which lies above every value; the 5 x k count of values in
-        each; and the runs, {flat window index: (values, counts)}."""
+        2.0, which lies above every value; and the 5 x k count of values
+        in each."""
         blocks, self.blocks = self.blocks, []
         picks, k = self.below.shape
-        counts = np.array([c for _, c, _ in blocks])
+        counts = np.array([c for _, c in blocks])
         size = counts.sum(axis=0)
         widths = np.maximum(size.reshape(picks, k).max(axis=1), 1)
         base = np.cumsum(k * widths) - k * widths
         grid = np.full(k * widths.sum(), 2.0)
         first = (base[:, None] + np.arange(k) * widths[:, None]).ravel()
-        for b, at in enumerate(first + np.cumsum(counts, axis=0) - counts):
-            kept, c, runs = blocks[b]
-            blocks[b] = runs
+        for (kept, c), at in zip(blocks, first + np.cumsum(counts, axis=0) - counts):
             ends = np.cumsum(c)
             grid[np.arange(len(kept)) + np.repeat(at - ends + c, c)] = kept
         grids = [grid[a:a + k * w].reshape(k, w) for a, w in zip(base, widths)]
         for g in grids:
             g.sort(axis=1)
-        runs = {}
-        for w, v, c in (x for r in blocks if r is not None for x in zip(*r)):
-            runs.setdefault(int(w), []).append((v, c))
-        runs = {w: tuple(np.array(x) for x in zip(*r)) for w, r in runs.items()}
-        return grids, size.reshape(picks, k), runs
+        return grids, size.reshape(picks, k)
+
+    def _reader(self, p: int, grid: np.ndarray, size: np.ndarray):
+        """at(i), the order statistics i of pick p's windows, i of shape
+        k or k x 2, among the `size` values of each row of its sorted
+        `grid` and its run, read in at its place (clipped into the
+        window); and the values in each window."""
+        value, count = self.value[p], self.count[p]
+        total, place = size + count, (grid < value[:, None]).sum(axis=1)
+        columns, last = np.arange(len(grid)), grid.shape[1] - 1
+
+        def at(i):
+            i = np.clip(i.T, 0, np.maximum(total - 1, 0))
+            kept = grid[columns, np.clip(np.where(i < place, i, i - count), 0, last)]
+            return np.where((place <= i) & (i < place + count), value, kept).T
+
+        return at, total
 
     def _place_again(self) -> None:
-        """Narrow every window inside its values around its quantile of
-        the rows counted, count its values below the new window and keep
-        only those inside it."""
-        grids, size, runs = self._gather()
-        k = len(self.offsets)
-        plain = size.copy()
-        plain.ravel()[list(runs)] = 0  # windows with runs are narrowed one at a time below
-        counts, kept = np.zeros_like(size), []
-        for p, (grid, n) in enumerate(zip(grids, plain)):
-            columns, last = np.arange(k), grid.shape[1] - 1
-            self._narrow(p, columns, lambda i: grid[columns, np.clip(i, 0, last)], n)
+        """Narrow every window inside its values and run around its
+        quantile of the rows counted; count those below the new window,
+        keep those inside it and drop those above it."""
+        grids, size = self._gather()
+        kept = []
+        for p, grid in enumerate(grids):
+            at, total = self._reader(p, grid, size[p])
+            self.edges[p, :, 0], self.edges[p, :, 1] = _narrowed(
+                at, total, self.below[p], self.rows, _PICKS[p], self.edges[p])
+            self.keys[p] = self.edges[p] + self.offsets[:, None]
+            lo, hi = self.keys[p].T
             keys = grid + self.offsets[:, None]
-            inside = (keys >= self.keys[p, :, :1]) & (keys <= self.keys[p, :, 1:])
-            inside[n == 0] = False
-            self.below[p] += (keys < self.keys[p, :, :1]).sum(axis=1) * (n > 0)
+            inside = (keys >= lo[:, None]) & (keys <= hi[:, None])
+            size[p] = inside.sum(axis=1)
             kept.append(grid[inside])
-            counts[p] = inside.sum(axis=1)
-        self.blocks = [(np.concatenate(kept), counts.ravel(), None)]
-        for w, run in runs.items():
-            p, j = divmod(w, k)
-            v, cum, total, at = _ordered(grids[p][j, :size[p, j]], run)
-            self._narrow(p, j, at, total)
-            keys = v + self.offsets[j]
-            a = np.searchsorted(keys, self.keys[p, j, 0])
-            b = np.searchsorted(keys, self.keys[p, j, 1], side="right")
-            self.below[p, j] += cum[a - 1] if a else 0
-            once = np.diff(cum, prepend=0)[a:b]
-            v, single = v[a:b], once == 1
-            value, where = np.unique(v[~single], return_inverse=True)
-            total = np.zeros(len(value), dtype=np.int64)
-            np.add.at(total, where, once[~single])
-            counts = np.zeros(size.size, dtype=np.int64)
-            counts[w] = single.sum()
-            self.blocks.append((v[single], counts,
-                                (np.full(len(value), w), value, total) if len(value) else None))
+            run = self.value[p] + self.offsets
+            self.below[p] += (keys < lo[:, None]).sum(axis=1) + self.count[p] * (run < lo)
+            self.count[p] *= (lo <= run) & (run <= hi)
+        self.blocks = [(np.concatenate(kept), size.ravel())]
         self.placed = self.rows
-
-    def _narrow(self, p: int, j, at, total) -> None:
-        """Move the edges of pick p's windows of columns j by _narrowed."""
-        self.edges[p, j, 0], self.edges[p, j, 1] = _narrowed(
-            at, total, self.below[p, j], self.rows, _PICKS[p], self.edges[p, j])
-        self.keys[p] = self.edges[p] + self.offsets[:, None]
 
     def stats(self, t: int) -> np.ndarray | None:
         """The k x 5 x 2 order statistics the five numbers of t values
@@ -240,18 +229,11 @@ class _Windows:
         read once: their values and sort scratch are let go."""
         rank = np.array([_linear_pick(t, q)[:2] for q in _PICKS])[:, None] - self.below[..., None]
         self.scratch = None
-        grids, size, runs = self._gather()
-        total = size.copy()
-        for w, (_, c) in runs.items():
-            total.flat[w] += c.sum()
-        if (rank[..., 0] < 0).any() or (rank[..., 1] >= total).any():
+        grids, size = self._gather()
+        if (rank[..., 0] < 0).any() or (rank[..., 1] >= size + self.count).any():
             return None
-        stats = np.stack([np.take_along_axis(g, np.minimum(r, g.shape[1] - 1), axis=1)
-                          for g, r in zip(grids, rank)])
-        for w, run in runs.items():
-            p, j = divmod(w, len(self.offsets))
-            stats[p, j] = _ordered(grids[p][j, :size[p, j]], run)[3](rank[p, j])
-        return stats.transpose(1, 0, 2)
+        return np.stack([self._reader(p, g, size[p])[0](rank[p])
+                         for p, g in enumerate(grids)]).transpose(1, 0, 2)
 
 
 def _law_windows(rwm, most: int) -> _Windows:

@@ -1,11 +1,13 @@
 import json
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandtopsis import (
+    ComputationError,
     RankMatrix,
     RunConfig,
     RunReport,
@@ -310,9 +312,10 @@ def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     # an alternative that is the ideal on every criterion has closeness 1.0 on
-    # every row, kept as that value and its count, while the other columns
-    # vary and keep plain windows; one chunk of 7-wide rows covers the
-    # prefix, so the windows are placed in it and again at 4 and 16 chunks
+    # every row, which each of its windows keeps as one run, that value and
+    # its count, while the other columns vary and keep plain values; one
+    # chunk of 7-wide rows covers the prefix, so the windows are placed in it
+    # and again at 4 and 16 chunks
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     benefit = np.array(SOCIAL_DIRECTIONS) == "max"
     ideal = np.where(benefit, SOCIAL_VALUES.max(axis=0), SOCIAL_VALUES.min(axis=0))
@@ -320,15 +323,51 @@ def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     step = kernels._chunk_rows(matrix.m)
     assert step >= aggregate._PREFIX_ROWS
     whole, placings = _whole_grid_reads(monkeypatch), _placings(monkeypatch)
-    runs, real = [], windows._ordered
-    monkeypatch.setattr(windows, "_ordered", lambda *a: runs.append(1) or real(*a))
+    read, real = [], windows._Windows.stats
+
+    def stats(self, t):  # the runs and the plain values of every window, as read
+        read.append((self.value.copy(), self.count.copy(), sum(c for _, c in self.blocks)))
+        return real(self, t)
+
+    monkeypatch.setattr(windows._Windows, "stats", stats)
     cfg = RunConfig(iterations=windows._REPICK ** 2 * step + 7, seed=3,
                     custom_sets=((0.05,) * 12,))
     report = run_pipeline(matrix, cfg)
-    assert not whole and placings == [4 * step, 16 * step] and runs
+    assert not whole and placings == [4 * step, 16 * step]
+    value, count, plain = next(r for r in read if r[0].shape[1] == matrix.m)  # the closeness'
+    plain = plain.reshape(value.shape)
+    assert (value[:, -1] == 1.0).all() and (count[:, -1] > 0).all() and (plain[:, -1] == 0).all()
+    assert (plain[:, :-1] > 0).all()
     _assert_pass_summaries_exact(report)
     assert set(report.closeness_summary[-1].values()) == {1.0}
     assert all(s["min"] < s["max"] for s in report.closeness_summary[:-1])
+
+
+def test_pass_summaries_keep_one_run_a_window(monkeypatch):
+    # pieces of 8 rows of one column, each all one value: the first gives
+    # every window its run, 0.25; the second, 0.75, is kept as plain values,
+    # and the third joins the run. The fourth, 0.75 again, brings the rows to
+    # 4 times the 8 placed from, and narrow windows are placed again: the
+    # run stays inside the minimum's, q1's and the median's windows and
+    # falls below q3's and the maximum's. A fifth piece of 0.25 goes to the
+    # runs it reaches and is counted below the rest.
+    monkeypatch.setattr(windows, "_WINDOW_SIGMAS", 0.5)
+    scratch = np.empty((2, 8))
+    w = windows._Windows(np.broadcast_to([0.0, 1.0], (5, 1, 2)), lambda: scratch, placed=8)
+    pieces = [np.full((8, 1), v) for v in (0.25, 0.75, 0.25, 0.75, 0.25)]
+    for piece in pieces[:3]:
+        w.add(piece)
+    assert (w.value == 0.25).all() and (w.count == 16).all()
+    assert (sum(c for _, c in w.blocks) == 8).all()  # the 0.75s, one value each
+    w.add(pieces[3])
+    assert w.count[:, 0].tolist() == [16, 16, 16, 0, 0]
+    assert w.below[:, 0].tolist() == [0, 0, 0, 16, 16]
+    w.add(pieces[4])
+    assert w.count[:, 0].tolist() == [24, 24, 24, 0, 0]
+    stats = w.stats(40)
+    assert stats is not None
+    whole = np.sort(np.concatenate(pieces), axis=0)
+    assert stats.tobytes() == aggregate._sorted_stats(whole).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -383,6 +422,104 @@ def test_pass_summaries_of_a_positional_report(cpus, monkeypatch):
                        final_ranking(rm, xi))
     assert whole == [(cfg.iterations, _WIDE.n)]
     assert json.dumps(build_summary(staged)) == json.dumps(build_summary(fused))
+
+
+@st.composite
+def _reference_cases(draw):
+    """A problem of m alternatives and n criteria drawn from a few value
+    levels (ties, constant columns), mixed directions, maybe a duplicate
+    alternative and an alternative at the column-wise ideal; weight sets
+    that give a zero-width band, zero-width columns or objective bands;
+    knobs that put misses, prefixes and placings at small t; and t near
+    one of the pass's edges."""
+    m, n = draw(st.integers(2, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 1000]))
+    values = rng.integers(1, levels + 1, (m, n)).astype(float)
+    directions = rng.choice(["max", "min"], n)
+    if m > 2 and draw(st.booleans()):
+        values[rng.integers(m)] = values[rng.integers(m)]
+    if draw(st.booleans()):
+        benefit = directions == "max"
+        values[rng.integers(m)] = np.where(benefit, values.max(axis=0), values.min(axis=0))
+    hypothesis.assume(np.ptp(values, axis=0).any())  # else every row is ideal and anti-ideal
+    w = rng.integers(1, 4, n).astype(float)
+    bands = draw(st.sampled_from(["zero-width", "two-sets", "objective"]))
+    if bands == "zero-width":
+        cfg = dict(include_entropy=False, include_critic=False, custom_sets=(w,))
+    elif bands == "two-sets":  # equal sums: every column but two has zero width
+        v = w.copy()
+        v[[0, -1]] = v[[-1, 0]]
+        cfg = dict(include_entropy=False, include_critic=False, custom_sets=(w, v))
+    else:
+        cfg = dict(include_critic=bool(n > 1 and np.ptp(values, axis=0).all()),
+                   custom_sets=(w,) if draw(st.booleans()) else ())
+    knobs = dict(chunk=draw(st.sampled_from([1 << 7, 1 << 9, 1 << 11])),
+                 prefix=draw(st.sampled_from([1, 50, 300])),
+                 repick=draw(st.integers(2, 4)),
+                 sigmas=draw(st.sampled_from([0.5, 2.0, 6.0])),
+                 cpus=draw(st.integers(1, 3)))
+    edge = draw(st.sampled_from(["small", "chunk", "prefix", "placing", "second-placing"]))
+    offset = draw(st.integers(-3, 3)) if edge != "small" else draw(st.integers(1, 7))
+    return make_matrix(values, directions), cfg, knobs, edge, offset, draw(st.integers(0, 99))
+
+
+def _plain_reference(matrix, weights):
+    """The closeness of every weight row, its mean, the ranks (a stable
+    argsort), the score histograms and the final positions by the tie
+    chain of the README's Method, from whole grids."""
+    xi = batch_topsis(matrix, weights)[0]
+    t, m = xi.shape
+    ranks = np.empty((t, m), dtype=np.int64)
+    np.put_along_axis(ranks, np.argsort(-xi, axis=1, kind="stable"), np.arange(1, m + 1), axis=1)
+    scores = m + 1 - ranks
+    hists = np.stack([np.bincount(scores[:, j], minlength=m + 1) for j in range(m)])
+    modal = m - np.argmax(hists[:, ::-1], axis=1)  # the largest of the top scores
+    mean_scores, mean_xi = scores.mean(axis=0), xi.mean(axis=0)
+    positions = np.empty(m, dtype=np.int64)
+    order = sorted(range(m), key=lambda j: (-modal[j], -mean_scores[j], -mean_xi[j], j))
+    positions[order] = np.arange(1, m + 1)
+    return xi, mean_xi, ranks, hists, positions
+
+
+def _percentiles(grid):
+    return np.percentile(grid, [0, 25, 50, 75, 100], axis=0).T
+
+
+def _summary_grid(summary):
+    return np.array([[s[k] for k in ("min", "q1", "median", "q3", "max")] for s in summary])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_reference_cases())
+def test_pass_summaries_match_a_plain_reference(case):
+    matrix, cfg, knobs, edge, offset, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK", knobs["chunk"])
+        mp.setattr(kernels, "_cpu_count", lambda: knobs["cpus"])
+        mp.setattr(aggregate, "_PREFIX_ROWS", knobs["prefix"])
+        mp.setattr(windows, "_REPICK", knobs["repick"])
+        mp.setattr(windows, "_WINDOW_SIGMAS", knobs["sigmas"])
+        step = kernels._chunk_rows(matrix.m)
+        prefix = -(-max(step, knobs["prefix"]) // step) * step
+        edges = {"small": 0, "chunk": step, "prefix": prefix,
+                 "placing": knobs["repick"] * prefix,
+                 "second-placing": knobs["repick"] ** 2 * prefix}
+        t = max(1, edges[edge] + offset)
+        try:
+            report = run_pipeline(matrix, RunConfig(iterations=t, seed=seed, **cfg))
+        except ComputationError:  # a refused problem, e.g. CRITIC's vanished index
+            hypothesis.reject()
+        weights_summary, closeness_summary = report.rwm_summary, report.closeness_summary
+        weights = np.asarray(report.rwm.rows)
+        ranks = np.asarray(report.rank_matrix.ranks)
+    xi, mean_xi, ref_ranks, hists, positions = _plain_reference(matrix, weights)
+    assert _summary_grid(weights_summary).tobytes() == _percentiles(weights).tobytes()
+    assert _summary_grid(closeness_summary).tobytes() == _percentiles(xi).tobytes()
+    assert report.final.mean_closeness.tobytes() == mean_xi.tobytes()
+    assert np.array_equal(ranks, ref_ranks)
+    assert np.array_equal(report.final.score_histograms, hists)
+    assert np.array_equal(report.final.positions, positions)
 
 
 def test_the_closeness_view_makes_its_bodies_once(social_matrix, monkeypatch):

@@ -135,12 +135,19 @@ def test_iterations_must_be_positive():
     (4, 2 ** 64, r"^seed must be in \[0, 2\^64\), got 18446744073709551616$"),
     (4, -1, r"^seed must be in \[0, 2\^64\), got -1$"),
     (0, 1, r"^iterations must be >= 1, got 0$"),
-], ids=["seed-2^64", "seed-minus-1", "no-iterations"])
+    (10 ** 9 + 1, 1, r"^iterations must be <= 1000000000, got 1000000001$"),
+], ids=["seed-2^64", "seed-minus-1", "no-iterations", "past-the-limit"])
 def test_a_draw_keeps_the_config_rules_of_a_run(t, seed, fault):
     # the stream reads the seed mod 2^64, so 2^64 would draw seed 0's rows
     # and -1 those of seed 2^64 - 1
     with pytest.raises(ValueError, match=fault):
         sample_weight_matrix(WeightBounds([0.0, 0.2], [1.0, 0.4]), t, seed)
+
+
+def test_a_draw_takes_iterations_up_to_the_limit():
+    # the rows are drawn only when read, so the largest t allocates nothing
+    rwm = sample_weight_matrix(WeightBounds([0.0, 0.2], [1.0, 0.4]), 10 ** 9, 1)
+    assert rwm.rows.shape == (10 ** 9, 2)
 
 
 def test_generator_reference_values():
