@@ -12,9 +12,10 @@ The five-number summaries of the weights and the closeness are taken
 here too, all read by :func:`_five_numbers` from order statistics: of a
 whole column at a time by :func:`five_number_columns`, which sorts it,
 and of a run's closeness, with its mean, from the one pass's row chunks
-by :class:`_ClosenessPass`, from a sorted prefix that is the whole run
-or through the exact windows of :mod:`bandtopsis.windows`, which also
-give the weights' summary.
+by :class:`_ClosenessPass`, through the exact windows of
+:mod:`bandtopsis.windows` opened on the first chunk, which also give
+the weights' summary. A pass of one chunk summarizes both grids whole
+with five_number_columns.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ def five_number_columns(table) -> list[dict[str, float]]:
 
     The columns are summarized in chunks (see kernels._for_chunks), each
     column copied into its thread's contiguous buffer, sorted there and
-    read by _sorted_stats and _five_numbers, with the arithmetic of
-    numpy's 'linear' method, so every value equals
+    read by _five_numbers, with the arithmetic of numpy's 'linear'
+    method, so every value equals
     np.percentile(column, [0, 25, 50, 75, 100]) bit for bit. The one
     exception is the sign of a zero result in a column that holds both
     0.0 and -0.0, which a sort and numpy's select may place differently;
@@ -147,23 +148,17 @@ def five_number_columns(table) -> list[dict[str, float]]:
     t, k = table.shape
     out: list = [None] * k
     buffer = _per_thread(lambda: np.empty(t))
+    picks = np.ravel([_linear_pick(t, q)[:2] for q in _PICKS])  # the order statistics read
 
     def columns(first: int, stop: int) -> None:
         buf = buffer()
         for j in range(first, stop):
             np.copyto(buf, table[:, j])
             buf.sort()
-            out[j] = _five_numbers(_sorted_stats(buf[:, None]), t)[0]
+            out[j] = _five_numbers(buf[picks].reshape(1, -1, 2), t)[0]
 
     _for_chunks(k, _chunk_rows(t), columns)
     return out
-
-
-def _sorted_stats(grid: np.ndarray) -> np.ndarray:
-    """The k x 5 x 2 order statistics that the five numbers of each
-    column of the t x k `grid`, sorted down its columns, read."""
-    picks = [_linear_pick(len(grid), q)[:2] for q in _PICKS]
-    return grid[np.ravel(picks)].T.reshape(-1, len(_PICKS), 2)
 
 
 def _five_numbers(stats: np.ndarray, t: int) -> list[dict[str, float]]:
@@ -176,19 +171,12 @@ def _five_numbers(stats: np.ndarray, t: int) -> list[dict[str, float]]:
             for row in stats.tolist()]
 
 
-# Leading rows the closeness windows are placed from, at least, in whole
-# chunks: one chunk of 200-wide rows is 328 rows, and its windows keep most
-# values.
-_PREFIX_ROWS = 1 << 13
-
-
 class _ClosenessPass:
     """The mean closeness and the five-number summary of every
     alternative, taken from the t x m closeness one row chunk at a time
-    in row order, so that no t x m grid is held. rows(lo, hi) gives the
-    C-contiguous float64 rows that chunk lo:hi's closeness is to be
-    written into; add(lo, hi, rows) then takes them, and may change
-    them. result() gives the mean and the summaries, as
+    in row order, so that no t x m grid is held. add(lo, hi, rows) takes
+    the C-contiguous float64 closeness of chunk lo:hi, and may change it
+    while it runs; result() gives the mean and the summaries, as
     five_number_columns gives them.
 
     The mean is a carried sum. numpy sums axis 0 of a C-contiguous grid
@@ -196,28 +184,17 @@ class _ClosenessPass:
     before it added in reduces to the sum of every row to its last, and
     the mean equals xi.mean(axis=0) bit for bit.
 
-    The quartiles come from windows._Windows. The chunks of a prefix, at least
-    _PREFIX_ROWS rows, are written into one grid, which is then sorted
-    down each alternative's column. If the prefix is the whole run, the
-    five numbers are read from it. Otherwise the windows are placed in
-    the prefix, as windows._narrowed places them inside a window of [0, 1] that
-    holds every value, and the prefix is counted and let go; every chunk
-    after it is counted as it comes, and the windows narrow as the rows
-    grow. result() gives None for the summaries if an order statistic
-    fell outside its window."""
+    The quartiles come from windows._Windows, opened on the first chunk
+    of a run of more than one: they are placed in that chunk, sorted down
+    each alternative's column, as windows._narrowed places them inside a
+    window of [0, 1] that holds every value, and the chunk is counted;
+    every later chunk is counted as it comes, and the windows narrow as
+    the rows grow. A run of one chunk opens no windows, and result()
+    gives no summaries for it (its caller summarizes that chunk whole)
+    or for a run that had an order statistic fall outside its window."""
 
-    def __init__(self, t: int, m: int, step: int):
-        self.t, self.step = t, min(t, step)
-        self.prefix_rows = min(t, -(-max(step, _PREFIX_ROWS) // step) * step)
-        self.prefix = np.empty((self.prefix_rows, m))
-        self.scratch = _per_thread(lambda: np.empty((self.step, m)))
-        self.windows = None
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The prefix's own rows lo:hi, or the calling thread's scratch."""
-        if hi <= self.prefix_rows:  # the prefix is held until these rows are added
-            return self.prefix[lo:hi]
-        return self.scratch()[:hi - lo]
+    def __init__(self, t: int):
+        self.t, self.windows = t, None
 
     def add(self, lo: int, hi: int, rows: np.ndarray) -> None:
         if lo:
@@ -225,33 +202,28 @@ class _ClosenessPass:
             rows[0] += self.sum
             self.sum = np.add.reduce(rows, axis=0)
             rows[0] = first
+            self.windows.add(rows)
         else:
             self.sum = np.add.reduce(rows, axis=0)
-        if self.windows is not None:
-            self.windows.add(rows)
-        elif hi == self.prefix_rows:
-            self.prefix.sort(axis=0)
             if hi < self.t:
-                self._open_windows()
+                self._open_windows(rows)
 
-    def _open_windows(self) -> None:
-        """Place the windows in the sorted prefix, then count the prefix."""
+    def _open_windows(self, rows: np.ndarray) -> None:
+        """Place the windows in the first chunk, sorted down each column,
+        then count it."""
         from .windows import _narrowed, _Windows  # compiled only for runs that need it
 
-        prefix, self.prefix = self.prefix, None
-        n, m = prefix.shape
+        first = np.sort(rows, axis=0)
+        n, m = first.shape
         edges = np.empty((len(_PICKS), m, 2))
         edges[...] = 0.0, 1.0
         for p, q in enumerate(_PICKS):
             edges[p, :, 0], edges[p, :, 1] = _narrowed(
-                lambda i: prefix[np.clip(i, 0, n - 1)], n, 0, n, q, edges[p])
-        chunk = np.empty((2, m * self.step))  # a sorted chunk and its keys
-        self.windows = _Windows(edges, lambda: chunk, placed=n)
-        for a in range(0, n, self.step):  # sorted already
-            self.windows.add(prefix[a:a + self.step], presorted=True)
+                lambda i: first[np.clip(i, 0, n - 1)], n, 0, n, q, edges[p])
+        scratch = np.empty((2, rows.size))  # a sorted chunk and its keys
+        self.windows = _Windows(edges, lambda: scratch, placed=n)
+        self.windows.add(rows)
 
     def result(self) -> tuple[np.ndarray, list[dict[str, float]] | None]:
-        self.scratch = None
-        # with no windows placed, the prefix is the whole closeness, sorted
-        stats = _sorted_stats(self.prefix) if self.windows is None else self.windows.stats(self.t)
+        stats = None if self.windows is None else self.windows.stats(self.t)
         return self.sum / self.t, None if stats is None else _five_numbers(stats, self.t)

@@ -131,13 +131,17 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    out = Path(args.out)
+    # a file where --out or a parent of it should be is found before the pass, not after it
+    there = next((p for p in (out, *out.parents) if p.exists()), None)
+    if there is not None and not there.is_dir():
+        raise NotADirectoryError(f"--out {out}: {there} is not a directory")
     from .io import emit_tables, parse_problem
     from .pipeline import run_pipeline
 
     matrix, cfg = parse_problem(args.input, args.format)
     cfg = _merged_config(cfg, args)
     report = run_pipeline(matrix, cfg)
-    out = Path(args.out)
     positions = "".join(f"{alt}: [{p}]\n"
                         for alt, p in zip(matrix.alternatives, report.final.positions))
     _check_printable(positions + str(out))

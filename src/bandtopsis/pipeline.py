@@ -32,9 +32,10 @@ class RunReport:
     file. Re-running with the echoed config reproduces it exactly.
 
     `rank_matrix`, `final`, `closeness_summary` and `rwm_summary` are
-    filled by one pass over row chunks and equal, bit for bit, what
-    batch_topsis, final_ranking and five_number_columns give on the rows
-    of `rwm`. Neither the weight rows nor the closeness are held. `rwm`
+    filled by one pass over row chunks (the summaries through windows
+    opened on its first chunk) and equal, bit for bit, what batch_topsis,
+    final_ranking and five_number_columns give on the rows of `rwm`.
+    Neither the weight rows nor the closeness are held. `rwm`
     describes the draw (bounds, t and seed), and its `rows` view draws a
     row, a run of rows or the whole grid bit for bit. `closeness` is a
     read-only view of the t x m closeness in the same way:
@@ -114,10 +115,11 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     scored, ranked and counted while they are in cache, by the same
     chunk bodies that np.asarray(rwm.rows), batch_topsis and
     rank_frequency run alone. The draw hands the chunk's unit uniforms
-    to the rwm_summary windows (see windows.weight_summary) on the way;
-    a pass of one chunk summarizes its weight rows whole instead.
+    to the rwm_summary windows (see windows.weight_summary) on the way.
     The chunk's closeness, in scratch too, then goes in row order to the
-    mean and the windows of _ClosenessPass, and its ranks, ranked in
+    mean and the windows of _ClosenessPass, which opens them on the
+    first chunk; a pass of one chunk summarizes its weight rows and its
+    closeness whole instead, and opens no windows. Its ranks, ranked in
     scratch, are kept as one row if the chunk keeps one order and as a
     copy otherwise. No t x n weight grid, no t x m closeness grid and
     no t x m rank grid is held; only if an order statistic falls
@@ -128,9 +130,11 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     sets = collect_weight_sets(matrix, config)
     bounds = compute_bounds(sets)
     rwm = RandomWeightMatrix(bounds, config.iterations, config.seed)
-    ranks, counts, closeness, windows, weights = _one_pass(matrix, rwm)
+    ranks, counts, closeness, windows, whole = _one_pass(matrix, rwm)
     mean, summaries = closeness.result()  # the pass's chunk scratch is gone by now
-    if windows is not None:
+    if windows is None:
+        weights, summaries = whole
+    else:
         from .windows import weight_summary
 
         weights = weight_summary(rwm, windows)
@@ -143,9 +147,8 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
     rows each chunk kept (see _chunk_ranks), their occupancy counts, the
     _ClosenessPass that took every chunk's closeness, and the weight
     windows that took every chunk's uniforms; or, for a pass of one
-    chunk, no windows but the weights' five numbers, taken from that
-    chunk's rows whole, as the closeness' are from a prefix that is the
-    whole run."""
+    chunk, no windows but the five numbers of the weights and of the
+    closeness, taken from that chunk's rows whole."""
     t, m, step = rwm.iterations, matrix.m, _chunk_rows(matrix.m)
     # first, so that a t too large for memory fails before the pass starts
     table, kept = np.empty((-(-t // step), m), dtype=_rank_type(m)), {}
@@ -156,19 +159,18 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
 
         windows = _law_windows(rwm, most)
     draw, score = _draw_body(rwm, most, windows), _score_body(matrix, most)
-    scratch = _per_thread(lambda: (np.empty((most, rwm.bounds.n)),
+    scratch = _per_thread(lambda: (np.empty((most, rwm.bounds.n)), np.empty((most, m)),
                                    np.empty((most, m), table.dtype)))
-    counts, closeness = _RankCounts(m), _ClosenessPass(t, m, step)
+    counts, closeness = _RankCounts(m), _ClosenessPass(t)
     ordered = _InOrder(closeness.add)
 
     def chunk(lo, hi):
         try:
-            weights, ranks = (a[:hi - lo] for a in scratch())
-            xi = closeness.rows(lo, hi)
+            weights, xi, ranks = (a[:hi - lo] for a in scratch())
             draw(lo, hi, weights)
-            if windows is None:
-                whole[:] = five_number_columns(weights)
             one = score(weights, xi, ranks)
+            if windows is None:
+                whole[:] = five_number_columns(weights), five_number_columns(xi)
             counts.add(ranks, one)
             if one is None:
                 kept[lo // step] = ranks.copy()

@@ -11,10 +11,13 @@ gives the closeness, keeps two numbers a window, not its rows.
 :class:`_Windows` is the one window routine. :func:`_law_windows`
 places windows for the weights' uniforms by their law, which only
 run_pipeline's pass fills, and aggregate._ClosenessPass places windows
-for the closeness in a prefix of its rows; on a miss pipeline.RunReport
-summarizes the whole grid. A run whose pass is one chunk, as a plain
-`run` of `data/social.csv` is, needs none of this module, which is then
-never imported.
+for the closeness in the first chunk of its rows; on a miss
+pipeline.RunReport summarizes the whole grid. The values kept are held
+and read one pick (a quantile of every column) at a time, so a read or
+a placing holds them once, plus one pick's grid and a copy of its
+values. A run whose pass is one chunk, as a plain `run` of
+`data/social.csv` is, needs none of this module, which is then never
+imported.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class _Windows:
     miss costs the caller a whole-grid summary, never a value.
 
     The caller places the windows: from the values' law
-    (see _law_window), or from a sorted prefix of the rows. Given
+    (see _law_window), or from the sorted first chunk of the rows. Given
     `placed`, the rows they were placed from, each window is placed
     again inside its own values (see _narrowed) whenever the rows
     counted reach _REPICK times the rows at the last placing, so the
@@ -110,10 +113,11 @@ class _Windows:
     window are all one value adds its count to the run if the run is
     empty or holds that value, and keeps its values otherwise. So a
     column of one value, as a zero-width band gives the closeness, keeps
-    two numbers a window, not its rows. The values kept are read one
-    pick at a time, as a k x S grid of each column's window values,
-    sorted along its rows, with each window's run read in at its place
-    (see _reader)."""
+    two numbers a window, not its rows. The values kept are held per
+    pick, an array an add, and read one pick at a time, as a k x S grid
+    of each column's window values, sorted along its rows, with each
+    window's run read in at its place (see _reader); a pick's arrays are
+    let go as its grid is built."""
 
     def __init__(self, edges: np.ndarray, scratch, placed: int | None = None):
         self.edges = np.array(edges, dtype=float)  # 5 x k x 2
@@ -121,25 +125,24 @@ class _Windows:
         self.keys = self.edges + self.offsets[:, None]
         self.below = np.zeros(self.edges.shape[:2], dtype=np.int64)
         self.value, self.count = np.zeros(self.below.shape), np.zeros_like(self.below)  # the runs
-        self.blocks = []  # per add: the values kept, window after window, and their counts
+        self.kept = [[] for _ in self.edges]  # per pick: the values kept, window after window
+        self.sizes = []  # per add: the 5 x k count of values each window kept
         self.rows, self.placed = 0, placed
         self.scratch, self.lock = scratch, threading.Lock()
 
-    def add(self, chunk: np.ndarray, presorted: bool = False) -> None:
+    def add(self, chunk: np.ndarray) -> None:
         """Count the rows of `chunk`, k wide, in the fewest pieces of
-        equal rows that the scratch holds; `presorted` if each of its
-        columns is in order already."""
+        equal rows that the scratch holds."""
         r, room = len(chunk), len(self.scratch()[0]) // chunk.shape[1]
         step = -(-r // -(-r // room))
         for a in range(0, r, step):
-            self._add(chunk[a:a + step], presorted)
+            self._add(chunk[a:a + step])
 
-    def _add(self, chunk: np.ndarray, presorted: bool) -> None:
+    def _add(self, chunk: np.ndarray) -> None:
         r, k = chunk.shape
         values, keys = (a[:k * r].reshape(k, r) for a in self.scratch())
         np.copyto(values, chunk.T)
-        if not presorted:
-            values.sort(axis=1)
+        values.sort(axis=1)
         flat = values.ravel()
         keys = np.add(values, self.offsets[:, None], out=keys).ravel()
         start = np.searchsorted(keys, self.keys[..., 0])
@@ -156,34 +159,45 @@ class _Windows:
                 count[one] += counts[one]
             counts[one] = 0
         ends = np.cumsum(counts)
-        kept = flat[np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)]
+        index = np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)
+        picks = [0, *ends[k - 1::k].tolist()]
+        kept = [flat[index[a:b]] for a, b in zip(picks, picks[1:])]  # an array a pick
         with self.lock:
             self.below += below
-            self.blocks.append((kept, counts))
+            for blocks, values in zip(self.kept, kept):
+                if len(values):
+                    blocks.append(values)
+            self.sizes.append(counts.reshape(-1, k))
             self.rows += r
             if self.placed and self.rows >= _REPICK * self.placed:
                 self._place_again()
 
-    def _gather(self):
-        """The values kept, let go from their blocks: one k x S grid per
-        pick, row j the values of column j's window, sorted, then the pad
-        2.0, which lies above every value; and the 5 x k count of values
-        in each."""
-        blocks, self.blocks = self.blocks, []
-        picks, k = self.below.shape
-        counts = np.array([c for _, c in blocks])
+    def _gather(self, p: int):
+        """Pick p's values kept, let go from their arrays as its grid is
+        built: a k x S grid, row j the values of column j's window,
+        sorted, then the pad 2.0, which lies above every value, in one
+        buffer with a copy of the values in add order; and the count of
+        values in each row."""
+        counts = np.array([c[p] for c in self.sizes])
         size = counts.sum(axis=0)
-        widths = np.maximum(size.reshape(picks, k).max(axis=1), 1)
-        base = np.cumsum(k * widths) - k * widths
-        grid = np.full(k * widths.sum(), 2.0)
-        first = (base[:, None] + np.arange(k) * widths[:, None]).ravel()
-        for (kept, c), at in zip(blocks, first + np.cumsum(counts, axis=0) - counts):
-            ends = np.cumsum(c)
-            grid[np.arange(len(kept)) + np.repeat(at - ends + c, c)] = kept
-        grids = [grid[a:a + k * w].reshape(k, w) for a, w in zip(base, widths)]
-        for g in grids:
-            g.sort(axis=1)
-        return grids, size.reshape(picks, k)
+        n, k, width = size.sum(), len(size), max(size.max(), 1)
+        work = np.empty(n + k * width)
+        kept, self.kept[p] = np.concatenate([np.empty(0), *self.kept[p]], out=work[:n]), []
+        grid = work[n:].reshape(k, width)
+        grid.fill(2.0)
+        # the values add b kept in column j's window go to row j, after
+        # those of the adds before b: their target index steps by one, and
+        # jumps where each nonempty run of an add's column starts
+        at = (np.arange(k) * width + np.cumsum(counts, axis=0) - counts).ravel()
+        c = counts.ravel()
+        starts, nonempty = np.cumsum(c) - c, c > 0
+        at, c = at[nonempty], c[nonempty]
+        target = np.ones(n, np.min_scalar_type(-grid.size))  # numpy casts it in buffers
+        target[starts[nonempty]] = at - np.concatenate(([0], at[:-1] + c[:-1] - 1))
+        np.cumsum(target, dtype=target.dtype, out=target)
+        grid.ravel()[target] = kept
+        grid.sort(axis=1)
+        return grid, size
 
     def _reader(self, p: int, grid: np.ndarray, size: np.ndarray):
         """at(i), the order statistics i of pick p's windows, i of shape
@@ -203,37 +217,43 @@ class _Windows:
 
     def _place_again(self) -> None:
         """Narrow every window inside its values and run around its
-        quantile of the rows counted; count those below the new window,
-        keep those inside it and drop those above it."""
-        grids, size = self._gather()
-        kept = []
-        for p, grid in enumerate(grids):
-            at, total = self._reader(p, grid, size[p])
-            self.edges[p, :, 0], self.edges[p, :, 1] = _narrowed(
-                at, total, self.below[p], self.rows, _PICKS[p], self.edges[p])
-            self.keys[p] = self.edges[p] + self.offsets[:, None]
-            lo, hi = self.keys[p].T
-            keys = grid + self.offsets[:, None]
-            inside = (keys >= lo[:, None]) & (keys <= hi[:, None])
-            size[p] = inside.sum(axis=1)
-            kept.append(grid[inside])
-            run = self.value[p] + self.offsets
-            self.below[p] += (keys < lo[:, None]).sum(axis=1) + self.count[p] * (run < lo)
-            self.count[p] *= (lo <= run) & (run <= hi)
-        self.blocks = [(np.concatenate(kept), size.ravel())]
+        quantile of the rows counted, one pick at a time (see _narrow)."""
+        self.sizes = [np.array([self._narrow(p, *self._gather(p)) for p in range(len(_PICKS))])]
         self.placed = self.rows
+
+    def _narrow(self, p: int, grid: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """Narrow pick p's windows inside their values and run, as `grid`
+        and `size` give them (see _gather); count those below the new
+        window, keep those inside it and drop those above it. Gives the
+        count of values each window keeps."""
+        at, total = self._reader(p, grid, size)
+        self.edges[p, :, 0], self.edges[p, :, 1] = _narrowed(
+            at, total, self.below[p], self.rows, _PICKS[p], self.edges[p])
+        self.keys[p] = self.edges[p] + self.offsets[:, None]
+        lo, hi = self.keys[p].T
+        keys = grid + self.offsets[:, None]
+        inside = (keys >= lo[:, None]) & (keys <= hi[:, None])
+        self.kept[p].append(grid[inside])
+        run = self.value[p] + self.offsets
+        self.below[p] += (keys < lo[:, None]).sum(axis=1) + self.count[p] * (run < lo)
+        self.count[p] *= (lo <= run) & (run <= hi)
+        return inside.sum(axis=1)
 
     def stats(self, t: int) -> np.ndarray | None:
         """The k x 5 x 2 order statistics the five numbers of t values
         read, or None if one fell outside its window. The windows are
-        read once: their values and sort scratch are let go."""
+        read once, one pick at a time (see _gather), each grid let go
+        before the next is built; the sort scratch goes first."""
         rank = np.array([_linear_pick(t, q)[:2] for q in _PICKS])[:, None] - self.below[..., None]
         self.scratch = None
-        grids, size = self._gather()
-        if (rank[..., 0] < 0).any() or (rank[..., 1] >= size + self.count).any():
-            return None
-        return np.stack([self._reader(p, g, size[p])[0](rank[p])
-                         for p, g in enumerate(grids)]).transpose(1, 0, 2)
+        stats = np.empty(rank.shape)
+        for p in range(len(_PICKS)):
+            at, total = self._reader(p, *self._gather(p))
+            if (rank[p, :, 0] < 0).any() or (rank[p, :, 1] >= total).any():
+                return None
+            stats[p] = at(rank[p])
+            del at
+        return stats.transpose(1, 0, 2)
 
 
 def _law_windows(rwm, most: int) -> _Windows:

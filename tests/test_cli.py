@@ -107,6 +107,24 @@ def test_exit_1_only_for_a_degenerate_problem_or_exhausted_memory(
         assert run_cli(argv, capsys)[0] == code
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_run_refuses_an_out_path_that_a_file_is_in_the_way_of_before_the_pass(
+        social_csv, tmp_path, monkeypatch, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "run" if under else taken
+    before = sorted(tmp_path.iterdir())
+
+    def no_pass(matrix, config):
+        raise AssertionError("the pass ran")
+
+    monkeypatch.setattr("bandtopsis.pipeline.run_pipeline", no_pass)
+    code, stdout, err = run_cli(["run", str(social_csv), "--iterations", "3000000",
+                                 "--out", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: --out {out}: {taken} is not a directory\n")
+    assert sorted(tmp_path.iterdir()) == before and taken.read_text() == "kept"
+
+
 _MOST_ITERATIONS = 10 ** 9  # a run of 10^9 rows takes minutes; past it one is refused
 
 

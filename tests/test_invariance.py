@@ -60,6 +60,36 @@ def _assert_weights_close(rows_a, rows_b, tol, columns=slice(None)):
         assert np.max(np.abs(a[columns] - b)) <= tol, name_a
 
 
+def _column_scaling_tolerance(values, directions, j, lower):
+    """Bound on how far closeness moves when column j of `values` is
+    scaled by a c > 0 that is not a power of two, for a band whose lower
+    limits are `lower`.
+
+    With unit roundoff u = EPS / 2, each limit of the band moves by at
+    most d = _weight_tolerance, so a sampled weight lower + U * width,
+    exactly a mix of the two limits, moves by d and its three roundings
+    in each run, at most d / lower_k + 6u of itself in column k. Only
+    column j of the normalized matrix moves: r = x / ||x|| carries
+    (m/2 + 2)u in one run and (m/2 + 4)u in the other (c x rounds once
+    more), so r and the ideals a+ and a- of column j move by (m + 6)u,
+    r - a by e = (2m + 14)u with its own rounding, and (r - a)^2 by
+    2 |r - a| e and 2u of itself. A squared distance D = sum_k w_k s_k
+    therefore moves by r_w = max_k d / lower_k + 8u of itself, and by
+    2 e sqrt(w_j) sqrt(w_j s_j) <= 2 e sqrt(w_j) sqrt(D). Closeness
+    d- / (d+ + d-) moves by xi (1 - xi) / 2 times the difference of the
+    two relative moves of D, which is at most r_w / 4 +
+    e sqrt(w_j) / (d+ + d-); and d+ + d- >= sqrt(w_j) |a+ - a-| with
+    |a+ - a-| = ptp(x) / ||x||. The sums, roots, add and divide of the two
+    runs round as in _row_scaling_tolerance, so, to first order in u:
+    r_w / 4 + (m + 7) EPS ||x|| / ptp(x) + _row_scaling_tolerance(n).
+    """
+    m, n = values.shape
+    x = values[:, j]
+    r_w = _weight_tolerance(values, directions) / lower.min() + 4 * EPS
+    return (r_w / 4 + (m + 7) * EPS * np.sqrt((x ** 2).sum()) / np.ptp(x)
+            + _row_scaling_tolerance(n))
+
+
 def test_scaling_one_column_keeps_the_ranking():
     # a separate stream for the power-of-two exponents keeps the problems
     # and scale factors that _problems(1) and rng give
@@ -75,6 +105,8 @@ def test_scaling_one_column_keeps_the_ranking():
         assert np.array_equal(a.modal_scores, b.modal_scores), k
         _assert_weights_close(report.weight_table(), other.weight_table(),
                               _weight_tolerance(values, directions))
+        moved = np.abs(np.asarray(report.closeness) - np.asarray(other.closeness)).max()
+        assert moved <= _column_scaling_tolerance(values, directions, j, report.bounds.lower), k
         # a power of two scales every column sum, spread and norm exactly,
         # so the weights, the closeness and every summarised value keep their bits
         scaled = values.copy()

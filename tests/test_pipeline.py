@@ -167,8 +167,9 @@ def test_one_pass_equals_the_public_stages_in_turn(cpus, problem, monkeypatch):
 
 def test_a_run_on_a_narrow_band_holds_no_t_sized_array(social_matrix, monkeypatch):
     # on one CPU the peak is deterministic: one thread's chunk scratch (the
-    # chunk's weight rows, 1 MiB, its float64 closeness, distances and
-    # prefix, 512 KiB each, its ranks, 64 KiB, the uniform stream's blocks,
+    # chunk's weight rows, 1 MiB, its float64 closeness and distances and
+    # the sorted first chunk the closeness windows are placed in, 512 KiB
+    # each, its ranks, 64 KiB, the uniform stream's blocks,
     # 512 KiB, the sorted chunks and their keys for the weight and the
     # closeness windows, 1 MiB each, and the argsort order of a chunk not in
     # one order, 512 KiB); the ranks the pass keeps, one row for each chunk
@@ -232,20 +233,44 @@ def test_pass_summaries_leave_build_summary_little_to_allocate(social_matrix, mo
     assert peak <= 2 ** 18
 
 
+def test_pass_summaries_hold_one_quantile_at_a_time(monkeypatch):
+    # on one CPU: the peak of run_pipeline and build_summary on 200
+    # alternatives of 40 criteria at t = 2*10^4 comes at the last read of the
+    # closeness windows, which then keep 0.9 million of the 4 million values,
+    # 7 MiB. They are read one quantile at a time, each quantile's values
+    # let go as its grid is built, so the read holds the values kept once
+    # and one quantile's grid, its values in add order and their target
+    # index, next to the rank rows the pass keeps (no 200-wide chunk keeps
+    # one order, so t x m bytes, 3.8 MiB): allowed 18.75 MiB in all
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+    wide = make_matrix(1.01 - kernels.unit_uniforms(7, 0, 8000).reshape(200, 40),
+                       ["max", "min"] * 20)
+    build_summary(run_pipeline(wide, RunConfig(iterations=100)))  # imports and caches
+    tracemalloc.start()
+    try:
+        summary = build_summary(run_pipeline(wide, RunConfig(iterations=20_000, seed=42)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(summary["closeness_summary"]) == 200
+    assert peak <= 18.75 * 2 ** 20
+
+
 # ------------------------------------------------------------ pass summaries
 
-# 13 alternatives, the last equal to the second: 5,042 rows a chunk, and a
-# prefix of two chunks, 10,084 rows, for the closeness windows, which are
-# placed again at 4 and 16 times the prefix
+# 13 alternatives, the last equal to the second: 5,042 rows a chunk; the
+# closeness windows open on the first chunk and are placed again at 4 and
+# 16 chunks
 _WIDE = make_matrix(_PROBLEMS["13-wide"], SOCIAL_DIRECTIONS)
 _STEP = kernels._chunk_rows(_WIDE.m)
-_PREFIX = -(-aggregate._PREFIX_ROWS // _STEP) * _STEP
 _PASS_ITERATIONS = {
     "1": 1, "2": 2, "3": 3, "7": 7, "below-one-chunk": 100,
     "chunk-1": _STEP - 1, "chunk": _STEP, "chunk+1": _STEP + 1,
-    "prefix-1": _PREFIX - 1, "prefix": _PREFIX, "prefix+1": _PREFIX + 1,
-    "past-the-prefix": 3 * _PREFIX + 7,
-    "past-two-re-picks": windows._REPICK ** 2 * _PREFIX + 7,
+    "placing-1": 4 * _STEP - 1, "placing": 4 * _STEP, "placing+1": 4 * _STEP + 1,
+    "past-the-first-placing": 6 * _STEP + 7,
+    "past-two-re-picks": windows._REPICK ** 2 * _STEP + 7,
 }
 # 10 alternatives of 40 criteria from the counter stream, every other one a cost
 _FORTY = make_matrix(1.01 - kernels.unit_uniforms(7, 0, 400).reshape(10, 40), ["max", "min"] * 20)
@@ -277,6 +302,11 @@ def _placings(monkeypatch):
     return rows
 
 
+def _plain(w):
+    """The count of plain values each window of `w` keeps, pick by column."""
+    return np.sum(w.sizes, axis=0)
+
+
 def _assert_pass_summaries_exact(report):
     xi = np.asarray(report.closeness)
     assert json.dumps(report.closeness_summary) == json.dumps(five_number_columns(xi))
@@ -294,7 +324,7 @@ def test_pass_summaries_equal_those_of_the_whole_grid(t, cpus, monkeypatch):
     report = run_pipeline(_WIDE, cfg)
     assert not whole  # every order statistic was in its window
     if t == "past-two-re-picks":
-        assert placings == [4 * _PREFIX, 16 * _PREFIX]
+        assert placings == [4 * _STEP, 16 * _STEP]
     _assert_pass_summaries_exact(report)
 
 
@@ -313,20 +343,18 @@ def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
 def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     # an alternative that is the ideal on every criterion has closeness 1.0 on
     # every row, which each of its windows keeps as one run, that value and
-    # its count, while the other columns vary and keep plain values; one
-    # chunk of 7-wide rows covers the prefix, so the windows are placed in it
-    # and again at 4 and 16 chunks
+    # its count, while the other columns vary and keep plain values; the
+    # windows are placed in the first chunk and again at 4 and 16 chunks
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     benefit = np.array(SOCIAL_DIRECTIONS) == "max"
     ideal = np.where(benefit, SOCIAL_VALUES.max(axis=0), SOCIAL_VALUES.min(axis=0))
     matrix = make_matrix(np.vstack([SOCIAL_VALUES, ideal]), SOCIAL_DIRECTIONS)
     step = kernels._chunk_rows(matrix.m)
-    assert step >= aggregate._PREFIX_ROWS
     whole, placings = _whole_grid_reads(monkeypatch), _placings(monkeypatch)
     read, real = [], windows._Windows.stats
 
     def stats(self, t):  # the runs and the plain values of every window, as read
-        read.append((self.value.copy(), self.count.copy(), sum(c for _, c in self.blocks)))
+        read.append((self.value.copy(), self.count.copy(), _plain(self)))
         return real(self, t)
 
     monkeypatch.setattr(windows._Windows, "stats", stats)
@@ -335,7 +363,6 @@ def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     report = run_pipeline(matrix, cfg)
     assert not whole and placings == [4 * step, 16 * step]
     value, count, plain = next(r for r in read if r[0].shape[1] == matrix.m)  # the closeness'
-    plain = plain.reshape(value.shape)
     assert (value[:, -1] == 1.0).all() and (count[:, -1] > 0).all() and (plain[:, -1] == 0).all()
     assert (plain[:, :-1] > 0).all()
     _assert_pass_summaries_exact(report)
@@ -358,7 +385,7 @@ def test_pass_summaries_keep_one_run_a_window(monkeypatch):
     for piece in pieces[:3]:
         w.add(piece)
     assert (w.value == 0.25).all() and (w.count == 16).all()
-    assert (sum(c for _, c in w.blocks) == 8).all()  # the 0.75s, one value each
+    assert (_plain(w) == 8).all()  # the 0.75s, one value each
     w.add(pieces[3])
     assert w.count[:, 0].tolist() == [16, 16, 16, 0, 0]
     assert w.below[:, 0].tolist() == [0, 0, 0, 16, 16]
@@ -367,7 +394,8 @@ def test_pass_summaries_keep_one_run_a_window(monkeypatch):
     stats = w.stats(40)
     assert stats is not None
     whole = np.sort(np.concatenate(pieces), axis=0)
-    assert stats.tobytes() == aggregate._sorted_stats(whole).tobytes()
+    picks = np.ravel([aggregate._linear_pick(40, q)[:2] for q in aggregate._PICKS])
+    assert stats.tobytes() == whole[picks].T.reshape(-1, 5, 2).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -402,7 +430,7 @@ def test_pass_summaries_fall_back_to_the_whole_grid_on_a_window_miss(cpus, monke
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(windows, "_WINDOW_SIGMAS", 0.0)  # quartile windows of a few values
     whole = _whole_grid_reads(monkeypatch)
-    t = 3 * _PREFIX + 7
+    t = 6 * _STEP + 7
     report = run_pipeline(_WIDE, RunConfig(iterations=t, seed=11))
     assert whole == [(t, _WIDE.n), (t, _WIDE.m)]  # the weights', then the closeness'
     _assert_pass_summaries_exact(report)
@@ -413,7 +441,7 @@ def test_pass_summaries_of_a_positional_report(cpus, monkeypatch):
     # a report built from its parts, as perfbench's replay builds it, draws its
     # weight grid once, whole, for its weight summary
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    cfg = RunConfig(iterations=3 * _PREFIX + 7, seed=11, custom_sets=((0.05,) * 12,))
+    cfg = RunConfig(iterations=6 * _STEP + 7, seed=11, custom_sets=((0.05,) * 12,))
     fused = run_pipeline(_WIDE, cfg)
     xi, ranks = batch_topsis(_WIDE, np.asarray(fused.rwm.rows))
     rm = RankMatrix(ranks)
@@ -430,8 +458,8 @@ def _reference_cases(draw):
     levels (ties, constant columns), mixed directions, maybe a duplicate
     alternative and an alternative at the column-wise ideal; weight sets
     that give a zero-width band, zero-width columns or objective bands;
-    knobs that put misses, prefixes and placings at small t; and t near
-    one of the pass's edges."""
+    knobs that put misses and placings at small t; and t near one of the
+    pass's edges, or late enough for many placings when chunks are small."""
     m, n = draw(st.integers(2, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = draw(st.sampled_from([2, 3, 1000]))
@@ -455,11 +483,10 @@ def _reference_cases(draw):
         cfg = dict(include_critic=bool(n > 1 and np.ptp(values, axis=0).all()),
                    custom_sets=(w,) if draw(st.booleans()) else ())
     knobs = dict(chunk=draw(st.sampled_from([1 << 7, 1 << 9, 1 << 11])),
-                 prefix=draw(st.sampled_from([1, 50, 300])),
                  repick=draw(st.integers(2, 4)),
                  sigmas=draw(st.sampled_from([0.5, 2.0, 6.0])),
                  cpus=draw(st.integers(1, 3)))
-    edge = draw(st.sampled_from(["small", "chunk", "prefix", "placing", "second-placing"]))
+    edge = draw(st.sampled_from(["small", "chunk", "placing", "second-placing", "late"]))
     offset = draw(st.integers(-3, 3)) if edge != "small" else draw(st.integers(1, 7))
     return make_matrix(values, directions), cfg, knobs, edge, offset, draw(st.integers(0, 99))
 
@@ -497,14 +524,11 @@ def test_pass_summaries_match_a_plain_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_CHUNK", knobs["chunk"])
         mp.setattr(kernels, "_cpu_count", lambda: knobs["cpus"])
-        mp.setattr(aggregate, "_PREFIX_ROWS", knobs["prefix"])
         mp.setattr(windows, "_REPICK", knobs["repick"])
         mp.setattr(windows, "_WINDOW_SIGMAS", knobs["sigmas"])
-        step = kernels._chunk_rows(matrix.m)
-        prefix = -(-max(step, knobs["prefix"]) // step) * step
-        edges = {"small": 0, "chunk": step, "prefix": prefix,
-                 "placing": knobs["repick"] * prefix,
-                 "second-placing": knobs["repick"] ** 2 * prefix}
+        step, repick = kernels._chunk_rows(matrix.m), knobs["repick"]
+        edges = {"small": 0, "chunk": step, "placing": repick * step,
+                 "second-placing": repick ** 2 * step, "late": repick ** 2 * max(step, 300)}
         t = max(1, edges[edge] + offset)
         try:
             report = run_pipeline(matrix, RunConfig(iterations=t, seed=seed, **cfg))

@@ -26,7 +26,7 @@ from bandtopsis import (
     run_pipeline,
     sample_weight_matrix,
 )
-from bandtopsis import aggregate, pipeline, sampling
+from bandtopsis import pipeline, sampling
 from bandtopsis.cli import cli_main
 from bandtopsis.aggregate import five_number_columns
 from test_golden import DATA, GOLDEN_SHA256
@@ -141,7 +141,6 @@ def test_more_workers_than_cpus_with_frequent_switches_match_inline(social_matri
     # one set of windows, and every chunk's uniforms, from any thread, to the
     # weights' windows
     monkeypatch.setattr(kernels, "_CHUNK", 1 << 8)
-    monkeypatch.setattr(aggregate, "_PREFIX_ROWS", 1 << 9)
     xi = _tie_heavy(5000, 12)
     table = np.random.default_rng(3).uniform(size=(300, 40))
 
