@@ -13,8 +13,8 @@ here too, all read by :func:`_five_numbers` from order statistics: of a
 whole column at a time by :func:`five_number_columns`, which sorts it,
 and of a run's closeness, with its mean, from the one pass's row chunks
 by :class:`_ClosenessPass`, through the exact windows of
-:mod:`bandtopsis.windows` opened on the first chunk, which also give
-the weights' summary. A pass of one chunk summarizes both grids whole
+:mod:`bandtopsis.windows` opened on the first chunk, read as the
+weights' windows are. A pass of one chunk summarizes both grids whole
 with five_number_columns.
 """
 
@@ -179,10 +179,10 @@ class _ClosenessPass:
     while it runs; result() gives the mean and the summaries, as
     five_number_columns gives them.
 
-    The mean is a carried sum. numpy sums axis 0 of a C-contiguous grid
-    row after row, so a chunk whose first row has the sum of the rows
-    before it added in reduces to the sum of every row to its last, and
-    the mean equals xi.mean(axis=0) bit for bit.
+    The mean is a carried sum, from 0.0. numpy sums axis 0 of a
+    C-contiguous grid row after row, so a chunk whose first row has the
+    sum of the rows before it added in reduces to the sum of every row
+    to its last, and the mean equals xi.mean(axis=0) bit for bit.
 
     The quartiles come from windows._Windows, opened on the first chunk
     of a run of more than one: they are placed in that chunk, sorted down
@@ -190,23 +190,22 @@ class _ClosenessPass:
     window of [0, 1] that holds every value, and the chunk is counted;
     every later chunk is counted as it comes, and the windows narrow as
     the rows grow. A run of one chunk opens no windows, and result()
-    gives no summaries for it (its caller summarizes that chunk whole)
-    or for a run that had an order statistic fall outside its window."""
+    gives no summaries for it (its caller summarizes that chunk whole);
+    otherwise it gives the windows' summary(), None on a miss."""
 
     def __init__(self, t: int):
-        self.t, self.windows = t, None
+        self.t, self.sum, self.windows = t, 0.0, None
 
     def add(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        # closeness is never -0.0, so adding the first chunk to 0.0 keeps its bits
+        first = rows[0].copy()
+        rows[0] += self.sum
+        self.sum = np.add.reduce(rows, axis=0)
+        rows[0] = first
         if lo:
-            first = rows[0].copy()
-            rows[0] += self.sum
-            self.sum = np.add.reduce(rows, axis=0)
-            rows[0] = first
             self.windows.add(rows)
-        else:
-            self.sum = np.add.reduce(rows, axis=0)
-            if hi < self.t:
-                self._open_windows(rows)
+        elif hi < self.t:
+            self._open_windows(rows)
 
     def _open_windows(self, rows: np.ndarray) -> None:
         """Place the windows in the first chunk, sorted down each column,
@@ -225,5 +224,4 @@ class _ClosenessPass:
         self.windows.add(rows)
 
     def result(self) -> tuple[np.ndarray, list[dict[str, float]] | None]:
-        stats = None if self.windows is None else self.windows.stats(self.t)
-        return self.sum / self.t, None if stats is None else _five_numbers(stats, self.t)
+        return self.sum / self.t, None if self.windows is None else self.windows.summary(self.t)

@@ -1,6 +1,8 @@
 """Hot numeric kernels: batch weighted-distance evaluation, row ranking
 and the counter-based uniform stream the weight matrix is drawn from,
-plus the row-chunk runner the t-sized stages share.
+plus the row-chunk runner the t-sized stages share and _Rows, the
+read-only view over rows that a chunk body computes on demand: a run's
+weight rows, closeness and ranks.
 
 Each stage has one numpy implementation, written as a chunk body that
 works on a range of rows: the public functions run one body over every
@@ -102,6 +104,57 @@ def _for_chunks(total: int, step: int, fn) -> None:
     for future in futures:
         if not future.cancelled():
             future.result()
+
+
+class _Rows:
+    """A t x k grid as a read-only view whose rows a chunk body computes
+    on demand: make() returns fill(lo, hi, out), which writes rows lo:hi,
+    at most `step` of them (one chunk, _chunk_rows(k), unless given),
+    into the C-contiguous (hi - lo) x k array `out` of type `dtype`.
+    The body is made at the first read and kept for the next, with the
+    scratch it has made. A read makes a fresh array, in runs of `step`
+    rows, which the caller owns.
+
+    A row (an int), a run of rows (a slice of step 1) and np.asarray are
+    all it reads; numpy operators and == raise TypeError rather than
+    compute the grid unseen."""
+
+    __array_ufunc__ = None  # numpy operators raise TypeError, not compute the grid
+
+    def __init__(self, shape: tuple[int, int], make, dtype=np.float64, step: int | None = None):
+        self.shape, self.dtype, self._make, self._fill = shape, np.dtype(dtype), make, None
+        self._step = step or _chunk_rows(shape[1])
+
+    def __eq__(self, other):
+        raise TypeError("rows take no operators; compare np.asarray(rows)")
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("rows are computed on demand; a copy cannot be avoided")
+        out = self._read(range(self.shape[0]))
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        """Row `key` (an int) or the rows `key` (a slice of step 1) as a
+        new array; any other key raises IndexError."""
+        try:
+            rows = range(self.shape[0])[key]  # an int, or a range for a slice
+        except TypeError:
+            rows = None
+        run = range(rows, rows + 1) if isinstance(rows, int) else rows
+        if run is None or run.step != 1:
+            raise IndexError(f"rows take a row or a slice of step 1, got {key!r}")
+        out = self._read(run)
+        return out if run is rows else out[0]
+
+    def _read(self, run: range) -> np.ndarray:
+        out = np.empty((len(run), self.shape[1]), self.dtype)
+        if self._fill is None:
+            self._fill = self._make()
+        fill = self._fill
+        _for_chunks(len(run), self._step,
+                    lambda lo, hi: fill(run.start + lo, run.start + hi, out[lo:hi]))
+        return out
 
 
 class _InOrder:

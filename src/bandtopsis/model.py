@@ -3,7 +3,7 @@
 All containers are immutable after construction: ndarray fields are
 write-locked copies, so instances can be shared across threads. The one
 field that is not an array is a run's rank grid, which its pass hands to
-:class:`RankMatrix` as a read-only view wrapped in :class:`_Owned`.
+:class:`RankMatrix` as a read-only kernels._Rows view.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_ITERATIONS, DEFAULT_SEED, ValidationError, _config_faults, _name_fault
-from .kernels import _rank_type
+from .kernels import _rank_type, _Rows
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -31,17 +31,6 @@ class Direction(enum.Enum):
         if t in ("min", "cost", "-"):
             return cls.COST
         raise ValueError(f"unknown direction token {token!r} (expected max/min)")
-
-
-class _Owned:
-    """Rank rows the package built itself, every row a permutation, and
-    hands to RankMatrix for good: a read-only view (see
-    pipeline._chunk_ranks), kept as it is, not checked or copied."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        self.array = array
 
 
 def _readonly(a, dtype=None) -> np.ndarray:
@@ -169,19 +158,17 @@ class RankMatrix:
     OverflowError at m = 255, where 256 does not fit uint8.
 
     Caller arrays are checked row by row and then copied into the rank
-    type. A run's ranks come from its pass wrapped in :class:`_Owned`:
-    `ranks` is then a read-only view over the rank rows the pass kept
-    per chunk, one row for a chunk in one order (see
-    pipeline._chunk_ranks). It reads a row, a run of rows (a slice of
-    step 1) and np.asarray, each a new array of the rank type, and takes
-    no operators.
+    type. A run's ranks come from its pass as a kernels._Rows view, kept
+    as it is: a read-only view over the rank rows the pass kept per
+    chunk, one row for a chunk in one order (see pipeline._chunk_ranks).
+    It reads a row, a run of rows (a slice of step 1) and np.asarray,
+    each a new array of the rank type, and takes no operators.
     """
 
-    ranks: np.ndarray  # or, from a run's pass, a sampling._Rows view
+    ranks: np.ndarray  # or, from a run's pass, a kernels._Rows view
 
     def __post_init__(self):
-        if isinstance(self.ranks, _Owned):
-            object.__setattr__(self, "ranks", self.ranks.array)
+        if isinstance(self.ranks, _Rows):
             return
         r = np.asarray(self.ranks)
         if r.ndim != 2:

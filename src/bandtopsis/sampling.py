@@ -6,15 +6,9 @@ stream value i * n + j moved into its band, lower_j + u * width_j, so
 every entry is a pure function of (bounds, seed, i, j), whatever the
 fill order or thread schedule. No t x n grid is held: a
 RandomWeightMatrix is the description of a draw, and its `rows` view
-draws only what is read. One chunk body, _draw_body, draws runs of
-whole rows, for run_pipeline, np.asarray(rows), a row, a run of rows
-and `bandtopsis rwm` alike; in a run_pipeline pass of more than one
-chunk, the only pass that fills the rwm_summary windows, it also hands
-each chunk's unit uniforms to them before moving them into the band
-(see windows.weight_summary).
-The view, _Rows, also shows a run's closeness without holding it, and
-its ranks from the rank rows its pass kept per chunk (see
-pipeline.RunReport).
+(a kernels._Rows) draws only what is read. One chunk body, _draw_body,
+draws runs of whole rows, for run_pipeline, np.asarray(rows), a row, a
+run of rows and `bandtopsis rwm` alike.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import _config_faults
-from .kernels import _chunk_rows, _fill_uniforms, _for_chunks, _per_thread, _uniform_scratch
+from .kernels import _chunk_rows, _fill_uniforms, _per_thread, _Rows, _uniform_scratch
 from .model import NamedWeightSet, WeightBounds
 
 
@@ -71,7 +65,7 @@ class RandomWeightMatrix:
         object.__setattr__(self, "seed", seed)
 
     @property
-    def rows(self) -> "_Rows":
+    def rows(self) -> _Rows:
         t, n = self.iterations, self.bounds.n
         return _Rows((t, n), lambda: _draw_body(self, min(t, _chunk_rows(n))))
 
@@ -88,74 +82,19 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
     return RandomWeightMatrix(bounds, iterations, seed)
 
 
-def _draw_body(rwm: RandomWeightMatrix, most: int, windows=None):
+def _draw_body(rwm: RandomWeightMatrix, most: int):
     """The sampling stage as a chunk body: draw(lo, hi, out) writes
     weight rows lo:hi, at most `most` of them, into the C-contiguous
     (hi - lo) x n float64 array `out`: the stream's values from counter
     lo * n on, each moved into its band as lower + u * width, in place.
-    Given `windows` (a windows._Windows of n columns), the rows' unit
-    uniforms u are added to them first. Rows may be drawn in any order,
-    one range at a time, on any thread; each thread works in its own
-    stream scratch."""
+    Rows may be drawn in any order, one range at a time, on any thread;
+    each thread works in its own stream scratch."""
     n, lower, width = rwm.bounds.n, rwm.bounds.lower, rwm.bounds.width
     scratch = _per_thread(lambda: _uniform_scratch(most * n))
 
     def draw(lo, hi, out):
         _fill_uniforms(rwm.seed, lo * n, out.reshape(-1), scratch())
-        if windows is not None:
-            windows.add(out)
         np.multiply(out, width, out=out)
         np.add(out, lower, out=out)
 
     return draw
-
-
-class _Rows:
-    """A t x k grid as a read-only view whose rows a chunk body computes
-    on demand: make() returns fill(lo, hi, out), which writes rows lo:hi,
-    at most `step` of them (one chunk, kernels._chunk_rows(k), unless
-    given), into the C-contiguous (hi - lo) x k array `out` of type
-    `dtype`. The body is made at the first read and kept for the next,
-    with the scratch it has made. A read makes a fresh array, in runs of
-    `step` rows, which the caller owns.
-
-    A row (an int), a run of rows (a slice of step 1) and np.asarray are
-    all it reads; numpy operators and == raise TypeError rather than
-    compute the grid unseen."""
-
-    __array_ufunc__ = None  # numpy operators raise TypeError, not compute the grid
-
-    def __init__(self, shape: tuple[int, int], make, dtype=np.float64, step: int | None = None):
-        self.shape, self.dtype, self._make, self._fill = shape, np.dtype(dtype), make, None
-        self._step = step or _chunk_rows(shape[1])
-
-    def __eq__(self, other):
-        raise TypeError("rows take no operators; compare np.asarray(rows)")
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("rows are computed on demand; a copy cannot be avoided")
-        out = self._read(range(self.shape[0]))
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def __getitem__(self, key):
-        """Row `key` (an int) or the rows `key` (a slice of step 1) as a
-        new array; any other key raises IndexError."""
-        try:
-            rows = range(self.shape[0])[key]  # an int, or a range for a slice
-        except TypeError:
-            rows = None
-        run = range(rows, rows + 1) if isinstance(rows, int) else rows
-        if run is None or run.step != 1:
-            raise IndexError(f"rows take a row or a slice of step 1, got {key!r}")
-        out = self._read(run)
-        return out if run is rows else out[0]
-
-    def _read(self, run: range) -> np.ndarray:
-        out = np.empty((len(run), self.shape[1]), self.dtype)
-        if self._fill is None:
-            self._fill = self._make()
-        fill = self._fill
-        _for_chunks(len(run), self._step,
-                    lambda lo, hi: fill(run.start + lo, run.start + hi, out[lo:hi]))
-        return out

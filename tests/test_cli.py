@@ -675,6 +675,34 @@ def test_plot_help_and_summary_errors_import_no_numpy(small_summary, tmp_path):
     assert (run_dir / "figure5.svg").exists()
 
 
+_WINDOWS_SCRIPT = """
+import sys
+from pathlib import Path
+from bandtopsis.cli import cli_main
+from bandtopsis.kernels import _chunk_rows
+
+csv, out = sys.argv[1], Path(sys.argv[2])
+assert cli_main(["run", csv, "--out", str(out / "one")]) == 0
+assert "bandtopsis.windows" not in sys.modules
+two = str(_chunk_rows(6) + 1)
+assert cli_main(["run", csv, "--iterations", two, "--out", str(out / "two")]) == 0
+assert "bandtopsis.windows" in sys.modules
+"""
+
+
+def test_one_chunk_run_imports_no_windows(social_csv, tmp_path):
+    # a cold run compiles every module it imports; a run of one chunk, as the
+    # default t = 10^4 on data/social.csv is, summarizes its grids whole and
+    # needs no windows, and a run of two chunks loads them
+    package_root = Path(bandtopsis.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    out = subprocess.run(
+        [sys.executable, "-c", _WINDOWS_SCRIPT, str(social_csv), str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_rwm_rejects_bounds_outside_the_unit_interval(small_summary, tmp_path, capsys):
     doc = copy.deepcopy(small_summary)
     doc["weights"][-1]["values"][0] = 1.5

@@ -22,7 +22,7 @@ from bandtopsis import (
     sample_weight_matrix,
     topsis_run,
 )
-from bandtopsis import aggregate, sampling, topsis, windows
+from bandtopsis import aggregate, topsis, windows
 from bandtopsis.aggregate import five_number_columns
 from conftest import REF_POSITIONS, SOCIAL_DIRECTIONS, SOCIAL_VALUES, make_matrix
 
@@ -280,13 +280,13 @@ def _whole_grid_reads(monkeypatch):
     """The shapes of the whole weight or closeness grids drawn from now
     on, as a report draws them only when an order statistic fell outside
     its window."""
-    calls, real = [], sampling._Rows.__array__
+    calls, real = [], kernels._Rows.__array__
 
     def counted(self, *args, **kwargs):
         calls.append(self.shape)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(sampling._Rows, "__array__", counted)
+    monkeypatch.setattr(kernels._Rows, "__array__", counted)
     return calls
 
 
@@ -402,9 +402,17 @@ def test_pass_summaries_keep_one_run_a_window(monkeypatch):
 @pytest.mark.parametrize("t", [1, 5, 3 * kernels._chunk_rows(6) + 5])
 def test_pass_summaries_of_a_zero_width_column(t, cpus, social_matrix, monkeypatch):
     # two sets that agree on the first criterion give it a zero-width band:
-    # its uniforms still spread over [0, 1), and its weights are one value
+    # its weights are one value, which each of its windows, placed in the
+    # band, keeps as one run, that value and its count, in a pass of more
+    # than one chunk
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    whole = _whole_grid_reads(monkeypatch)
+    whole, placed, real = _whole_grid_reads(monkeypatch), [], windows._law_windows
+
+    def law_windows(*args):
+        placed.append(real(*args))
+        return placed[-1]
+
+    monkeypatch.setattr(windows, "_law_windows", law_windows)
     sets = ((1.0,) * 12, (1.0, 2.0, 0.5, 0.5) + (1.0,) * 8)
     cfg = RunConfig(iterations=t, seed=5, include_entropy=False, include_critic=False,
                     custom_sets=sets)
@@ -412,6 +420,11 @@ def test_pass_summaries_of_a_zero_width_column(t, cpus, social_matrix, monkeypat
     assert report.bounds.width[0] == 0 and report.bounds.width[1] > 0
     assert not whole
     _assert_pass_summaries_exact(report)
+    assert len(placed) == (t > kernels._chunk_rows(social_matrix.m))
+    for w in placed:
+        assert (_plain(w)[:, 0] == 0).all()
+        assert w.value[:, 0].tolist() == [report.bounds.lower[0]] * 5
+        assert w.count[:, 0].tolist() == [t] * 5
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
