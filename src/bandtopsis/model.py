@@ -157,10 +157,11 @@ class RankMatrix:
     under NumPy 2's promotion rules (NEP 50) `m + 1 - ranks` raises
     OverflowError at m = 255, where 256 does not fit uint8.
 
-    Caller arrays are checked row by row and then copied into the rank
-    type. A run's ranks come from its pass as a kernels._Rows view, kept
-    as it is: a read-only view over the rank rows the pass kept per
-    chunk, one row for a chunk in one order (see pipeline._chunk_ranks).
+    Caller arrays, and views of any other type, are checked row by row
+    and then copied into the rank type. A run's ranks come from its pass
+    as a kernels._Rows view of the rank type, kept as it is: a read-only
+    view over the rank rows the pass kept per chunk, one row for a chunk
+    in one order (see pipeline._chunk_ranks).
     It reads a row, a run of rows (a slice of step 1) and np.asarray,
     each a new array of the rank type, and takes no operators.
     """
@@ -168,7 +169,7 @@ class RankMatrix:
     ranks: np.ndarray  # or, from a run's pass, a kernels._Rows view
 
     def __post_init__(self):
-        if isinstance(self.ranks, _Rows):
+        if isinstance(self.ranks, _Rows) and self.ranks.dtype == _rank_type(self.ranks.shape[1]):
             return
         r = np.asarray(self.ranks)
         if r.ndim != 2:

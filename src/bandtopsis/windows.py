@@ -6,19 +6,19 @@ closeness.
 Each window keeps the values that fall in it, and at most one run, a
 value and its count, which takes the pieces whose values in the window
 are all that one value: so a column of one value, as a zero-width band
-gives its weights and the closeness, keeps two numbers a window, not
-its rows.
+gives the closeness, keeps two numbers a window, not its rows.
 
 :class:`_Windows` is the one window routine, and its summary() the one
 read of both summaries. :func:`_law_windows` places windows for the
-weights by the law they are drawn from, which only run_pipeline's pass
-fills, and aggregate._ClosenessPass places windows for the closeness in
-the first chunk of its rows; on a miss pipeline.RunReport summarizes
-the whole grid. The values kept are held and read one pick (a quantile
-of every column) at a time, so a read or a placing holds them once,
-plus one pick's grid and a copy of its values. A run whose pass is one
-chunk, as a plain `run` of `data/social.csv` is, needs none of this
-module, which is then never imported.
+unit uniforms the weights are drawn from by their law, which only
+run_pipeline's pass fills, and aggregate._ClosenessPass places windows
+for the closeness in the first chunk of its rows; on a miss
+pipeline.RunReport summarizes the whole grid. The values kept are held
+and read one pick (a quantile of every column) at a time, so a read or
+a placing holds them once, plus one pick's grid and a copy of its
+values. A run whose pass is one chunk, as a plain `run` of
+`data/social.csv` is, needs none of this module, which is then never
+imported.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ _REPICK = 4
 # Values of a weight chunk sorted at a time by each thread for its windows:
 # half a chunk sorts as fast per value as a whole one, in half the scratch.
 _SORTED = 1 << 15
-# Values an extreme's window holds on average: fewer than the two the
-# minimum's picks read fall in it with probability 41 e^-40, about 2e-16.
+# Uniform values an extreme's window holds on average: fewer than the two
+# the minimum's picks read fall in it with probability 41 e^-40, about 2e-16.
 _EXTREME_VALUES = 40
 
 
@@ -92,8 +92,13 @@ class _Windows:
     each chunk's values below every window and keeps those inside it,
     stats() reads every order statistic the five numbers need among its
     window's values, or gives None if one fell outside its window, and
-    summary() gives the five numbers they make; a miss costs the caller
-    a whole-grid summary, never a value.
+    summary() gives the five numbers they make, each order statistic
+    moved by `band`, (lower, width), to lower + x * width: by default
+    the identity on every value but -0.0, which closeness never is, and
+    for the uniforms a weight column is drawn from, the draw's own map,
+    which never decreases, so it moves order statistic i of the
+    uniforms to order statistic i of the weights, bit for bit.
+    A miss costs the caller a whole-grid summary, never a value.
 
     The caller places the windows: from the values' law
     (see _law_window), or from the sorted first chunk of the rows. Given
@@ -114,15 +119,16 @@ class _Windows:
     at most one run, a value and its count: a piece whose values in the
     window are all one value adds its count to the run if the run is
     empty or holds that value, and keeps its values otherwise. So a
-    column of one value, as a zero-width band gives its weights and the
-    closeness, keeps two numbers a window, not its rows. The values kept
-    are held per pick, an array an add, and read one pick at a time, as
-    a k x S grid of each column's window values, sorted along its rows,
-    with each window's run read in at its place (see _reader); a pick's
-    arrays are let go as its grid is built."""
+    column of one value, as a zero-width band gives the closeness, keeps
+    two numbers a window, not its rows. The values kept are held per
+    pick, an array an add, and read one pick at a time, as a k x S grid
+    of each column's window values, sorted along its rows, with each
+    window's run read in at its place (see _reader); a pick's arrays are
+    let go as its grid is built."""
 
-    def __init__(self, edges: np.ndarray, scratch, placed: int | None = None):
+    def __init__(self, edges: np.ndarray, scratch, placed: int | None = None, band=(0.0, 1.0)):
         self.edges = np.array(edges, dtype=float)  # 5 x k x 2
+        self.band = band
         self.offsets = 3.0 * np.arange(self.edges.shape[1])
         self.keys = self.edges + self.offsets[:, None]
         self.below = np.zeros(self.edges.shape[:2], dtype=np.int64)
@@ -260,21 +266,29 @@ class _Windows:
     def summary(self, t: int) -> list[dict[str, float]] | None:
         """min / q1 / median / q3 / max of every column of t values, as
         five_number_columns gives them, or None if an order statistic
-        fell outside its window (see stats)."""
+        fell outside its window (see stats), each moved by `band`."""
         stats = self.stats(t)
-        return None if stats is None else _five_numbers(stats, t)
+        if stats is None:
+            return None
+        lower, width = (np.asarray(a)[..., None, None] for a in self.band)
+        return _five_numbers(stats * width + lower, t)
 
 
 def _law_windows(rwm, most: int) -> _Windows:
-    """Windows for every weight column of `rwm`, placed by the law of
-    the unit uniforms the weights are drawn from (see _law_window), each
-    edge moved into its column's band as the draw moves a uniform, with
-    the same two roundings: lower + u * width never decreases with u, so
-    a weight lies in its window if its uniform lies in the uniform's.
-    Chunks of at most `most` rows may be added from any thread, each
-    thread sorting pieces of up to _SORTED values in its own scratch."""
+    """Windows for the unit uniforms of every weight column of `rwm`,
+    placed by their law (see _law_window), alike for every column, whose
+    summary() is that of the weights, moved by the draw's own map, the
+    column's band. Chunks of at most `most` rows may be added from any
+    thread, each thread sorting pieces of up to _SORTED values in its
+    own scratch.
+
+    The windows take the uniforms, not the weights: a band a few ulps
+    wide draws only a few distinct weights, each tied many times, which
+    no window narrows around, while the uniforms stay spread over
+    [0, 1), so their windows keep about 6 sqrt(t) values each."""
     t, n = rwm.iterations, rwm.bounds.n
     size = max(n, min(n * most, _SORTED))
-    u = np.array([_law_window(t, q) for q in _PICKS])[:, None]  # 5 x 1 x 2
-    edges = u * rwm.bounds.width[:, None] + rwm.bounds.lower[:, None]
-    return _Windows(edges, _per_thread(lambda: np.empty((2, size))))
+    edges = np.array([_law_window(t, q) for q in _PICKS])[:, None]
+    return _Windows(np.broadcast_to(edges, (len(_PICKS), n, 2)),
+                    _per_thread(lambda: np.empty((2, size))),
+                    band=(rwm.bounds.lower, rwm.bounds.width))

@@ -19,6 +19,7 @@ from bandtopsis import (
     build_rank_matrix,
     problem_violations,
     run_pipeline,
+    sample_weight_matrix,
     validate_problem,
 )
 from conftest import make_matrix
@@ -159,6 +160,10 @@ def test_rank_matrix_requires_permutations():
     RankMatrix(np.array([[1, 2, 3], [3, 2, 1]]))
     with pytest.raises(ValueError):
         RankMatrix(np.array([[1, 1, 3]]))
+    # a view is kept unchecked only if it holds ranks: a weight view is checked
+    rwm = sample_weight_matrix(WeightBounds([0.1, 0.2, 0.3], [0.4, 0.5, 0.6]), 4, 7)
+    with pytest.raises(ValueError, match="permutation"):
+        RankMatrix(rwm.rows)
 
 
 @st.composite
