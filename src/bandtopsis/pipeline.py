@@ -32,8 +32,8 @@ class RunReport:
 
     `rank_matrix`, `final`, `closeness_summary` and `rwm_summary` are
     filled by one pass over row chunks (the summaries through windows
-    that the uniforms of its weights and their closeness are added to)
-    and equal, bit for bit, what batch_topsis, final_ranking and
+    that its drawn weights and their closeness are added to) and equal,
+    bit for bit, what batch_topsis, final_ranking and
     five_number_columns give on the rows of `rwm`.
     Neither the weight rows nor the closeness are held. `rwm`
     describes the draw (bounds, t and seed), and its `rows` view draws a
@@ -114,17 +114,17 @@ def run_pipeline(matrix: DecisionMatrix, config: RunConfig | None = None) -> Run
     weight rows are drawn into the calling thread's chunk scratch, then
     scored, ranked and counted while they are in cache, by the same
     chunk bodies that np.asarray(rwm.rows), batch_topsis and
-    rank_frequency run alone. The draw hands the chunk's unit uniforms
-    to the rwm_summary windows (see windows._law_windows) on the way,
-    and the chunk's closeness, in scratch too, goes in row order to the
-    mean and the windows of _ClosenessPass, which opens them on the
-    first chunk; both summaries are read by the windows' summary(). A
-    pass of one chunk summarizes its weight rows and its closeness whole
-    instead, and opens no windows. A chunk's ranks, ranked in scratch,
-    are kept as one row if the chunk keeps one order and as a copy
-    otherwise. No t x n weight grid, no t x m closeness grid and no
-    t x m rank grid is held; only if an order statistic falls outside
-    its window is that grid computed, whole, by RunReport.
+    rank_frequency run alone. The chunk's weight rows go to the
+    rwm_summary windows (see windows._law_windows), and its closeness,
+    in scratch too, goes in row order to the mean and the windows of
+    _ClosenessPass, which opens them on the first chunk; both summaries
+    are read by the windows' summary(). A pass of one chunk summarizes
+    its weight rows and its closeness whole instead, and opens no
+    windows. A chunk's ranks, ranked in scratch, are kept as one row if
+    the chunk keeps one order and as a copy otherwise. No t x n weight
+    grid, no t x m closeness grid and no t x m rank grid is held; only
+    if an order statistic falls outside its window is that grid
+    computed, whole, by RunReport.
     """
     config = config or RunConfig()
     validate_problem(matrix, config)
@@ -145,7 +145,7 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
     """The pass of run_pipeline: the t x m ranks as a view over the rank
     rows each chunk kept (see _chunk_ranks), their occupancy counts, the
     _ClosenessPass that took every chunk's closeness, and the weight
-    windows that took every chunk's unit uniforms; or, for a pass of one
+    windows that took every chunk's drawn weights; or, for a pass of one
     chunk, no windows but the five numbers of the weights and of the
     closeness, taken from that chunk's rows whole."""
     t, m, step = rwm.iterations, matrix.m, _chunk_rows(matrix.m)
@@ -157,8 +157,7 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
         from .windows import _law_windows
 
         windows = _law_windows(rwm, most)
-    draw = _draw_body(rwm, most, None if windows is None else windows.add)
-    score = _score_body(matrix, most)
+    draw, score = _draw_body(rwm, most), _score_body(matrix, most)
     scratch = _per_thread(lambda: (np.empty((most, rwm.bounds.n)), np.empty((most, m)),
                                    np.empty((most, m), table.dtype)))
     counts, closeness = _RankCounts(m), _ClosenessPass(t)
@@ -171,6 +170,8 @@ def _one_pass(matrix: DecisionMatrix, rwm: RandomWeightMatrix):
             one = score(weights, xi, ranks)
             if windows is None:
                 whole[:] = five_number_columns(weights), five_number_columns(xi)
+            else:
+                windows.add(weights)
             counts.add(ranks, one)
             if one is None:
                 kept[lo // step] = ranks.copy()

@@ -8,8 +8,7 @@ fill order or thread schedule. No t x n grid is held: a
 RandomWeightMatrix is the description of a draw, and its `rows` view
 (a kernels._Rows) draws only what is read. One chunk body, _draw_body,
 draws runs of whole rows, for run_pipeline, np.asarray(rows), a row, a
-run of rows and `bandtopsis rwm` alike; its caller may also see each
-chunk's unit uniforms before they are moved into the band.
+run of rows and `bandtopsis rwm` alike.
 """
 
 from __future__ import annotations
@@ -83,21 +82,18 @@ def sample_weight_matrix(bounds: WeightBounds, iterations: int, seed: int) -> Ra
     return RandomWeightMatrix(bounds, iterations, seed)
 
 
-def _draw_body(rwm: RandomWeightMatrix, most: int, uniforms=None):
+def _draw_body(rwm: RandomWeightMatrix, most: int):
     """The sampling stage as a chunk body: draw(lo, hi, out) writes
     weight rows lo:hi, at most `most` of them, into the C-contiguous
     (hi - lo) x n float64 array `out`: the stream's values from counter
     lo * n on, each moved into its band as lower + u * width, in place.
-    Given `uniforms`, it is called with those values u, in `out`, before
-    they are moved. Rows may be drawn in any order, one range at a time,
-    on any thread; each thread works in its own stream scratch."""
+    Rows may be drawn in any order, one range at a time, on any thread;
+    each thread works in its own stream scratch."""
     n, lower, width = rwm.bounds.n, rwm.bounds.lower, rwm.bounds.width
     scratch = _per_thread(lambda: _uniform_scratch(most * n))
 
     def draw(lo, hi, out):
         _fill_uniforms(rwm.seed, lo * n, out.reshape(-1), scratch())
-        if uniforms is not None:
-            uniforms(out)
         np.multiply(out, width, out=out)
         np.add(out, lower, out=out)
 

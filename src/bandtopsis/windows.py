@@ -3,22 +3,21 @@ the windows of Floyd and Rivest (CACM 18(3), 1975) that give a run's
 five-number summaries without holding its t x n weights or its t x m
 closeness.
 
-Each window keeps the values that fall in it, and at most one run, a
-value and its count, which takes the pieces whose values in the window
-are all that one value: so a column of one value, as a zero-width band
-gives the closeness, keeps two numbers a window, not its rows.
+Each window counts the values equal to its two edges and keeps only
+those strictly between them: so a column of one value, as a zero-width
+band gives its weights and the closeness, or of a few values, as a band
+a few ulps wide gives, keeps counts in its windows, not its rows.
 
 :class:`_Windows` is the one window routine, and its summary() the one
 read of both summaries. :func:`_law_windows` places windows for the
-unit uniforms the weights are drawn from by their law, which only
-run_pipeline's pass fills, and aggregate._ClosenessPass places windows
-for the closeness in the first chunk of its rows; on a miss
-pipeline.RunReport summarizes the whole grid. The values kept are held
-and read one pick (a quantile of every column) at a time, so a read or
-a placing holds them once, plus one pick's grid and a copy of its
-values. A run whose pass is one chunk, as a plain `run` of
-`data/social.csv` is, needs none of this module, which is then never
-imported.
+weights by the law they are drawn from, which only run_pipeline's pass
+fills, and aggregate._ClosenessPass places windows for the closeness in
+the first chunk of its rows; on a miss pipeline.RunReport summarizes
+the whole grid. The values kept are held and read one pick (a quantile
+of every column) at a time, so a read or a placing holds them once,
+plus one pick's grid and a copy of its values. A run whose pass is one
+chunk, as a plain `run` of `data/social.csv` is, needs none of this
+module, which is then never imported.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ _REPICK = 4
 # Values of a weight chunk sorted at a time by each thread for its windows:
 # half a chunk sorts as fast per value as a whole one, in half the scratch.
 _SORTED = 1 << 15
-# Uniform values an extreme's window holds on average: fewer than the two
-# the minimum's picks read fall in it with probability 41 e^-40, about 2e-16.
+# Values an extreme's window holds on average: fewer than the two the
+# minimum's picks read fall in it with probability 41 e^-40, about 2e-16.
 _EXTREME_VALUES = 40
 
 
@@ -84,55 +83,61 @@ def _narrowed(at, total, below, rows: int, q: float, edges: np.ndarray):
     return lo, hi
 
 
+def _sides(values: np.ndarray, lo, hi):
+    """Masks of the values below lo, at lo, at hi and inside (lo, hi), by
+    value: a value equal to both edges is at lo."""
+    at_lo = values == lo
+    return values < lo, at_lo, (values == hi) & ~at_lo, (lo < values) & (values < hi)
+
+
+def _runs(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices of the runs start[i]:start[i] + counts[i], in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)
+
+
 class _Windows:
     """Exact order statistics of the five numbers of k columns of values
     in [0, 1], from row chunks that are counted and let go (Floyd and
     Rivest, CACM 18(3), 1975). Each column has a window [lo, hi] in
     [0, 1] for each quantile of _PICKS, held pick-major: add() counts
-    each chunk's values below every window and keeps those inside it,
-    stats() reads every order statistic the five numbers need among its
-    window's values, or gives None if one fell outside its window, and
-    summary() gives the five numbers they make, each order statistic
-    moved by `band`, (lower, width), to lower + x * width: by default
-    the identity on every value but -0.0, which closeness never is, and
-    for the uniforms a weight column is drawn from, the draw's own map,
-    which never decreases, so it moves order statistic i of the
-    uniforms to order statistic i of the weights, bit for bit.
-    A miss costs the caller a whole-grid summary, never a value.
+    each chunk's values below every window and at each of its edges
+    (`ends`, 5 x k x 2), and keeps those strictly between them; stats()
+    reads every order statistic the five numbers need among its window's
+    values, or gives None if one fell outside its window, and summary()
+    gives the five numbers they make. A miss costs the caller a
+    whole-grid summary, never a value.
 
     The caller places the windows: from the values' law
-    (see _law_window), or from the sorted first chunk of the rows. Given
-    `placed`, the rows they were placed from, each window is placed
-    again inside its own values (see _narrowed) whenever the rows
+    (see _law_windows), or from the sorted first chunk of the rows.
+    Given `placed`, the rows they were placed from, each window is
+    placed again inside its own values (see _narrowed) whenever the rows
     counted reach _REPICK times the rows at the last placing, so the
     values kept grow as the square root of the rows, not as the rows.
     Adds may come from any thread unless the windows are placed again,
-    which needs the adds one at a time.
+    which needs the adds one at a time; what a window keeps does not
+    depend on their order.
 
     A chunk is sorted column-major, in the caller's `scratch()` of two
     float64 arrays of at least k values, a piece of as many rows as they
-    hold at a time, and searched once for every window's edges
-    through the keys value + 3j of column j: column j's keys lie in
-    [3j, 3j + 1], in value order. Rounding may tie two keys; a value
-    whose key ties an edge's counts as inside, so every value counted
-    below a window lies below every value kept in it. Each window holds
-    at most one run, a value and its count: a piece whose values in the
-    window are all one value adds its count to the run if the run is
-    empty or holds that value, and keeps its values otherwise. So a
-    column of one value, as a zero-width band gives the closeness, keeps
-    two numbers a window, not its rows. The values kept are held per
-    pick, an array an add, and read one pick at a time, as a k x S grid
-    of each column's window values, sorted along its rows, with each
-    window's run read in at its place (see _reader); a pick's arrays are
-    let go as its grid is built."""
+    hold at a time, and searched once for every window's edges through
+    the keys value + 3j of column j, which lie in [3j, 3j + 1] and never
+    decrease with its values: a value whose key is below lo's is below
+    lo, and one whose key is above hi's is above hi. Rounding may tie
+    the keys of distinct values, so a piece between a window's keys
+    whose first value is at most lo, or whose last is at least hi, is
+    split by value (see _sides); every other piece lies inside. The
+    values kept are held per pick, an array an add, and read one pick at
+    a time, as a k x S grid of each column's window values, sorted along
+    its rows, between the values at its edges (see _reader); a pick's
+    arrays are let go as its grid is built."""
 
-    def __init__(self, edges: np.ndarray, scratch, placed: int | None = None, band=(0.0, 1.0)):
+    def __init__(self, edges: np.ndarray, scratch, placed: int | None = None):
         self.edges = np.array(edges, dtype=float)  # 5 x k x 2
-        self.band = band
         self.offsets = 3.0 * np.arange(self.edges.shape[1])
         self.keys = self.edges + self.offsets[:, None]
         self.below = np.zeros(self.edges.shape[:2], dtype=np.int64)
-        self.value, self.count = np.zeros(self.below.shape), np.zeros_like(self.below)  # the runs
+        self.ends = np.zeros(self.edges.shape, dtype=np.int64)  # the values at lo and at hi
         self.kept = [[] for _ in self.edges]  # per pick: the values kept, window after window
         self.sizes = []  # per add: the 5 x k count of values each window kept
         self.rows, self.placed = 0, placed
@@ -154,24 +159,26 @@ class _Windows:
         flat = values.ravel()
         keys = np.add(values, self.offsets[:, None], out=keys).ravel()
         start = np.searchsorted(keys, self.keys[..., 0])
-        below = start - np.arange(0, k * r, r)
+        below = (start - np.arange(0, k * r, r)).ravel()
         start = start.ravel()
         counts = np.searchsorted(keys, self.keys[..., 1].ravel(), side="right") - start
-        one = np.flatnonzero(counts > 1)
-        one = one[flat[start[one]] == flat[start[one] + counts[one] - 1]]
-        if len(one):
-            value, count = self.value.ravel(), self.count.ravel()
-            with self.lock:  # a run that is empty or holds the piece's one value takes it
-                one = one[(count[one] == 0) | (value[one] == flat[start[one]])]
-                value[one] = flat[start[one]]
-                count[one] += counts[one]
-            counts[one] = 0
-        ends = np.cumsum(counts)
-        index = np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)
-        picks = [0, *ends[k - 1::k].tolist()]
+        ends = np.zeros((len(counts), 2), dtype=np.int64)
+        lo, hi = self.edges.reshape(-1, 2).T
+        cut = np.flatnonzero((counts > 0) & ((flat.take(start, mode="clip") <= lo)
+                                             | (flat.take(start + counts - 1, mode="clip") >= hi)))
+        if len(cut):  # the pieces that reach an edge, split by value
+            c = counts[cut]
+            sides = _sides(flat[_runs(start[cut], c)], np.repeat(lo[cut], c), np.repeat(hi[cut], c))
+            under, ends[cut, 0], ends[cut, 1], counts[cut] = (
+                np.add.reduceat(s, np.cumsum(c) - c, dtype=np.int64) for s in sides)
+            below[cut] += under
+            start[cut] += under + ends[cut, 0]
+        index = _runs(start, counts)
+        picks = [0, *np.cumsum(counts.reshape(-1, k).sum(axis=1)).tolist()]
         kept = [flat[index[a:b]] for a, b in zip(picks, picks[1:])]  # an array a pick
         with self.lock:
-            self.below += below
+            self.below += below.reshape(-1, k)
+            self.ends += ends.reshape(-1, k, 2)
             for blocks, values in zip(self.kept, kept):
                 if len(values):
                     blocks.append(values)
@@ -209,43 +216,42 @@ class _Windows:
 
     def _reader(self, p: int, grid: np.ndarray, size: np.ndarray):
         """at(i), the order statistics i of pick p's windows, i of shape
-        k or k x 2, among the `size` values of each row of its sorted
-        `grid` and its run, read in at its place (clipped into the
-        window); and the values in each window."""
-        value, count = self.value[p], self.count[p]
-        total, place = size + count, (grid < value[:, None]).sum(axis=1)
-        columns, last = np.arange(len(grid)), grid.shape[1] - 1
+        k or k x 2, among each window's values at lo, the `size` values
+        of each row of its sorted `grid` and its values at hi (clipped
+        into the window); and the values in each window."""
+        (lo, hi), (first, last) = self.edges[p].T, self.ends[p].T
+        inside, columns, width = first + size, np.arange(len(grid)), grid.shape[1] - 1
 
         def at(i):
-            i = np.clip(i.T, 0, np.maximum(total - 1, 0))
-            kept = grid[columns, np.clip(np.where(i < place, i, i - count), 0, last)]
-            return np.where((place <= i) & (i < place + count), value, kept).T
+            i = np.clip(i.T, 0, np.maximum(inside + last - 1, 0))
+            kept = grid[columns, np.clip(i - first, 0, width)]
+            return np.where(i < first, lo, np.where(i < inside, kept, hi)).T
 
-        return at, total
+        return at, inside + last
 
     def _place_again(self) -> None:
-        """Narrow every window inside its values and run around its
-        quantile of the rows counted, one pick at a time (see _narrow)."""
+        """Narrow every window inside its values around its quantile of
+        the rows counted, one pick at a time (see _narrow)."""
         self.sizes = [np.array([self._narrow(p, *self._gather(p)) for p in range(len(_PICKS))])]
         self.placed = self.rows
 
     def _narrow(self, p: int, grid: np.ndarray, size: np.ndarray) -> np.ndarray:
-        """Narrow pick p's windows inside their values and run, as `grid`
-        and `size` give them (see _gather); count those below the new
-        window, keep those inside it and drop those above it. Gives the
-        count of values each window keeps."""
-        at, total = self._reader(p, grid, size)
-        self.edges[p, :, 0], self.edges[p, :, 1] = _narrowed(
-            at, total, self.below[p], self.rows, _PICKS[p], self.edges[p])
+        """Narrow pick p's windows inside their values, as `grid` and
+        `size` (see _gather) and the counts at their edges give them; by
+        value (see _sides), count those below and at the new edges, which
+        lie between the old ones, keep those inside (never a value at an
+        old edge) and drop those above. Gives the count each keeps."""
+        old = self.edges[p].copy()
+        lo, hi = _narrowed(*self._reader(p, grid, size), self.below[p], self.rows, _PICKS[p], old)
+        self.edges[p, :, 0], self.edges[p, :, 1] = lo, hi
         self.keys[p] = self.edges[p] + self.offsets[:, None]
-        lo, hi = self.keys[p].T
-        keys = grid + self.offsets[:, None]
-        inside = (keys >= lo[:, None]) & (keys <= hi[:, None])
-        self.kept[p].append(grid[inside])
-        run = self.value[p] + self.offsets
-        self.below[p] += (keys < lo[:, None]).sum(axis=1) + self.count[p] * (run < lo)
-        self.count[p] *= (lo <= run) & (run <= hi)
-        return inside.sum(axis=1)
+        sides = _sides(grid, lo[:, None], hi[:, None])
+        n = [s.sum(axis=1) + (self.ends[p] * e).sum(axis=1)
+             for s, e in zip(sides, _sides(old, lo[:, None], hi[:, None]))]
+        self.below[p] += n[0]
+        self.ends[p, :, 0], self.ends[p, :, 1] = n[1], n[2]
+        self.kept[p].append(grid[sides[3]])
+        return n[3]
 
     def stats(self, t: int) -> np.ndarray | None:
         """The k x 5 x 2 order statistics the five numbers of t values
@@ -266,29 +272,21 @@ class _Windows:
     def summary(self, t: int) -> list[dict[str, float]] | None:
         """min / q1 / median / q3 / max of every column of t values, as
         five_number_columns gives them, or None if an order statistic
-        fell outside its window (see stats), each moved by `band`."""
+        fell outside its window (see stats)."""
         stats = self.stats(t)
-        if stats is None:
-            return None
-        lower, width = (np.asarray(a)[..., None, None] for a in self.band)
-        return _five_numbers(stats * width + lower, t)
+        return None if stats is None else _five_numbers(stats, t)
 
 
 def _law_windows(rwm, most: int) -> _Windows:
-    """Windows for the unit uniforms of every weight column of `rwm`,
-    placed by their law (see _law_window), alike for every column, whose
-    summary() is that of the weights, moved by the draw's own map, the
-    column's band. Chunks of at most `most` rows may be added from any
-    thread, each thread sorting pieces of up to _SORTED values in its
-    own scratch.
-
-    The windows take the uniforms, not the weights: a band a few ulps
-    wide draws only a few distinct weights, each tied many times, which
-    no window narrows around, while the uniforms stay spread over
-    [0, 1), so their windows keep about 6 sqrt(t) values each."""
+    """Windows for every weight column of `rwm`, placed by the law of
+    the unit uniforms it is drawn from (see _law_window) and moved into
+    its band as the draw moves a uniform, law * width + lower, with the
+    same two roundings: each window then holds every weight whose uniform
+    lies in the law's. Chunks of at most `most` drawn rows may be added
+    from any thread, each thread sorting pieces of up to _SORTED values
+    in its own scratch."""
     t, n = rwm.iterations, rwm.bounds.n
     size = max(n, min(n * most, _SORTED))
-    edges = np.array([_law_window(t, q) for q in _PICKS])[:, None]
-    return _Windows(np.broadcast_to(edges, (len(_PICKS), n, 2)),
-                    _per_thread(lambda: np.empty((2, size))),
-                    band=(rwm.bounds.lower, rwm.bounds.width))
+    law = np.array([_law_window(t, q) for q in _PICKS])[:, None]  # 5 x 1 x 2
+    edges = law * rwm.bounds.width[:, None] + rwm.bounds.lower[:, None]
+    return _Windows(edges, _per_thread(lambda: np.empty((2, size))))

@@ -342,9 +342,11 @@ def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     # an alternative that is the ideal on every criterion has closeness 1.0 on
-    # every row, which each of its windows keeps as one run, that value and
-    # its count, while the other columns vary and keep plain values; the
-    # windows are placed in the first chunk and again at 4 and 16 chunks
+    # every row, which each of its windows counts on an edge and keeps no
+    # plain value of, while the other columns vary and their quartile windows
+    # keep plain values (an extreme's window may place an edge on the extreme
+    # itself and keep none); the windows are placed in the first chunk and
+    # again at 4 and 16 chunks
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     benefit = np.array(SOCIAL_DIRECTIONS) == "max"
     ideal = np.where(benefit, SOCIAL_VALUES.max(axis=0), SOCIAL_VALUES.min(axis=0))
@@ -353,8 +355,8 @@ def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     whole, placings = _whole_grid_reads(monkeypatch), _placings(monkeypatch)
     read, real = [], windows._Windows.stats
 
-    def stats(self, t):  # the runs and the plain values of every window, as read
-        read.append((self.value.copy(), self.count.copy(), _plain(self)))
+    def stats(self, t):  # the edges, the counts at them and the plain values of every window
+        read.append((self.edges.copy(), self.ends.copy(), _plain(self)))
         return real(self, t)
 
     monkeypatch.setattr(windows._Windows, "stats", stats)
@@ -362,35 +364,42 @@ def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
                     custom_sets=((0.05,) * 12,))
     report = run_pipeline(matrix, cfg)
     assert not whole and placings == [4 * step, 16 * step]
-    value, count, plain = next(r for r in read if r[0].shape[1] == matrix.m)  # the closeness'
-    assert (value[:, -1] == 1.0).all() and (count[:, -1] > 0).all() and (plain[:, -1] == 0).all()
-    assert (plain[:, :-1] > 0).all()
+    edges, ends, plain = next(r for r in read if r[0].shape[1] == matrix.m)  # the closeness'
+    assert (edges[:, -1] == 1.0).any(axis=1).all() and (plain[:, -1] == 0).all()
+    assert (ends[:, -1].sum(axis=1) == cfg.iterations).all()
+    assert (plain[1:4, :-1] > 0).all()
     _assert_pass_summaries_exact(report)
     assert set(report.closeness_summary[-1].values()) == {1.0}
     assert all(s["min"] < s["max"] for s in report.closeness_summary[:-1])
 
 
-def test_pass_summaries_keep_one_run_a_window(monkeypatch):
-    # pieces of 8 rows of one column, each all one value: the first gives
-    # every window its run, 0.25; the second, 0.75, is kept as plain values,
-    # and the third joins the run. The fourth, 0.75 again, brings the rows to
-    # 4 times the 8 placed from, and narrow windows are placed again: the
-    # run stays inside the minimum's, q1's and the median's windows and
-    # falls below q3's and the maximum's. A fifth piece of 0.25 goes to the
-    # runs it reaches and is counted below the rest.
+def test_pass_summaries_count_the_values_at_their_edges(monkeypatch):
+    # pieces of 8 rows of one column, each all one value: the first three,
+    # 0.25, 0.75 and 0.25, lie inside every window, [0, 1], and are kept as
+    # plain values. The fourth, 0.75 again, brings the rows to 4 times the 8
+    # placed from, and narrow windows are placed again on the two values:
+    # the minimum's [0, 0.25], q1's [0.25, 0.25], the median's [0.25, 0.75],
+    # q3's [0.75, 0.75] and the maximum's [0.75, 1], which count each value
+    # at an edge, below or above, and keep none. A fifth piece of 0.25 is
+    # counted at the edges it is equal to and below the rest.
     monkeypatch.setattr(windows, "_WINDOW_SIGMAS", 0.5)
     scratch = np.empty((2, 8))
     w = windows._Windows(np.broadcast_to([0.0, 1.0], (5, 1, 2)), lambda: scratch, placed=8)
     pieces = [np.full((8, 1), v) for v in (0.25, 0.75, 0.25, 0.75, 0.25)]
     for piece in pieces[:3]:
         w.add(piece)
-    assert (w.value == 0.25).all() and (w.count == 16).all()
-    assert (_plain(w) == 8).all()  # the 0.75s, one value each
+    assert (w.ends == 0).all() and (w.below == 0).all()
+    assert (_plain(w) == 24).all()
     w.add(pieces[3])
-    assert w.count[:, 0].tolist() == [16, 16, 16, 0, 0]
+    assert w.edges[:, 0].tolist() == [[0.0, 0.25], [0.25, 0.25], [0.25, 0.75], [0.75, 0.75],
+                                      [0.75, 1.0]]
+    assert w.ends[:, 0].tolist() == [[0, 16], [16, 0], [16, 16], [16, 0], [16, 0]]
     assert w.below[:, 0].tolist() == [0, 0, 0, 16, 16]
+    assert (_plain(w) == 0).all()
     w.add(pieces[4])
-    assert w.count[:, 0].tolist() == [24, 24, 24, 0, 0]
+    assert w.ends[:, 0].tolist() == [[0, 24], [24, 0], [24, 16], [16, 0], [16, 0]]
+    assert w.below[:, 0].tolist() == [0, 0, 0, 24, 24]
+    assert (_plain(w) == 0).all()
     stats = w.stats(40)
     assert stats is not None
     whole = np.sort(np.concatenate(pieces), axis=0)
@@ -398,44 +407,61 @@ def test_pass_summaries_keep_one_run_a_window(monkeypatch):
     assert stats.tobytes() == whole[picks].T.reshape(-1, 5, 2).tobytes()
 
 
-# two pairs of sets that agree on the first criterion: on paper both give it a
-# zero-width band, but the second pair's shares are rounded apart, to a band
-# one ulp wide, whose weights are two values, each drawn about t/2 times
+# pairs of sets that agree on paper: the first two on the first criterion,
+# which the first pair gives a zero-width band and the second, its shares
+# rounded apart, a band one ulp wide, whose weights are two values, each drawn
+# about t/2 times; the third, the same shares written at a tenth of the scale,
+# on every criterion, which it gives bands of no width or of one ulp, so each
+# alternative's closeness spans a few ulps
 _NARROW_BANDS = {
-    0: ((1.0,) * 12, (1.0, 2.0, 0.5, 0.5) + (1.0,) * 8),
-    1: ((0.1, 0.7, 0.6, 0.3, 0.5, 0.8, 0.1, 0.7, 0.1, 0.1, 0.6, 0.3),
-        (0.1, 0.3, 0.3, 0.5, 0.5, 0.7, 0.7, 0.3, 0.2, 0.4, 0.8, 0.1)),
+    "zero-width": ((1.0,) * 12, (1.0, 2.0, 0.5, 0.5) + (1.0,) * 8),
+    "one-ulp": ((0.1, 0.7, 0.6, 0.3, 0.5, 0.8, 0.1, 0.7, 0.1, 0.1, 0.6, 0.3),
+                (0.1, 0.3, 0.3, 0.5, 0.5, 0.7, 0.7, 0.3, 0.2, 0.4, 0.8, 0.1)),
+    "few-ulps": ((5, 5, 7, 9, 1, 2, 8, 9, 3, 3, 8, 4),
+                 (0.5, 0.5, 0.7, 0.9, 0.1, 0.2, 0.8, 0.9, 0.3, 0.3, 0.8, 0.4)),
 }
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("t", [1, 5, 3 * kernels._chunk_rows(6) + 5])
 def test_pass_summaries_of_a_zero_width_column(t, cpus, social_matrix, monkeypatch):
-    # a band of no width or of one ulp draws few distinct weights, each tied
-    # many times; the weight windows take the uniforms they are drawn from,
-    # spread over [0, 1), so each keeps about 6 sqrt(t) values in a pass of
-    # more than one chunk, not t
+    # a band of no width or of a few ulps draws few distinct weights, each
+    # tied many times, and a closeness that spans a few ulps; in a pass of
+    # more than one chunk their windows count the values on their edges and
+    # keep at most 8 sqrt(t) plain values each, not t: none in a weight
+    # column of no width or of one ulp. A closeness column with spread keeps
+    # what windows placed in a first chunk of `step` rows hold until they are
+    # placed again, about 6 t / sqrt(step) at the median
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    whole, placed, real = _whole_grid_reads(monkeypatch), [], windows._law_windows
+    step = kernels._chunk_rows(social_matrix.m)
+    whole, read, real = _whole_grid_reads(monkeypatch), [], windows._Windows.stats
 
-    def law_windows(*args):
-        placed.append(real(*args))
-        return placed[-1]
+    def stats(self, t):  # the plain values of every window, the weights' or the closeness'
+        read.append((self.edges.shape[1] == social_matrix.n, _plain(self)))
+        return real(self, t)
 
-    monkeypatch.setattr(windows, "_law_windows", law_windows)
-    for ulps, sets in _NARROW_BANDS.items():
+    monkeypatch.setattr(windows._Windows, "stats", stats)
+    for name, sets in _NARROW_BANDS.items():
         cfg = RunConfig(iterations=t, seed=5, include_entropy=False, include_critic=False,
                         custom_sets=sets)
         report = run_pipeline(social_matrix, cfg)
-        lower, upper = report.bounds.lower[0], report.bounds.upper[0]
-        assert np.nextafter(lower, 1.0, dtype=float) == upper if ulps else lower == upper
-        assert report.bounds.width[1] > 0
+        lower, upper = report.bounds.lower, report.bounds.upper
+        ulp = np.nextafter(lower, 1.0, dtype=float) == upper
+        if name == "few-ulps":
+            assert ((lower == upper) | ulp).all() and ulp.any()
+        else:
+            assert ulp[0] if name == "one-ulp" else lower[0] == upper[0]
+            assert report.bounds.width[1] > 0
         assert not whole
         _assert_pass_summaries_exact(report)
+        assert len(read) == 2 * (t > step)
+        for weights, plain in read:
+            spread = not weights and name != "few-ulps"
+            assert (plain <= (8 * t / np.sqrt(step) if spread else 8 * np.sqrt(t))).all()
+            if weights and name != "few-ulps":
+                assert (plain[:, 0] == 0).all()
         whole.clear()
-    assert len(placed) == 2 * (t > kernels._chunk_rows(social_matrix.m))
-    for w in placed:
-        assert (_plain(w)[:, 0] <= 8 * np.sqrt(t)).all()
+        read.clear()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -481,7 +507,8 @@ def _reference_cases(draw):
     """A problem of m alternatives and n criteria drawn from a few value
     levels (ties, constant columns), mixed directions, maybe a duplicate
     alternative and an alternative at the column-wise ideal; weight sets
-    that give a zero-width band, zero-width columns or objective bands;
+    that give a zero-width band, zero-width columns, bands of a few ulps
+    (two sets equal on paper) or objective bands;
     knobs that put misses and placings at small t; and t near one of the
     pass's edges, or late enough for many placings when chunks are small."""
     m, n = draw(st.integers(2, 40)), draw(st.integers(1, 40))
@@ -496,13 +523,15 @@ def _reference_cases(draw):
         values[rng.integers(m)] = np.where(benefit, values.max(axis=0), values.min(axis=0))
     hypothesis.assume(np.ptp(values, axis=0).any())  # else every row is ideal and anti-ideal
     w = rng.integers(1, 4, n).astype(float)
-    bands = draw(st.sampled_from(["zero-width", "two-sets", "objective"]))
+    bands = draw(st.sampled_from(["zero-width", "two-sets", "rounded-apart", "objective"]))
     if bands == "zero-width":
         cfg = dict(include_entropy=False, include_critic=False, custom_sets=(w,))
     elif bands == "two-sets":  # equal sums: every column but two has zero width
         v = w.copy()
         v[[0, -1]] = v[[-1, 0]]
         cfg = dict(include_entropy=False, include_critic=False, custom_sets=(w, v))
+    elif bands == "rounded-apart":  # equal on paper: bands of no width or a few ulps
+        cfg = dict(include_entropy=False, include_critic=False, custom_sets=(w, w * 0.1))
     else:
         cfg = dict(include_critic=bool(n > 1 and np.ptp(values, axis=0).all()),
                    custom_sets=(w,) if draw(st.booleans()) else ())

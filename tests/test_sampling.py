@@ -225,8 +225,8 @@ def test_single_rows_match_matrix_across_a_block_boundary():
 @pytest.mark.parametrize("count", [_B - 1, _B, _B + 1, 2 * _B + 3])
 def test_strided_uniforms_equal_plain_integer_splitmix64(stride, count):
     # rows of `stride` values drawn in one fill, as a chunk of weight rows is: column j
-    # is stream values start + j + k * stride, the uniforms the rwm_summary windows take
-    # for weight column j, on both sides of a block edge
+    # is stream values start + j + k * stride, the uniforms weight column j is drawn
+    # from, on both sides of a block edge
     seed, start = 2 ** 64 - 7, 2 ** 40 + 3
     u = np.empty((count, stride))
     kernels._fill_uniforms(seed, start, u.reshape(-1), kernels._uniform_scratch(u.size))
@@ -281,13 +281,14 @@ def test_the_view_takes_no_numpy_operators():
 
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
 def test_regenerated_rwm_summary_equals_the_summary_of_the_whole_grid(n):
-    # the draw body hands each chunk's uniforms to the windows, as
-    # run_pipeline's pass does, and the rows are let go; no weight grid
+    # each drawn chunk is added to the windows, as run_pipeline's pass adds
+    # it, and the rows are let go; no weight grid
     rwm, full = _view_cases(n)
     t, step = full.shape[0], kernels._chunk_rows(n)
-    windows = _law_windows(rwm, step)
-    draw = _draw_body(rwm, step, windows.add)
+    windows, draw = _law_windows(rwm, step), _draw_body(rwm, step)
     for lo in range(0, t, step):
         hi = min(t, lo + step)
-        draw(lo, hi, np.empty((hi - lo, n)))
+        rows = np.empty((hi - lo, n))
+        draw(lo, hi, rows)
+        windows.add(rows)
     assert json.dumps(windows.summary(t)) == json.dumps(five_number_columns(full))

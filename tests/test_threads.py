@@ -138,8 +138,8 @@ def test_threaded_kernel_equals_inline_and_whole_array(kernel, rows, monkeypatch
 def test_more_workers_than_cpus_with_frequent_switches_match_inline(social_matrix, monkeypatch):
     # rank counting and the summaries fill one shared list from every chunk, the
     # pass hands every chunk's closeness, in row order, to one carried sum and
-    # one set of windows, and every chunk's uniforms, from any thread, to the
-    # weights' windows
+    # one set of windows, and every chunk's drawn weights, from any thread, to
+    # the weights' windows
     monkeypatch.setattr(kernels, "_CHUNK", 1 << 8)
     xi = _tie_heavy(5000, 12)
     table = np.random.default_rng(3).uniform(size=(300, 40))
