@@ -12,10 +12,10 @@ The five-number summaries of the weights and the closeness are taken
 here too, all read by :func:`_five_numbers` from order statistics: of a
 whole column at a time by :func:`five_number_columns`, which sorts it,
 and of a run's closeness, with its mean, from the one pass's row chunks
-by :class:`_ClosenessPass`, through the exact windows of
-:mod:`bandtopsis.windows` opened on the first chunk, read as the
-weights' windows are. A pass of one chunk summarizes both grids whole
-with five_number_columns.
+by :class:`_ClosenessPass`, through the exact quartile windows and the
+running extremes of :mod:`bandtopsis.windows`, opened on the first
+chunk and read as the weights' are. A pass of one chunk summarizes both
+grids whole with five_number_columns.
 """
 
 from __future__ import annotations
@@ -184,14 +184,12 @@ class _ClosenessPass:
     sum of the rows before it added in reduces to the sum of every row
     to its last, and the mean equals xi.mean(axis=0) bit for bit.
 
-    The quartiles come from windows._Windows, opened on the first chunk
-    of a run of more than one: they are placed in that chunk, sorted down
-    each alternative's column, as windows._narrowed places them inside a
-    window of [0, 1] that holds every value, and the chunk is counted;
-    every later chunk is counted as it comes, and the windows narrow as
-    the rows grow. A run of one chunk opens no windows, and result()
-    gives no summaries for it (its caller summarizes that chunk whole);
-    otherwise it gives the windows' summary(), None on a miss."""
+    The five numbers come from the windows of windows._chunk_windows,
+    opened on the first chunk of a run of more than one, which count
+    every later chunk as it comes. A run of one chunk opens no
+    windows, and result() gives no summaries for it (its caller
+    summarizes that chunk whole); otherwise it gives the windows'
+    summary(), None on a miss."""
 
     def __init__(self, t: int):
         self.t, self.sum, self.windows = t, 0.0, None
@@ -205,23 +203,9 @@ class _ClosenessPass:
         if lo:
             self.windows.add(rows)
         elif hi < self.t:
-            self._open_windows(rows)
+            from .windows import _chunk_windows  # compiled only for runs that need it
 
-    def _open_windows(self, rows: np.ndarray) -> None:
-        """Place the windows in the first chunk, sorted down each column,
-        then count it."""
-        from .windows import _narrowed, _Windows  # compiled only for runs that need it
-
-        first = np.sort(rows, axis=0)
-        n, m = first.shape
-        edges = np.empty((len(_PICKS), m, 2))
-        edges[...] = 0.0, 1.0
-        for p, q in enumerate(_PICKS):
-            edges[p, :, 0], edges[p, :, 1] = _narrowed(
-                lambda i: first[np.clip(i, 0, n - 1)], n, 0, n, q, edges[p])
-        scratch = np.empty((2, rows.size))  # a sorted chunk and its keys
-        self.windows = _Windows(edges, lambda: scratch, placed=n)
-        self.windows.add(rows)
+            self.windows = _chunk_windows(rows)
 
     def result(self) -> tuple[np.ndarray, list[dict[str, float]] | None]:
         return self.sum / self.t, None if self.windows is None else self.windows.summary(self.t)

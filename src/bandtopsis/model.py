@@ -266,11 +266,11 @@ def problem_violations(matrix: DecisionMatrix, config: RunConfig | None = None) 
         )
     else:
         # named by alternative and criterion, which hold in every file format
-        bad = np.argwhere(~np.isfinite(v))
-        kind, cells = ("non-finite", bad) if bad.size else ("negative", np.argwhere(v < 0))
-        for i, j in cells:
-            errors.append(f"{kind} value of alternative {matrix.alternatives[i]!r}"
-                          f" on criterion {matrix.criteria[j].id!r}")
+        finite = np.isfinite(v)
+        for kind, bad in (("non-finite", ~finite), ("negative", finite & (v < 0))):
+            for i, j in np.argwhere(bad):
+                errors.append(f"{kind} value of alternative {matrix.alternatives[i]!r}"
+                              f" on criterion {matrix.criteria[j].id!r}")
 
     seen_alternatives: set[str] = set()
     for a in matrix.alternatives:

@@ -131,7 +131,7 @@ def minmax_normalize(matrix: DecisionMatrix) -> np.ndarray:
     return Z
 
 
-def critic_weights(matrix: DecisionMatrix, ddof: int = 1) -> CriticReport:
+def critic_weights(matrix: DecisionMatrix) -> CriticReport:
     """Weight criteria by contrast intensity times inter-criteria conflict.
 
     The matrix is min-max normalized (direction-aware), the Pearson grid
@@ -140,9 +140,9 @@ def critic_weights(matrix: DecisionMatrix, ddof: int = 1) -> CriticReport:
     zero. Weights are the indices rescaled to unit sum.
 
     sigma_j is the root mean square deviation of column j around the grand
-    mean of the whole normalized grid (not the column mean); the divisor
-    m - ddof is a common factor across columns, so `ddof` cannot change the
-    weights (see the divisor-invariance tests).
+    mean of the whole normalized grid (not the column mean), over the
+    divisor m - 1; a divisor is a common factor across columns, so m gives
+    the same weights (see the divisor-invariance tests).
     """
     m, n = matrix.values.shape
     if n < 2:
@@ -151,7 +151,7 @@ def critic_weights(matrix: DecisionMatrix, ddof: int = 1) -> CriticReport:
         )
     Z = minmax_normalize(matrix)
     rho = np.corrcoef(Z, rowvar=False)
-    sigma = np.sqrt(((Z - Z.mean()) ** 2).sum(axis=0) / (m - ddof))
+    sigma = np.sqrt(((Z - Z.mean()) ** 2).sum(axis=0) / (m - 1))
     conflict = (1.0 - rho).sum(axis=1)
     index = sigma * conflict
     total = index.sum()

@@ -1,7 +1,7 @@
 """Exact order statistics from row chunks that are counted and let go:
 the windows of Floyd and Rivest (CACM 18(3), 1975) that give a run's
-five-number summaries without holding its t x n weights or its t x m
-closeness.
+quartiles without holding its t x n weights or its t x m closeness; the
+minimum and the maximum are carried as each column's running extremes.
 
 Each window counts the values equal to its two edges and keeps only
 those strictly between them: so a column of one value, as a zero-width
@@ -9,15 +9,14 @@ band gives its weights and the closeness, or of a few values, as a band
 a few ulps wide gives, keeps counts in its windows, not its rows.
 
 :class:`_Windows` is the one window routine, and its summary() the one
-read of both summaries. :func:`_law_windows` places windows for the
-weights by the law they are drawn from, which only run_pipeline's pass
-fills, and aggregate._ClosenessPass places windows for the closeness in
-the first chunk of its rows; on a miss pipeline.RunReport summarizes
-the whole grid. The values kept are held and read one pick (a quantile
-of every column) at a time, so a read or a placing holds them once,
-plus one pick's grid and a copy of its values. A run whose pass is one
-chunk, as a plain `run` of `data/social.csv` is, needs none of this
-module, which is then never imported.
+read of both summaries. This module places every window: by the law
+the weights are drawn from (:func:`_law_windows`), and in the first
+chunk of the closeness (:func:`_chunk_windows`); on a miss
+pipeline.RunReport summarizes the whole grid. The values kept are held
+and read one quartile at a time, so a read or a placing holds them
+once, plus one quartile's grid and a copy of its values. A run whose
+pass is one chunk, as a plain `run` of `data/social.csv` is, never
+imports this module.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import threading
 
 import numpy as np
 
-from .aggregate import _PICKS, _five_numbers, _linear_pick
+from .aggregate import _PICKS, _QUARTILES, _five_numbers, _linear_pick
 from .kernels import _per_thread
 
 
@@ -42,9 +41,6 @@ _REPICK = 4
 # Values of a weight chunk sorted at a time by each thread for its windows:
 # half a chunk sorts as fast per value as a whole one, in half the scratch.
 _SORTED = 1 << 15
-# Values an extreme's window holds on average: fewer than the two the
-# minimum's picks read fall in it with probability 41 e^-40, about 2e-16.
-_EXTREME_VALUES = 40
 
 
 def _window(n: int, q: float) -> tuple[int, int]:
@@ -55,16 +51,12 @@ def _window(n: int, q: float) -> tuple[int, int]:
 
 
 def _law_window(t: int, q: float) -> tuple[float, float]:
-    """The window of quantile q among t independent uniform values on
+    """The window of quartile q among t independent uniform values on
     [0, 1), from their law alone: _WINDOW_SIGMAS standard deviations of
     the sample quantile, and 2/t for the picks' offset, to each side of
-    a quartile; _EXTREME_VALUES/t in from the end for the minimum and
-    the maximum; clipped to [0, 1], so that no window reaches into the
-    next column's keys."""
-    if q in (0.0, 1.0):
-        half = _EXTREME_VALUES / t
-    else:
-        half = _WINDOW_SIGMAS * math.sqrt(q * (1 - q) / t) + 2 / t
+    q; clipped to [0, 1], so that no window reaches into the next
+    column's keys."""
+    half = _WINDOW_SIGMAS * math.sqrt(q * (1 - q) / t) + 2 / t
     return max(0.0, q - half), min(1.0, q + half)
 
 
@@ -100,18 +92,18 @@ class _Windows:
     """Exact order statistics of the five numbers of k columns of values
     in [0, 1], from row chunks that are counted and let go (Floyd and
     Rivest, CACM 18(3), 1975). Each column has a window [lo, hi] in
-    [0, 1] for each quantile of _PICKS, held pick-major: add() counts
-    each chunk's values below every window and at each of its edges
-    (`ends`, 5 x k x 2), and keeps those strictly between them; stats()
-    reads every order statistic the five numbers need among its window's
-    values, or gives None if one fell outside its window, and summary()
-    gives the five numbers they make. A miss costs the caller a
-    whole-grid summary, never a value.
+    [0, 1] for each quartile of _QUARTILES, held quartile-major: add()
+    counts each chunk's values below every window and at each of its
+    edges (`ends`, 3 x k x 2), keeps those strictly between them, and
+    folds each column's least and greatest value into `low` and `high`;
+    stats() reads every order statistic the quartiles need among its
+    window's values, or gives None if one fell outside its window, and
+    summary() gives the five numbers they and the extremes make. A miss
+    costs the caller a whole-grid summary, never a value.
 
-    The caller places the windows: from the values' law
-    (see _law_windows), or from the sorted first chunk of the rows.
-    Given `placed`, the rows they were placed from, each window is
-    placed again inside its own values (see _narrowed) whenever the rows
+    The windows are placed by _law_windows or _chunk_windows. Given
+    `placed`, the rows they were placed from, each window is placed
+    again inside its own values (see _narrowed) whenever the rows
     counted reach _REPICK times the rows at the last placing, so the
     values kept grow as the square root of the rows, not as the rows.
     Adds may come from any thread unless the windows are placed again,
@@ -127,19 +119,21 @@ class _Windows:
     the keys of distinct values, so a piece between a window's keys
     whose first value is at most lo, or whose last is at least hi, is
     split by value (see _sides); every other piece lies inside. The
-    values kept are held per pick, an array an add, and read one pick at
-    a time, as a k x S grid of each column's window values, sorted along
-    its rows, between the values at its edges (see _reader); a pick's
-    arrays are let go as its grid is built."""
+    values kept are held per quartile, an array an add, and read one
+    quartile at a time, as a k x S grid of each column's window values,
+    sorted along its rows, between the values at its edges (see
+    _reader); a quartile's arrays are let go as its grid is built."""
 
     def __init__(self, edges: np.ndarray, scratch, placed: int | None = None):
-        self.edges = np.array(edges, dtype=float)  # 5 x k x 2
-        self.offsets = 3.0 * np.arange(self.edges.shape[1])
+        self.edges = np.array(edges, dtype=float)  # 3 x k x 2
+        k = self.edges.shape[1]
+        self.offsets = 3.0 * np.arange(k)
         self.keys = self.edges + self.offsets[:, None]
         self.below = np.zeros(self.edges.shape[:2], dtype=np.int64)
         self.ends = np.zeros(self.edges.shape, dtype=np.int64)  # the values at lo and at hi
-        self.kept = [[] for _ in self.edges]  # per pick: the values kept, window after window
-        self.sizes = []  # per add: the 5 x k count of values each window kept
+        self.kept = [[] for _ in self.edges]  # per quartile: the values kept, window after window
+        self.sizes = []  # per add: the 3 x k count of values each window kept
+        self.low, self.high = np.full(k, np.inf), np.full(k, -np.inf)  # each column's extremes
         self.rows, self.placed = 0, placed
         self.scratch, self.lock = scratch, threading.Lock()
 
@@ -175,21 +169,23 @@ class _Windows:
             start[cut] += under + ends[cut, 0]
         index = _runs(start, counts)
         picks = [0, *np.cumsum(counts.reshape(-1, k).sum(axis=1)).tolist()]
-        kept = [flat[index[a:b]] for a, b in zip(picks, picks[1:])]  # an array a pick
+        kept = [flat[index[a:b]] for a, b in zip(picks, picks[1:])]  # an array a quartile
         with self.lock:
+            np.minimum(self.low, values[:, 0], out=self.low)
+            np.maximum(self.high, values[:, -1], out=self.high)
             self.below += below.reshape(-1, k)
             self.ends += ends.reshape(-1, k, 2)
-            for blocks, values in zip(self.kept, kept):
-                if len(values):
-                    blocks.append(values)
+            for blocks, block in zip(self.kept, kept):
+                if len(block):
+                    blocks.append(block)
             self.sizes.append(counts.reshape(-1, k))
             self.rows += r
             if self.placed and self.rows >= _REPICK * self.placed:
                 self._place_again()
 
     def _gather(self, p: int):
-        """Pick p's values kept, let go from their arrays as its grid is
-        built: a k x S grid, row j the values of column j's window,
+        """Quartile p's values kept, let go from their arrays as its grid
+        is built: a k x S grid, row j the values of column j's window,
         sorted, then the pad 2.0, which lies above every value, in one
         buffer with a copy of the values in add order; and the count of
         values in each row."""
@@ -215,10 +211,10 @@ class _Windows:
         return grid, size
 
     def _reader(self, p: int, grid: np.ndarray, size: np.ndarray):
-        """at(i), the order statistics i of pick p's windows, i of shape
-        k or k x 2, among each window's values at lo, the `size` values
-        of each row of its sorted `grid` and its values at hi (clipped
-        into the window); and the values in each window."""
+        """at(i), the order statistics i of quartile p's windows, i of
+        shape k or k x 2, among each window's values at lo, the `size`
+        values of each row of its sorted `grid` and its values at hi
+        (clipped into the window); and the values in each window."""
         (lo, hi), (first, last) = self.edges[p].T, self.ends[p].T
         inside, columns, width = first + size, np.arange(len(grid)), grid.shape[1] - 1
 
@@ -231,18 +227,18 @@ class _Windows:
 
     def _place_again(self) -> None:
         """Narrow every window inside its values around its quantile of
-        the rows counted, one pick at a time (see _narrow)."""
-        self.sizes = [np.array([self._narrow(p, *self._gather(p)) for p in range(len(_PICKS))])]
+        the rows counted, one quartile at a time (see _narrow)."""
+        self.sizes = [np.array([self._narrow(p, *self._gather(p)) for p in range(len(self.kept))])]
         self.placed = self.rows
 
     def _narrow(self, p: int, grid: np.ndarray, size: np.ndarray) -> np.ndarray:
-        """Narrow pick p's windows inside their values, as `grid` and
-        `size` (see _gather) and the counts at their edges give them; by
-        value (see _sides), count those below and at the new edges, which
-        lie between the old ones, keep those inside (never a value at an
-        old edge) and drop those above. Gives the count each keeps."""
+        """Narrow quartile p's windows inside their values, as `grid`
+        and `size` (see _gather) and the counts at their edges give them;
+        by value (see _sides), count those below and at the new edges,
+        which lie between the old ones, keep those inside (never a value at
+        an old edge) and drop those above. Gives the count each keeps."""
         old = self.edges[p].copy()
-        lo, hi = _narrowed(*self._reader(p, grid, size), self.below[p], self.rows, _PICKS[p], old)
+        lo, hi = _narrowed(*self._reader(p, grid, size), self.below[p], self.rows, _QUARTILES[p], old)
         self.edges[p, :, 0], self.edges[p, :, 1] = lo, hi
         self.keys[p] = self.edges[p] + self.offsets[:, None]
         sides = _sides(grid, lo[:, None], hi[:, None])
@@ -255,19 +251,21 @@ class _Windows:
 
     def stats(self, t: int) -> np.ndarray | None:
         """The k x 5 x 2 order statistics the five numbers of t values
-        read, or None if one fell outside its window. The windows are
-        read once, one pick at a time (see _gather), each grid let go
-        before the next is built; the sort scratch goes first."""
-        rank = np.array([_linear_pick(t, q)[:2] for q in _PICKS])[:, None] - self.below[..., None]
+        read, or None if one fell outside its window; the extremes' pairs
+        are (low, low) and (high, high). The windows are read once, one
+        quartile at a time (see _gather), each grid let go before the
+        next is built; the sort scratch goes first."""
         self.scratch = None
-        stats = np.empty(rank.shape)
-        for p in range(len(_PICKS)):
+        stats = np.empty((len(self.low), len(_PICKS), 2))
+        stats[:, 0], stats[:, -1] = self.low[:, None], self.high[:, None]
+        for p, q in enumerate(_QUARTILES):
+            rank = np.array(_linear_pick(t, q)[:2]) - self.below[p][:, None]
             at, total = self._reader(p, *self._gather(p))
-            if (rank[p, :, 0] < 0).any() or (rank[p, :, 1] >= total).any():
+            if (rank[:, 0] < 0).any() or (rank[:, 1] >= total).any():
                 return None
-            stats[p] = at(rank[p])
+            stats[:, p + 1] = at(rank)
             del at
-        return stats.transpose(1, 0, 2)
+        return stats
 
     def summary(self, t: int) -> list[dict[str, float]] | None:
         """min / q1 / median / q3 / max of every column of t values, as
@@ -278,15 +276,32 @@ class _Windows:
 
 
 def _law_windows(rwm, most: int) -> _Windows:
-    """Windows for every weight column of `rwm`, placed by the law of
-    the unit uniforms it is drawn from (see _law_window) and moved into
-    its band as the draw moves a uniform, law * width + lower, with the
-    same two roundings: each window then holds every weight whose uniform
-    lies in the law's. Chunks of at most `most` drawn rows may be added
-    from any thread, each thread sorting pieces of up to _SORTED values
-    in its own scratch."""
+    """Quartile windows for every weight column of `rwm`, placed by the
+    law of the unit uniforms it is drawn from (see _law_window) and moved
+    into its band as the draw moves a uniform, law * width + lower, with
+    the same two roundings: each window then holds every weight whose
+    uniform lies in the law's. Chunks of at most `most` drawn rows may
+    be added from any thread, each thread sorting pieces of up to
+    _SORTED values in its own scratch."""
     t, n = rwm.iterations, rwm.bounds.n
     size = max(n, min(n * most, _SORTED))
-    law = np.array([_law_window(t, q) for q in _PICKS])[:, None]  # 5 x 1 x 2
+    law = np.array([_law_window(t, q) for q in _QUARTILES])[:, None]  # 3 x 1 x 2
     edges = law * rwm.bounds.width[:, None] + rwm.bounds.lower[:, None]
     return _Windows(edges, _per_thread(lambda: np.empty((2, size))))
+
+
+def _chunk_windows(rows: np.ndarray) -> _Windows:
+    """Quartile windows for every column of `rows`, the first chunk of a
+    pass of more than one, placed in it, sorted down each column, as
+    _narrowed places them inside [0, 1]; `rows` is counted, and later
+    chunks are added one at a time."""
+    first = np.sort(rows, axis=0)
+    n, m = first.shape
+    edges = np.full((len(_QUARTILES), m, 2), [0.0, 1.0])
+    for p, q in enumerate(_QUARTILES):
+        edges[p, :, 0], edges[p, :, 1] = _narrowed(
+            lambda i: first[np.clip(i, 0, n - 1)], n, 0, n, q, edges[p])
+    scratch = np.empty((2, rows.size))  # a sorted chunk and its keys
+    windows = _Windows(edges, lambda: scratch, placed=n)
+    windows.add(rows)
+    return windows

@@ -34,6 +34,7 @@ from conftest import (
     REF_UPPER,
     make_matrix,
 )
+from test_weighting import critic_divisor_m
 
 EXTRA_SEEDS = [101, 2024, 31337, 7, 555, 90210, 13, 777, 424242, 999983]
 
@@ -128,8 +129,8 @@ def test_criterion_07_critic_divisor_invariance_thousand_cases():
         if np.any(v.max(axis=0) == v.min(axis=0)):
             continue
         count += 1
-        w1 = critic_weights(matrix, ddof=1).weights.weights
-        w0 = critic_weights(matrix, ddof=0).weights.weights
+        w1 = critic_weights(matrix).weights.weights
+        w0 = critic_divisor_m(matrix)
         worst = max(worst, float(np.max(np.abs(w1 - w0))))
     ok = worst <= 1e-12
     _verdict(7, ok, f"critic weights agree across sigma divisors m-1 and m "

@@ -61,8 +61,9 @@ def test_all_violations_reported_not_just_first():
         np.array([[np.inf, -1.0]]),
     )
     errors = problem_violations(matrix)
-    assert len(errors) >= 3  # m < 2, non-finite, duplicate id
+    assert len(errors) >= 4  # m < 2, non-finite, negative, duplicate id
     assert any("duplicate" in e for e in errors)
+    assert "negative value of alternative 'a1' on criterion 'g1'" in errors
 
 
 def test_duplicate_alternative_label_rejected():

@@ -303,7 +303,7 @@ def _placings(monkeypatch):
 
 
 def _plain(w):
-    """The count of plain values each window of `w` keeps, pick by column."""
+    """The count of plain values each window of `w` keeps, quartile by column."""
     return np.sum(w.sizes, axis=0)
 
 
@@ -343,10 +343,9 @@ def test_pass_summaries_of_identical_rows(social_matrix, monkeypatch):
 def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     # an alternative that is the ideal on every criterion has closeness 1.0 on
     # every row, which each of its windows counts on an edge and keeps no
-    # plain value of, while the other columns vary and their quartile windows
-    # keep plain values (an extreme's window may place an edge on the extreme
-    # itself and keep none); the windows are placed in the first chunk and
-    # again at 4 and 16 chunks
+    # plain value of, while the other columns vary and their windows keep
+    # plain values; the windows are placed in the first chunk and again at 4
+    # and 16 chunks
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     benefit = np.array(SOCIAL_DIRECTIONS) == "max"
     ideal = np.where(benefit, SOCIAL_VALUES.max(axis=0), SOCIAL_VALUES.min(axis=0))
@@ -367,7 +366,7 @@ def test_pass_summaries_of_a_dominating_alternative(cpus, monkeypatch):
     edges, ends, plain = next(r for r in read if r[0].shape[1] == matrix.m)  # the closeness'
     assert (edges[:, -1] == 1.0).any(axis=1).all() and (plain[:, -1] == 0).all()
     assert (ends[:, -1].sum(axis=1) == cfg.iterations).all()
-    assert (plain[1:4, :-1] > 0).all()
+    assert (plain[:, :-1] > 0).all()
     _assert_pass_summaries_exact(report)
     assert set(report.closeness_summary[-1].values()) == {1.0}
     assert all(s["min"] < s["max"] for s in report.closeness_summary[:-1])
@@ -378,28 +377,30 @@ def test_pass_summaries_count_the_values_at_their_edges(monkeypatch):
     # 0.25, 0.75 and 0.25, lie inside every window, [0, 1], and are kept as
     # plain values. The fourth, 0.75 again, brings the rows to 4 times the 8
     # placed from, and narrow windows are placed again on the two values:
-    # the minimum's [0, 0.25], q1's [0.25, 0.25], the median's [0.25, 0.75],
-    # q3's [0.75, 0.75] and the maximum's [0.75, 1], which count each value
-    # at an edge, below or above, and keep none. A fifth piece of 0.25 is
-    # counted at the edges it is equal to and below the rest.
+    # q1's [0.25, 0.25], the median's [0.25, 0.75] and q3's [0.75, 0.75],
+    # which count each value at an edge, below or above, and keep none. A
+    # fifth piece of 0.25 is counted at the edges it is equal to and below
+    # the rest. The extremes are the column's least and greatest value.
     monkeypatch.setattr(windows, "_WINDOW_SIGMAS", 0.5)
     scratch = np.empty((2, 8))
-    w = windows._Windows(np.broadcast_to([0.0, 1.0], (5, 1, 2)), lambda: scratch, placed=8)
+    w = windows._Windows(np.broadcast_to([0.0, 1.0], (3, 1, 2)), lambda: scratch, placed=8)
     pieces = [np.full((8, 1), v) for v in (0.25, 0.75, 0.25, 0.75, 0.25)]
     for piece in pieces[:3]:
         w.add(piece)
     assert (w.ends == 0).all() and (w.below == 0).all()
     assert (_plain(w) == 24).all()
+    assert w.low.tolist() == [0.25] and w.high.tolist() == [0.75]
     w.add(pieces[3])
-    assert w.edges[:, 0].tolist() == [[0.0, 0.25], [0.25, 0.25], [0.25, 0.75], [0.75, 0.75],
-                                      [0.75, 1.0]]
-    assert w.ends[:, 0].tolist() == [[0, 16], [16, 0], [16, 16], [16, 0], [16, 0]]
-    assert w.below[:, 0].tolist() == [0, 0, 0, 16, 16]
+    assert w.edges[:, 0].tolist() == [[0.25, 0.25], [0.25, 0.75], [0.75, 0.75]]
+    assert w.ends[:, 0].tolist() == [[16, 0], [16, 16], [16, 0]]
+    assert w.below[:, 0].tolist() == [0, 0, 16]
     assert (_plain(w) == 0).all()
+    assert w.low.tolist() == [0.25] and w.high.tolist() == [0.75]
     w.add(pieces[4])
-    assert w.ends[:, 0].tolist() == [[0, 24], [24, 0], [24, 16], [16, 0], [16, 0]]
-    assert w.below[:, 0].tolist() == [0, 0, 0, 24, 24]
+    assert w.ends[:, 0].tolist() == [[24, 0], [24, 16], [16, 0]]
+    assert w.below[:, 0].tolist() == [0, 0, 24]
     assert (_plain(w) == 0).all()
+    assert w.low.tolist() == [0.25] and w.high.tolist() == [0.75]
     stats = w.stats(40)
     assert stats is not None
     whole = np.sort(np.concatenate(pieces), axis=0)
